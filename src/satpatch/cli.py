@@ -34,7 +34,7 @@ from .errors import (
     VariantError,
 )
 from .fstree import FileTree, load_tree, materialize, tree_digest, write_tar
-from .package import decode_package, encode_package
+from .package import decode_package, encode_package, wire_layout
 from .reconstruct import apply_changeset, replace_directory
 
 SCHEMA = "satpatch-cli/1"
@@ -276,6 +276,35 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+_TOP_PATHS = 10
+
+
+def _cmd_inspect(args) -> int:
+    blob = _read_bytes(args.package)
+    try:
+        layout = wire_layout(blob)
+    except PackageError as exc:
+        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
+    layout["paths"] = layout["paths"][:_TOP_PATHS]
+    lines = [
+        f"package: {len(blob)} B compressed",
+        f"manifest: {layout['manifest_bytes']} B",
+        f"segments: {layout['segment_bytes']} B",
+        f"{'kind':<12}  {'changes':>8}  {'segment B':>12}  {'inserted B':>12}",
+    ]
+    for kind, row in sorted(layout["kinds"].items()):
+        lines.append(
+            f"{kind:<12}  {row['changes']:>8}  {row['segment_bytes']:>12}  "
+            f"{row['inserted']:>12}"
+        )
+    if layout["paths"]:
+        lines.append("top paths by segment bytes:")
+        lines.extend(f"{nbytes:>12}  {path}" for path, nbytes in layout["paths"])
+    layout["package_bytes"] = len(blob)
+    _emit(args, "\n".join(lines), layout)
+    return EXIT_OK
+
+
 def _cmd_bench(args) -> int:
     spec = _chunk_spec_from_env()
     orig = _load(args.orig)
@@ -447,6 +476,12 @@ def build_parser() -> _Parser:
     p.add_argument("--bandwidth-kbps", type=int, default=200)
     p.add_argument("--windows", help="JSON file of [start, end] contact windows (s)")
     p.set_defaults(handler=_cmd_estimate)
+
+    p = sub.add_parser(
+        "inspect", parents=[common], help="where a package's bytes go"
+    )
+    p.add_argument("package")
+    p.set_defaults(handler=_cmd_inspect)
 
     p = sub.add_parser(
         "bench", parents=[common], help="compare against whole-artifact uploads"

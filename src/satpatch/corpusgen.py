@@ -166,7 +166,7 @@ def _flip_chunk_bytes(content: bytes, rng: random.Random, spec: ChunkSpec) -> by
 
 def _chunk_retained(orig: bytes, current: bytes, spec: ChunkSpec) -> int:
     ops, _ = chunk_diff(orig, current, spec)
-    return sum(sum(op.unit_sizes) for op in ops if op.kind == "R")
+    return sum(op.count for op in ops if op.kind == "R")
 
 
 def generate_variant(

@@ -8,21 +8,26 @@ inserted units. Scripts are run-length encoded as R (retain), D (delete),
 I (insert) operations; inserted bytes ride alongside as one segment per
 I run.
 
-Chunk-mode operations carry the byte length of every unit they cover.
-The receiver replays them by advancing byte counts through its local old
-content and never has to re-chunk anything.
+Line-mode ops count lines. Chunk-mode ops count bytes: the chunk
+boundaries only steer the search, and the receiver replays byte spans
+through its local old content without re-chunking anything. A chunk
+insert run travels delta-coded: a raw deflate stream whose preset
+dictionary is the old content just before the run's old offset (see
+:func:`delta_dictionary`), so bytes the run replaces cost back-references
+instead of literals.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TreeError
+from .errors import EditScriptError, SegmentCountError, TreeError
 from .fstree import FileTree, tree_digest
 
 RETAIN = "R"
@@ -59,24 +64,17 @@ DEFAULT_CHUNK_SPEC = ChunkSpec()
 
 @dataclass(frozen=True)
 class EditOp:
-    """One run-length edit: retain/delete/insert ``count`` units.
-
-    ``unit_sizes`` is None for line-mode scripts. Chunk-mode scripts set
-    it on every op (one byte length per unit) because the receiver walks
-    its old content by byte counts instead of re-chunking.
-    """
+    """One run-length edit: retain/delete/insert ``count`` units, where a
+    unit is a line in text scripts and a byte in chunk scripts."""
 
     kind: str
     count: int
-    unit_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in (RETAIN, DELETE, INSERT):
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("op count must be positive")
-        if self.unit_sizes is not None and len(self.unit_sizes) != self.count:
-            raise ValueError("unit_sizes length must equal count")
 
 
 class ChangeKind(Enum):
@@ -88,12 +86,16 @@ class ChangeKind(Enum):
     CHUNK_PATCH = "B~"
 
 
+PATCH_KINDS = frozenset({ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH})
+
+
 @dataclass(frozen=True)
 class FileChange:
     """One manifest entry: what happened to one path.
 
     Patches carry an edit script plus the inserted-byte segments, in I-op
-    order. A file insert is a single segment holding the whole content.
+    order (delta-coded for chunk patches). A file insert is a single
+    segment holding the whole content.
     """
 
     path: str
@@ -118,6 +120,64 @@ class ChangeSet:
 
     def segment_bytes(self) -> int:
         return sum(len(s) for c in self.changes for s in c.segments)
+
+
+def insert_runs(change: FileChange) -> int:
+    """How many segments ``change`` must carry."""
+    if change.kind is ChangeKind.FILE_INSERT:
+        return 1
+    if change.kind in PATCH_KINDS:
+        return sum(1 for op in change.ops if op.kind == INSERT)
+    return 0
+
+
+def check_segments(change: FileChange) -> None:
+    """The segment checks that need no old content: one segment per insert
+    run, and each text insert run exactly as many lines as its op counts.
+
+    Chunk insert runs are checked when they inflate against the old
+    content. Raises SegmentCountError or EditScriptError.
+    """
+    needed = insert_runs(change)
+    if len(change.segments) != needed:
+        raise SegmentCountError(
+            f"{change.path!r}: {needed} insert runs but "
+            f"{len(change.segments)} segments"
+        )
+    if change.kind is not ChangeKind.TEXT_PATCH:
+        return
+    runs = [op for op in change.ops if op.kind == INSERT]
+    for run, (op, segment) in enumerate(zip(runs, change.segments)):
+        lines = len(split_lines(segment))
+        if lines != op.count:
+            raise EditScriptError(
+                f"{change.path!r}: insert run {run} splits into {lines} "
+                f"lines, op covers {op.count}"
+            )
+
+
+# -- delta-coded chunk insert runs --------------------------------------------
+
+#: Deflate's window: a preset dictionary longer than this is not used.
+DELTA_WINDOW = 32768
+
+
+def delta_dictionary(old: bytes, pos: int) -> bytes:
+    """Preset dictionary of a chunk insert run at old offset ``pos``.
+
+    ``pos`` is taken after any delete that precedes the run, so the
+    dictionary holds the bytes the run replaces and the retained bytes
+    before them.
+    """
+    return old[max(0, pos - DELTA_WINDOW) : pos]
+
+
+def delta_encode(run: bytes, old: bytes, pos: int) -> bytes:
+    """Raw deflate of an insert run against :func:`delta_dictionary`."""
+    coder = zlib.compressobj(
+        9, zlib.DEFLATED, -15, zdict=delta_dictionary(old, pos)
+    )
+    return coder.compress(run) + coder.flush()
 
 
 # -- unit splitting ----------------------------------------------------------
@@ -371,29 +431,39 @@ def _assemble(
     raw: list[tuple],
     old_units: Sequence[bytes],
     new_units: Sequence[bytes],
-    with_sizes: bool,
+    old: bytes | None = None,
 ) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
+    """Turn a unit script into ops and segments.
+
+    Without ``old`` the ops count units. With it (chunk scripts) they
+    count bytes, and each insert run is delta-coded against ``old`` at
+    the old offset the script has reached.
+    """
     ops: list[EditOp] = []
     segments: list[bytes] = []
-    i = j = 0
+    i = j = pos = 0
     for op in raw:
-        if op[0] == RETAIN:
-            n = op[1]
-            sizes = tuple(len(u) for u in old_units[i : i + n]) if with_sizes else None
-            ops.append(EditOp(RETAIN, n, sizes))
-            i += n
-            j += n
-        elif op[0] == DELETE:
-            n = op[1]
-            sizes = tuple(len(u) for u in old_units[i : i + n]) if with_sizes else None
-            ops.append(EditOp(DELETE, n, sizes))
-            i += n
-        else:
+        if op[0] == INSERT:
             _, b_start, n = op
             assert b_start == j, "insert runs must consume new units in order"
-            sizes = tuple(len(u) for u in new_units[j : j + n]) if with_sizes else None
-            ops.append(EditOp(INSERT, n, sizes))
-            segments.append(b"".join(new_units[j : j + n]))
+            run = b"".join(new_units[j : j + n])
+            j += n
+            if old is None:
+                ops.append(EditOp(INSERT, n))
+                segments.append(run)
+            else:
+                ops.append(EditOp(INSERT, len(run)))
+                segments.append(delta_encode(run, old, pos))
+            continue
+        kind, n = op
+        if old is None:
+            ops.append(EditOp(kind, n))
+        else:
+            span = sum(map(len, old_units[i : i + n]))
+            ops.append(EditOp(kind, span))
+            pos += span
+        i += n
+        if kind == RETAIN:
             j += n
     assert i == len(old_units) and j == len(new_units)
     return tuple(ops), tuple(segments)
@@ -404,17 +474,18 @@ def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, 
     old_units = split_lines(old)
     new_units = split_lines(new)
     raw = diff_units(old_units, new_units)
-    return _assemble(raw, old_units, new_units, with_sizes=False)
+    return _assemble(raw, old_units, new_units)
 
 
 def chunk_diff(
     old: bytes, new: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC
 ) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
-    """Minimal chunk-level edit script for binary content."""
+    """Minimal chunk-level edit script for binary content, as byte spans
+    with delta-coded insert runs."""
     old_units = chunkify(old, spec)
     new_units = chunkify(new, spec)
     raw = diff_units(old_units, new_units)
-    return _assemble(raw, old_units, new_units, with_sizes=True)
+    return _assemble(raw, old_units, new_units, old)
 
 
 # -- tree comparison ---------------------------------------------------------
@@ -480,13 +551,11 @@ def compare_trees(
 def retained_bytes(change: FileChange, new_content: bytes) -> int:
     """Bytes of the new file content that the script retains from the old.
 
-    Used for modification-ratio accounting. Chunk ops carry their sizes;
-    line ops are measured against the new content's line lengths.
+    Used for modification-ratio accounting. Chunk ops count bytes; line
+    ops are measured against the new content's line lengths.
     """
     if change.kind is ChangeKind.CHUNK_PATCH:
-        return sum(
-            sum(op.unit_sizes) for op in change.ops if op.kind == RETAIN
-        )
+        return sum(op.count for op in change.ops if op.kind == RETAIN)
     if change.kind is not ChangeKind.TEXT_PATCH:
         raise TreeError(f"not a patch change: {change.kind}")
     lines = split_lines(new_content)

@@ -91,6 +91,11 @@ class SegmentCountError(ApplyError):
     """Fewer or more inserted segments than insert runs require."""
 
 
+class DeltaRunError(ApplyError):
+    """A chunk insert run does not inflate, against the old bytes before
+    it, to exactly the span its op declares."""
+
+
 class DigestMismatchError(ApplyError):
     """Reconstructed tree digest differs from the packaged target digest."""
 

@@ -11,19 +11,24 @@ files, each as a deterministic gzip'd tar.
 
 from __future__ import annotations
 
-import gzip
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffgen import ChangeKind, ChangeSet, ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees, retained_bytes
+from .diffgen import (
+    PATCH_KINDS,
+    ChangeKind,
+    ChangeSet,
+    ChunkSpec,
+    DEFAULT_CHUNK_SPEC,
+    compare_trees,
+    retained_bytes,
+)
 from .errors import LinkError, PrefixMatchError
 from .fstree import FileTree, write_tar
+from .package import gzip_bytes
 
 KIB = 1024
 DEFAULT_UPLINK_BPS = 200_000
-
-_PATCH_KINDS = (ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH)
 
 
 def _to_fraction(value) -> Fraction:
@@ -100,10 +105,7 @@ class BaselineSizes:
 
 
 def _gzip_size(data: bytes) -> int:
-    buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=9, mtime=0) as gz:
-        gz.write(data)
-    return len(buf.getvalue())
+    return len(gzip_bytes(data))
 
 
 def baseline_sizes(
@@ -132,7 +134,7 @@ def baseline_sizes(
     changed_files = [
         c.path
         for c in changeset.changes
-        if c.kind is ChangeKind.FILE_INSERT or c.kind in _PATCH_KINDS
+        if c.kind is ChangeKind.FILE_INSERT or c.kind in PATCH_KINDS
     ]
     b3 = _gzip_size(write_tar(upd, paths=changed_files))
     return BaselineSizes(b1, b2, b3)
@@ -167,7 +169,7 @@ def modification_ratio(
     changeset = compare_trees(orig, upd, spec)
     touched: dict[str, int] = {}
     for change in changeset.changes:
-        if change.kind in _PATCH_KINDS:
+        if change.kind in PATCH_KINDS:
             touched[change.path] = retained_bytes(change, upd[change.path].content)
         elif change.kind is ChangeKind.FILE_INSERT:
             touched[change.path] = 0

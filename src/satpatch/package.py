@@ -1,23 +1,36 @@
-"""Serialization of a ChangeSet to the .satpkg wire format.
+"""Serialization of a ChangeSet to the .satpkg wire format, version 2.
 
-Layout (all integers big-endian), then gzip'd as a whole at level 9 with
-a zeroed timestamp so identical change sets encode to identical bytes:
+The container (all integers big-endian) is gzip'd as a whole at level 9
+with a zeroed timestamp, so identical change sets encode to identical
+bytes:
 
-    magic "SATL" | u8 version
+    magic "SATL" | u8 version (2)
     u32 window | u32 mask_bits | u32 min_size | u32 max_size
     32B source tree digest | 32B target tree digest
     u64 manifest length | manifest (UTF-8 text, one line per change)
-    u32 segment count
-    per segment: u16 path length | path | u32 run index | u64 length | bytes
+    u32 record count
+    per record: u16 path length | path | u32 run index | u64 length | bytes
 
 Manifest lines are tab-separated: change code, percent-encoded path, and
-for patches an op string like ``R5 D2 I3`` (line mode) or
-``R2:100,200 I1:30`` (chunk mode, sizes after the colon). Segments are
-keyed by (path, insert-run index) and stored sorted, one record per I run
-and one record, run 0, per inserted file.
+for patches an op string such as ``R5 D2 I3``. One grammar serves both
+patch kinds: a token is R (retain), D (delete) or I (insert) and a
+positive count, of lines in a text patch (``T~``) and of bytes in a chunk
+patch (``B~``).
 
-Decoding validates structure and raises a typed PackageError subclass;
-it never touches the filesystem.
+Records are keyed by (path, insert-run index) and stored sorted: one per
+I run of a patch and one, run 0, per inserted file. A text insert run and
+an inserted file are raw bytes. A chunk insert run is delta-coded: a raw
+deflate stream (``zlib`` wbits -15, level 9) whose preset dictionary is
+``old[max(0, p - 32768):p]``, where ``p`` is the old-content offset the
+script has reached at the run, after any delete before it. It must
+inflate to exactly the run's I count; the receiver checks that when it
+replays the patch against its old content (``reconstruct``). The rule
+depends only on the change kind, so no flag travels with a run.
+
+Decoding inflates the container only as far as the fields read so far
+need, checks each record against the manifest before reading its bytes,
+and validates structure with a typed PackageError subclass; it never
+touches the filesystem.
 """
 
 from __future__ import annotations
@@ -29,15 +42,18 @@ import urllib.parse
 import zlib
 
 from .diffgen import (
+    PATCH_KINDS,
     ChangeKind,
     ChangeSet,
     ChunkSpec,
     EditOp,
     FileChange,
     INSERT,
-    split_lines,
+    check_segments,
+    insert_runs,
 )
 from .errors import (
+    ApplyError,
     BadMagicError,
     CorruptPackageError,
     ManifestError,
@@ -49,51 +65,35 @@ from .errors import (
 from .fstree import normalize_path
 
 MAGIC = b"SATL"
-PACKAGE_VERSION = 1
+PACKAGE_VERSION = 2
 
 _DIGEST_LEN = 32
 _CODES = {kind.value: kind for kind in ChangeKind}
-_PATCH_KINDS = (ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH)
 
 
-def _format_ops(ops: tuple[EditOp, ...], with_sizes: bool) -> str:
-    parts = []
-    for op in ops:
-        if with_sizes:
-            parts.append(f"{op.kind}{op.count}:" + ",".join(map(str, op.unit_sizes)))
-        else:
-            parts.append(f"{op.kind}{op.count}")
-    return " ".join(parts)
+def gzip_bytes(data: bytes) -> bytes:
+    """Deterministic gzip: level 9, zero timestamp. ``GzipFile`` rather
+    than ``gzip.compress``, whose header names the host's OS."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=9, mtime=0) as gz:
+        gz.write(data)
+    return buf.getvalue()
 
 
-def _parse_ops(text: str, with_sizes: bool, line_no: int, path: str):
+def _format_ops(ops: tuple[EditOp, ...]) -> str:
+    return " ".join(f"{op.kind}{op.count}" for op in ops)
+
+
+def _parse_ops(text: str, line_no: int, path: str) -> tuple[EditOp, ...]:
     ops = []
     for token in text.split(" "):
         if not token or token[0] not in "RDI":
             raise ManifestError(f"bad op token {token!r}", line_no, path)
-        kind = token[0]
-        body = token[1:]
-        sizes = None
-        if with_sizes:
-            count_text, sep, sizes_text = body.partition(":")
-            if not sep:
-                raise ManifestError(f"op {token!r} lacks unit sizes", line_no, path)
-            try:
-                sizes = tuple(int(s) for s in sizes_text.split(","))
-            except ValueError:
-                raise ManifestError(f"bad unit sizes in {token!r}", line_no, path)
-            if any(s < 1 for s in sizes):
-                raise ManifestError(f"non-positive unit size in {token!r}", line_no, path)
-        else:
-            count_text = body
-            if ":" in body:
-                raise ManifestError(f"unexpected sizes in {token!r}", line_no, path)
-        if not count_text.isdigit() or int(count_text) < 1:
+        count = token[1:]
+        # ASCII digits only, and few enough that the count fits a C ssize_t.
+        if not (count.isascii() and count.isdigit()) or len(count) > 18 or int(count) < 1:
             raise ManifestError(f"bad op count in {token!r}", line_no, path)
-        count = int(count_text)
-        if sizes is not None and len(sizes) != count:
-            raise ManifestError(f"size list length mismatch in {token!r}", line_no, path)
-        ops.append(EditOp(kind, count, sizes))
+        ops.append(EditOp(token[0], int(count)))
     return tuple(ops)
 
 
@@ -101,10 +101,8 @@ def _encode_manifest(changes: tuple[FileChange, ...]) -> bytes:
     lines = []
     for change in changes:
         fields = [change.kind.value, urllib.parse.quote(change.path, safe="/")]
-        if change.kind in _PATCH_KINDS:
-            fields.append(
-                _format_ops(change.ops, change.kind is ChangeKind.CHUNK_PATCH)
-            )
+        if change.kind in PATCH_KINDS:
+            fields.append(_format_ops(change.ops))
         lines.append("\t".join(fields))
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
@@ -126,13 +124,10 @@ def _decode_manifest(blob: bytes) -> list[FileChange]:
             path = normalize_path(urllib.parse.unquote(fields[1], errors="strict"))
         except (UnicodeDecodeError, PathError) as exc:
             raise ManifestError(f"bad path field: {exc}", line_no)
-        if kind in _PATCH_KINDS:
+        if kind in PATCH_KINDS:
             if len(fields) != 3:
                 raise ManifestError("patch line needs an op field", line_no, path)
-            ops = _parse_ops(
-                fields[2], kind is ChangeKind.CHUNK_PATCH, line_no, path
-            )
-            changes.append(FileChange(path, kind, ops))
+            changes.append(FileChange(path, kind, _parse_ops(fields[2], line_no, path)))
         else:
             if len(fields) != 2:
                 raise ManifestError("unexpected extra fields", line_no, path)
@@ -146,66 +141,108 @@ def encode_package(changeset: ChangeSet) -> bytes:
     """Serialize and compress a ChangeSet. Deterministic."""
     spec = changeset.chunk_spec
     manifest = _encode_manifest(changeset.changes)
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack(">B", PACKAGE_VERSION))
-    out.write(
-        struct.pack(">IIII", spec.window, spec.mask_bits, spec.min_size, spec.max_size)
-    )
-    out.write(changeset.source_digest)
-    out.write(changeset.target_digest)
-    out.write(struct.pack(">Q", len(manifest)))
-    out.write(manifest)
+    parts = [
+        MAGIC,
+        struct.pack(">B", PACKAGE_VERSION),
+        struct.pack(">IIII", spec.window, spec.mask_bits, spec.min_size, spec.max_size),
+        changeset.source_digest,
+        changeset.target_digest,
+        struct.pack(">Q", len(manifest)),
+        manifest,
+    ]
     records = []
     for change in changeset.changes:
         for run, segment in enumerate(change.segments):
             records.append((change.path.encode("utf-8"), run, segment))
     records.sort(key=lambda r: (r[0], r[1]))
-    out.write(struct.pack(">I", len(records)))
+    parts.append(struct.pack(">I", len(records)))
     for path_bytes, run, segment in records:
-        out.write(struct.pack(">H", len(path_bytes)))
-        out.write(path_bytes)
-        out.write(struct.pack(">IQ", run, len(segment)))
-        out.write(segment)
-    buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=9, mtime=0) as gz:
-        gz.write(out.getvalue())
-    return buf.getvalue()
+        parts.append(struct.pack(">H", len(path_bytes)))
+        parts.append(path_bytes)
+        parts.append(struct.pack(">IQ", run, len(segment)))
+        parts.append(segment)
+    return gzip_bytes(b"".join(parts))
 
 
-class _Cursor:
-    """Bounds-checked reader over the decompressed container."""
+class _Container:
+    """Bounded reader over the gzip'd container.
+
+    It inflates only as far as the fields read so far need, plus at most
+    one step, so a declared length can never make decode hold more bytes
+    than the package really carries, and a record can be refused from its
+    header before its payload is inflated. One call inflates at most
+    ``_MAX_STEP`` bytes: ``max_length`` is a C ssize_t, and a declared
+    u64 length must end in TruncatedPackageError, not OverflowError.
+    """
+
+    _IN_STEP = 1 << 14
+    _OUT_STEP = 1 << 16
+    _MAX_STEP = 1 << 24
 
     def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+        self._blob = memoryview(blob)
+        self._fed = 0
+        self._inflater = zlib.decompressobj(wbits=31)
+        self._buf = b""
+        self._pos = 0
+
+    def _inflate(self, want: int) -> bytes:
+        """Up to ``want`` more container bytes; b"" at the end of the stream."""
+        inflater = self._inflater
+        while not inflater.eof:
+            data = inflater.unconsumed_tail
+            if not data:
+                if self._fed == len(self._blob):
+                    raise TruncatedPackageError("compressed stream truncated")
+                data = self._blob[self._fed : self._fed + self._IN_STEP]
+                self._fed += len(data)
+            try:
+                out = inflater.decompress(data, want)
+            except zlib.error as exc:
+                raise CorruptPackageError(f"compressed stream damaged: {exc}") from exc
+            if out:
+                return out
+        return b""
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedPackageError(
-                f"package ends inside {what} "
-                f"(need {n} bytes at offset {self.pos}, have {len(self.blob) - self.pos})"
-            )
-        piece = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return piece
+        end = self._pos + n
+        if end <= len(self._buf):
+            piece = self._buf[self._pos : end]
+            self._pos = end
+            return piece
+        parts = [self._buf[self._pos :]]
+        need = n - len(parts[0])
+        while need > 0:
+            out = self._inflate(min(max(need, self._OUT_STEP), self._MAX_STEP))
+            if not out:
+                raise TruncatedPackageError(
+                    f"package ends inside {what} ({need} of {n} bytes missing)"
+                )
+            parts.append(out[:need])
+            self._buf = out
+            self._pos = min(need, len(out))
+            need -= self._pos
+        return b"".join(parts)
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def done(self) -> bool:
-        return self.pos == len(self.blob)
+    def finish(self) -> None:
+        """Require the container and the compressed stream to end here."""
+        if self._pos < len(self._buf) or self._inflate(1):
+            raise CorruptPackageError("trailing bytes after last segment")
+        if self._inflater.unused_data or self._fed < len(self._blob):
+            raise CorruptPackageError("data after the end of the compressed stream")
 
 
 def decode_package(blob: bytes) -> ChangeSet:
     """Parse and validate a package; raises a PackageError subclass."""
-    try:
-        container = gzip.decompress(blob)
-    except EOFError as exc:
-        raise TruncatedPackageError(f"compressed stream truncated: {exc}") from exc
-    except (OSError, zlib.error) as exc:
-        raise CorruptPackageError(f"compressed stream damaged: {exc}") from exc
-    cur = _Cursor(container)
+    return _decode(blob)[0]
+
+
+def _decode(blob: bytes) -> tuple[ChangeSet, int]:
+    """The decoded package and the manifest length it declared."""
+    cur = _Container(blob)
     if cur.take(len(MAGIC), "magic") != MAGIC:
         raise BadMagicError("not a satpatch package")
     (version,) = cur.unpack(">B", "version")
@@ -220,8 +257,15 @@ def decode_package(blob: bytes) -> ChangeSet:
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
     changes = _decode_manifest(cur.take(manifest_len, "manifest"))
+    claims: dict[tuple[str, int], bytes | None] = {}
+    for change in changes:
+        for run in range(insert_runs(change)):
+            if (change.path, run) in claims:
+                raise PackageInconsistencyError(
+                    f"segment run {run} claimed twice", change.path
+                )
+            claims[(change.path, run)] = None
     (record_count,) = cur.unpack(">I", "segment count")
-    segments: dict[tuple[str, int], bytes] = {}
     for _ in range(record_count):
         (path_len,) = cur.unpack(">H", "segment path length")
         try:
@@ -229,83 +273,66 @@ def decode_package(blob: bytes) -> ChangeSet:
         except UnicodeDecodeError as exc:
             raise CorruptPackageError(f"segment path not UTF-8: {exc}") from exc
         run, seg_len = cur.unpack(">IQ", "segment header")
-        data = cur.take(seg_len, "segment data")
-        if (path, run) in segments:
+        key = (path, run)
+        if key not in claims:
+            raise PackageInconsistencyError(
+                f"segment run {run} matches no manifest insert", path
+            )
+        if claims[key] is not None:
             raise PackageInconsistencyError(
                 f"duplicate segment record run {run}", path
             )
-        segments[(path, run)] = data
-    if not cur.done():
-        raise CorruptPackageError(
-            f"{len(container) - cur.pos} trailing bytes after last segment"
-        )
-    changes = _attach_segments(changes, segments)
-    return ChangeSet(source_digest, target_digest, spec, tuple(changes))
-
-
-def _attach_segments(
-    changes: list[FileChange], segments: dict[tuple[str, int], bytes]
-) -> list[FileChange]:
-    """Join manifest entries with their payloads and cross-validate."""
+        claims[key] = cur.take(seg_len, "segment data")
+    cur.finish()
     out = []
-    claimed = set()
     for change in changes:
-        if change.kind is ChangeKind.FILE_INSERT:
-            needed = 1
-        elif change.kind in _PATCH_KINDS:
-            needed = sum(1 for op in change.ops if op.kind == INSERT)
-        else:
-            needed = 0
-        attached = []
-        for run in range(needed):
-            key = (change.path, run)
-            if key not in segments:
+        segments = []
+        for run in range(insert_runs(change)):
+            segment = claims[(change.path, run)]
+            if segment is None:
                 raise PackageInconsistencyError(
                     f"missing segment for insert run {run}", change.path
                 )
-            if key in claimed:
-                raise PackageInconsistencyError(
-                    f"segment run {run} claimed twice", change.path
-                )
-            claimed.add(key)
-            attached.append(segments[key])
-        _check_segment_shapes(change, attached)
-        out.append(
-            FileChange(change.path, change.kind, change.ops, tuple(attached))
-        )
-    orphans = set(segments) - claimed
-    if orphans:
-        path, run = sorted(orphans)[0]
-        raise PackageInconsistencyError(
-            f"segment run {run} matches no manifest insert", path
-        )
-    return out
+            segments.append(segment)
+        change = FileChange(change.path, change.kind, change.ops, tuple(segments))
+        try:
+            check_segments(change)
+        except ApplyError as exc:
+            raise PackageInconsistencyError(str(exc), change.path) from exc
+        out.append(change)
+    return ChangeSet(source_digest, target_digest, spec, tuple(out)), manifest_len
 
 
-def _check_segment_shapes(change: FileChange, attached: list[bytes]):
-    """Structural checks that do not require the old content."""
-    if change.kind not in _PATCH_KINDS:
-        return
-    run = 0
-    for op in change.ops:
-        if op.kind != INSERT:
-            continue
-        segment = attached[run]
+def wire_layout(blob: bytes) -> dict:
+    """Uncompressed bytes of a package's parts: the manifest as it is on
+    the wire, and the segment records split by change kind and by path.
+    Decodes the package, so it raises a PackageError subclass.
+
+    For each kind, ``inserted`` is the bytes its segments rebuild, which
+    differs from ``segment_bytes`` only for delta-coded chunk runs.
+    """
+    changeset, manifest_len = _decode(blob)
+    kinds: dict[str, dict[str, int]] = {}
+    paths: dict[str, int] = {}
+    for change in changeset.changes:
+        row = kinds.setdefault(
+            change.kind.name, {"changes": 0, "segment_bytes": 0, "inserted": 0}
+        )
+        row["changes"] += 1
+        sent = sum(map(len, change.segments))
+        row["segment_bytes"] += sent
         if change.kind is ChangeKind.CHUNK_PATCH:
-            if len(segment) != sum(op.unit_sizes):
-                raise PackageInconsistencyError(
-                    f"insert run {run} holds {len(segment)} bytes, "
-                    f"op sizes sum to {sum(op.unit_sizes)}",
-                    change.path,
-                )
+            row["inserted"] += sum(op.count for op in change.ops if op.kind == INSERT)
         else:
-            if len(split_lines(segment)) != op.count:
-                raise PackageInconsistencyError(
-                    f"insert run {run} splits into {len(split_lines(segment))} "
-                    f"lines, op covers {op.count}",
-                    change.path,
-                )
-        run += 1
+            row["inserted"] += sent
+        if sent:
+            paths[change.path] = paths.get(change.path, 0) + sent
+    return {
+        "manifest_bytes": manifest_len,
+        "segment_bytes": changeset.segment_bytes(),
+        "kinds": kinds,
+        "paths": sorted(paths.items(), key=lambda kv: (-kv[1], kv[0])),
+    }
 
 
 def package_size(changeset: ChangeSet) -> int:

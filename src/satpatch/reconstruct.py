@@ -6,31 +6,35 @@ replayed cleanly and the result's digest equals the packaged target
 digest. Any failure raises an ApplyError subclass and leaves the caller's
 tree exactly as it was.
 
-Chunk-mode scripts are replayed by byte counts taken from the op
-annotations, so the receiver never re-chunks its local content.
+Chunk-mode scripts are replayed as byte spans, so the receiver never
+re-chunks its local content; each insert run inflates against the old
+bytes before it (see :mod:`satpatch.package` for the wire rule).
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .diffgen import (
     ChangeKind,
     ChangeSet,
-    DELETE,
     FileChange,
     INSERT,
     RETAIN,
+    check_segments,
+    delta_dictionary,
     split_lines,
 )
 from .errors import (
     BaseVersionMismatchError,
+    DeltaRunError,
     DigestMismatchError,
     EditScriptError,
-    SegmentCountError,
     TreeError,
 )
 from .fstree import Entry, FileTree, materialize, tree_digest
@@ -42,9 +46,7 @@ class ApplyReport:
     """What an apply did: entry counts, payload size, resulting digest.
 
     ``verified`` records whether the result digest equals the packaged
-    target digest. ``mismatch`` lists offending paths; the wire format
-    only carries a whole-tree expectation, so it is empty today and the
-    tree digest is the verdict.
+    target digest.
     """
 
     files_added: int = 0
@@ -56,7 +58,6 @@ class ApplyReport:
     bytes_written: int = 0
     target_digest: bytes = b""
     verified: bool = False
-    mismatch: tuple[str, ...] = ()
 
     @property
     def changes_applied(self) -> int:
@@ -69,29 +70,15 @@ class ApplyReport:
         )
 
 
-def _check_segments(change: FileChange) -> None:
-    inserts = sum(1 for op in change.ops if op.kind == INSERT)
-    if inserts != len(change.segments):
-        raise SegmentCountError(
-            f"{change.path!r}: {inserts} insert runs but "
-            f"{len(change.segments)} segments"
-        )
-
-
 def _replay_lines(old: bytes, change: FileChange) -> bytes:
-    _check_segments(change)
+    check_segments(change)
     lines = split_lines(old)
     out: list[bytes] = []
     pos = 0
     seg = iter(change.segments)
     for op in change.ops:
         if op.kind == INSERT:
-            segment = next(seg)
-            if len(split_lines(segment)) != op.count:
-                raise EditScriptError(
-                    f"{change.path!r}: insert run is not {op.count} lines"
-                )
-            out.append(segment)
+            out.append(next(seg))
             continue
         if pos + op.count > len(lines):
             raise EditScriptError(
@@ -107,31 +94,43 @@ def _replay_lines(old: bytes, change: FileChange) -> bytes:
     return b"".join(out)
 
 
+def _inflate_run(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
+    """Inflate a delta-coded insert run; never yields more than ``span``
+    bytes, and fails closed unless it is exactly one whole stream of
+    exactly ``span`` bytes."""
+    inflater = zlib.decompressobj(-15, zdict=delta_dictionary(old, pos))
+    try:
+        run = inflater.decompress(segment, span)
+    except zlib.error as exc:
+        raise DeltaRunError(f"{path!r}: insert run at byte {pos} is damaged: {exc}") from exc
+    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} does not end after {span} bytes"
+        )
+    if len(run) != span:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} inflates to {len(run)} bytes, "
+            f"op spans {span}"
+        )
+    return run
+
+
 def _replay_chunks(old: bytes, change: FileChange) -> bytes:
-    _check_segments(change)
+    check_segments(change)
     out: list[bytes] = []
     pos = 0
     seg = iter(change.segments)
     for op in change.ops:
-        if op.unit_sizes is None:
-            raise EditScriptError(f"{change.path!r}: chunk op lacks unit sizes")
-        span = sum(op.unit_sizes)
         if op.kind == INSERT:
-            segment = next(seg)
-            if len(segment) != span:
-                raise EditScriptError(
-                    f"{change.path!r}: segment is {len(segment)} bytes, "
-                    f"op spans {span}"
-                )
-            out.append(segment)
+            out.append(_inflate_run(next(seg), old, pos, op.count, change.path))
             continue
-        if pos + span > len(old):
+        if pos + op.count > len(old):
             raise EditScriptError(
                 f"{change.path!r}: script walks past byte {len(old)}"
             )
         if op.kind == RETAIN:
-            out.append(old[pos : pos + span])
-        pos += span
+            out.append(old[pos : pos + op.count])
+        pos += op.count
     if pos != len(old):
         raise EditScriptError(
             f"{change.path!r}: script consumed {pos} of {len(old)} bytes"
@@ -146,6 +145,10 @@ def apply_file(old: bytes, change: FileChange) -> bytes:
     if change.kind is ChangeKind.CHUNK_PATCH:
         return _replay_chunks(old, change)
     raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
+
+
+def _parent(path: str) -> str:
+    return path.rpartition("/")[0]
 
 
 def apply_changeset(
@@ -168,6 +171,7 @@ def apply_changeset(
             f"tree digest is {tree_digest(tree).hex()[:16]}"
         )
     entries = dict(tree.items())
+    children = Counter(_parent(p) for p in entries)
     added_f = deleted_f = patched = added_d = deleted_d = written = 0
     for change in changeset.changes:
         path = change.path
@@ -177,28 +181,28 @@ def apply_changeset(
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to delete")
             del entries[path]
+            children[_parent(path)] -= 1
             deleted_f += 1
         elif kind is ChangeKind.DIR_DELETE:
             if entry is None or not entry.is_dir:
                 raise EditScriptError(f"{path!r}: no such directory to delete")
-            prefix = path + "/"
-            if any(p.startswith(prefix) for p in entries):
+            if children[path]:
                 raise EditScriptError(f"{path!r}: directory still has children")
             del entries[path]
+            children[_parent(path)] -= 1
             deleted_d += 1
         elif kind is ChangeKind.DIR_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
             entries[path] = Entry.directory()
+            children[_parent(path)] += 1
             added_d += 1
         elif kind is ChangeKind.FILE_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
-            if len(change.segments) != 1:
-                raise SegmentCountError(
-                    f"{path!r}: file insert needs exactly one segment"
-                )
+            check_segments(change)
             entries[path] = Entry.file(change.segments[0])
+            children[_parent(path)] += 1
             written += len(change.segments[0])
             added_f += 1
         else:

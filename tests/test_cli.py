@@ -148,6 +148,50 @@ class TestEstimate:
         assert code == 0 and "undeliverable" in out
 
 
+class TestInspect:
+    def test_splits_bytes_by_part_kind_and_path(self, tmp_path, capsys):
+        import gzip
+        import random
+        import struct
+
+        blob = random.Random(3).randbytes(60_000)
+        flipped = bytearray(blob)
+        flipped[30_000] ^= 0xFF
+        orig = FileTree.from_dict("a", {"app/b.bin": blob, "app/m.py": b"a\nb\n"})
+        upd = FileTree.from_dict(
+            "a",
+            {"app/b.bin": bytes(flipped), "app/m.py": b"a\nB\n", "app/n.txt": b"new\n"},
+        )
+        materialize(orig, tmp_path / "orig")
+        materialize(upd, tmp_path / "upd")
+        pkg = tmp_path / "up.satpkg"
+        run(capsys, "diff", tmp_path / "orig", tmp_path / "upd", "-o", pkg)
+        code, out, _ = run(capsys, "inspect", pkg, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == "inspect"
+        assert doc["package_bytes"] == pkg.stat().st_size
+        container = gzip.decompress(pkg.read_bytes())
+        (manifest_len,) = struct.unpack_from(">Q", container, 85)
+        assert doc["manifest_bytes"] == manifest_len
+        kinds = doc["kinds"]
+        assert set(kinds) == {"CHUNK_PATCH", "TEXT_PATCH", "FILE_INSERT"}
+        assert doc["segment_bytes"] == sum(k["segment_bytes"] for k in kinds.values())
+        # The flipped chunk travels as a few bytes against the old ones.
+        chunk = kinds["CHUNK_PATCH"]
+        assert chunk["changes"] == 1 and 0 < chunk["segment_bytes"] < chunk["inserted"] // 10
+        assert kinds["TEXT_PATCH"]["segment_bytes"] == len(b"B\n")
+        assert [path for path, _ in doc["paths"]][0] == "app/b.bin"
+        code, out, _ = run(capsys, "inspect", pkg)
+        assert code == 0 and "manifest:" in out and "CHUNK_PATCH" in out
+
+    def test_bad_package_exits_2(self, tmp_path, capsys):
+        pkg = tmp_path / "bad.satpkg"
+        pkg.write_bytes(b"not a package")
+        code, _, err = run(capsys, "inspect", pkg)
+        assert code == 2 and "bad package" in err
+
+
 class TestBench:
     def test_rows(self, trees, capsys):
         tmp, *_ = trees

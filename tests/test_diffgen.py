@@ -6,6 +6,7 @@ against the package's own apply path.
 """
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -185,8 +186,9 @@ class TestLineDiff:
         assert segments == ()
 
     def test_no_sizes_in_line_mode(self):
-        ops, _ = line_diff(b"a\n", b"b\n")
-        assert all(op.unit_sizes is None for op in ops)
+        # Line ops count lines, whatever the lines' byte lengths.
+        ops, _ = line_diff(b"a\n", b"bbbbbbb\n")
+        assert ops == (EditOp("D", 1), EditOp("I", 1))
 
     def test_segment_per_insert_run(self):
         ops, segments = line_diff(b"a\nz\n", b"a\np\nq\nz\n")
@@ -252,21 +254,29 @@ class TestChunking:
 
 class TestChunkDiff:
     def test_sizes_on_every_op(self):
+        # Chunk ops are byte spans; each insert run is a raw deflate stream
+        # against the 32 KiB of old content before the run's old offset.
         rng = random.Random(6)
         old = rng.randbytes(40_000)
         new = old[:10_000] + rng.randbytes(500) + old[10_000:]
         ops, segments = chunk_diff(old, new)
-        assert all(op.unit_sizes is not None for op in ops)
-        for op in ops:
-            assert len(op.unit_sizes) == op.count
-        src = sum(sum(op.unit_sizes) for op in ops if op.kind in ("R", "D"))
-        dst = sum(sum(op.unit_sizes) for op in ops if op.kind in ("R", "I"))
+        src = sum(op.count for op in ops if op.kind in ("R", "D"))
+        dst = sum(op.count for op in ops if op.kind in ("R", "I"))
         assert src == len(old)
         assert dst == len(new)
         seg = iter(segments)
+        rebuilt = []
+        pos = 0
         for op in ops:
             if op.kind == "I":
-                assert len(next(seg)) == sum(op.unit_sizes)
+                inflater = zlib.decompressobj(-15, zdict=old[max(0, pos - 32768) : pos])
+                rebuilt.append(inflater.decompress(next(seg)))
+                assert inflater.eof and len(rebuilt[-1]) == op.count
+                continue
+            if op.kind == "R":
+                rebuilt.append(old[pos : pos + op.count])
+            pos += op.count
+        assert b"".join(rebuilt) == new
 
     def test_localized_edit_transfers_little(self):
         rng = random.Random(7)
@@ -387,7 +397,7 @@ class TestRetainedBytes:
 
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
         retained = retained_bytes(change, new)
-        inserted = sum(sum(op.unit_sizes) for op in ops if op.kind == "I")
+        inserted = sum(op.count for op in ops if op.kind == "I")
         assert retained + inserted == len(new)
 
     def test_full_replacement_retains_nothing(self):

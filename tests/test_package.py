@@ -4,6 +4,8 @@ import gzip
 import io
 import random
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -17,6 +19,7 @@ from satpatch.diffgen import (
 )
 from satpatch.errors import (
     BadMagicError,
+    DeltaRunError,
     CorruptPackageError,
     ManifestError,
     PackageError,
@@ -25,11 +28,19 @@ from satpatch.errors import (
     UnsupportedVersionError,
 )
 from satpatch.fstree import FileTree
-from satpatch.package import MAGIC, PACKAGE_VERSION, decode_package, encode_package, package_size
+from satpatch.package import (
+    MAGIC,
+    PACKAGE_VERSION,
+    decode_package,
+    encode_package,
+    package_size,
+    wire_layout,
+)
+from satpatch.reconstruct import apply_changeset
 from treegen import random_pair
 
 
-def sample_changeset() -> ChangeSet:
+def sample_trees() -> tuple[FileTree, FileTree]:
     old = FileTree.from_dict(
         "app",
         {
@@ -48,7 +59,11 @@ def sample_changeset() -> ChangeSet:
             "added/néw.json": b"{}\n",
         },
     )
-    return compare_trees(old, new)
+    return old, new
+
+
+def sample_changeset() -> ChangeSet:
+    return compare_trees(*sample_trees())
 
 
 def recompress(container: bytes) -> bytes:
@@ -144,6 +159,34 @@ class TestDecodeErrors:
         with pytest.raises(PackageError):
             decode_package(b"")
 
+    @staticmethod
+    def padded_container() -> bytes:
+        # A large inserted file keeps the stream from ending within the
+        # first read, so a huge length reaches the inflater.
+        old = FileTree.from_dict("a", {"m.py": b"a\n"})
+        new = FileTree.from_dict("a", {"m.py": b"b\n", "zz.bin": bytes(1 << 20)})
+        return container_of(encode_package(compare_trees(old, new)))
+
+    def test_huge_manifest_length(self):
+        container = self.padded_container()
+        head_end = 4 + 1 + 16 + 32 + 32
+        patched = container[:head_end] + b"\xff" * 8 + container[head_end + 8 :]
+        with pytest.raises(TruncatedPackageError):
+            decode_package(recompress(patched))
+
+    def test_huge_record_length(self):
+        # The first record is claimed by the manifest, so only its length
+        # stands between the header and its payload.
+        container = self.padded_container()
+        head_end = 4 + 1 + 16 + 32 + 32
+        (manifest_len,) = struct.unpack_from(">Q", container, head_end)
+        first = head_end + 8 + manifest_len + 4
+        (path_len,) = struct.unpack_from(">H", container, first)
+        length_at = first + 2 + path_len + 4
+        patched = container[:length_at] + b"\xff" * 8 + container[length_at + 8 :]
+        with pytest.raises(TruncatedPackageError):
+            decode_package(recompress(patched))
+
     def test_invalid_chunk_spec(self):
         container = container_of(encode_package(sample_changeset()))
         # min_size (third u32 of the chunk spec block) zeroed out.
@@ -195,8 +238,25 @@ class TestManifestValidation:
             decode_package(tamper_manifest(b"T~\tmain.py\t", b"T~\tmain.py\n"))
 
     def test_sizes_on_line_ops_rejected(self):
+        # Version 1 size lists are no op grammar in either patch kind.
         with pytest.raises(ManifestError):
             decode_package(tamper_manifest(b"R1 ", b"R1:9 "))
+        with pytest.raises(ManifestError):
+            decode_package(tamper_manifest(b"D10240 ", b"D1:10240 "))
+
+    def test_layout_reports_manifest_as_sent(self):
+        # Leading zeros and another valid percent-encoding decode to the
+        # same changes but are longer than their canonical re-encoding.
+        canonical = wire_layout(encode_package(sample_changeset()))["manifest_bytes"]
+        for old, new in ((b"R1 ", b"R001 "), (b"main.py", b"%6Dain.py")):
+            blob = tamper_manifest(old, new)
+            assert decode_package(blob) == sample_changeset()
+            assert wire_layout(blob)["manifest_bytes"] == canonical + len(new) - len(old)
+
+    @pytest.mark.parametrize("count", ["\u00b2", "9" * 19, "9" * 5000, "-1", ""])
+    def test_op_count_must_be_plain_digits(self, count):
+        with pytest.raises(ManifestError):
+            decode_package(tamper_manifest(b"R1 D1", f"R{count} D1".encode()))
 
 
 class TestSegmentValidation:
@@ -245,12 +305,43 @@ class TestSegmentValidation:
             decode_package(self.craft(add_orphan))
 
     def test_chunk_segment_size_mismatch(self):
+        # A delta run's size is known only once it inflates against the
+        # old bytes, so decode passes it and apply refuses it.
         def grow_blob(records):
             key = ("assets/blob.bin", 0)
             records[key] = records[key] + b"!"
 
-        with pytest.raises(PackageInconsistencyError):
-            decode_package(self.craft(grow_blob))
+        changeset = decode_package(self.craft(grow_blob))
+        with pytest.raises(DeltaRunError):
+            apply_changeset(sample_trees()[0], changeset)
+
+    def test_orphan_rejected_before_its_payload_inflates(self):
+        # One orphan record of 256 MiB of zeros, about 255 KiB compressed.
+        container = container_of(encode_package(sample_changeset()))
+        head_end = 4 + 1 + 16 + 32 + 32
+        (manifest_len,) = struct.unpack_from(">Q", container, head_end)
+        count_at = head_end + 8 + manifest_len
+        (count,) = struct.unpack_from(">I", container, count_at)
+        size = 256 << 20
+        coder = zlib.compressobj(9, zlib.DEFLATED, 31)
+        parts = [
+            coder.compress(container[:count_at]),
+            coder.compress(struct.pack(">I", count + 1)),
+            coder.compress(struct.pack(">H", 6) + b"orphan" + struct.pack(">IQ", 0, size)),
+        ]
+        zeros = bytes(1 << 20)
+        parts += [coder.compress(zeros) for _ in range(size >> 20)]
+        parts += [coder.compress(container[count_at + 4 :]), coder.flush()]
+        blob = b"".join(parts)
+        del parts, zeros
+        tracemalloc.start()
+        try:
+            with pytest.raises(PackageInconsistencyError):
+                decode_package(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_text_segment_line_count_mismatch(self):
         def split_insert(records):

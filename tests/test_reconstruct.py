@@ -1,12 +1,15 @@
 """Apply path: end-to-end round trips, typed failures, transactionality."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpatch.diffgen import (
+    DEFAULT_CHUNK_SPEC,
+    DELTA_WINDOW,
     ChangeKind,
     ChangeSet,
     ChunkSpec,
@@ -19,6 +22,7 @@ from satpatch.diffgen import (
 from satpatch.errors import (
     ApplyError,
     BaseVersionMismatchError,
+    DeltaRunError,
     DigestMismatchError,
     EditScriptError,
     SegmentCountError,
@@ -55,12 +59,16 @@ class TestApplyFile:
         ops, segments = chunk_diff(old, new)
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
         assert apply_file(old, change) == new
+        # The runs resend mostly old bytes, which the dictionary supplies.
+        inserted = sum(op.count for op in ops if op.kind == "I")
+        assert sum(map(len, segments)) < 333 + inserted // 4
 
     def test_wrong_old_content_caught_by_length(self):
         ops, segments = chunk_diff(b"A" * 1000, b"A" * 500)
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
-        with pytest.raises(EditScriptError):
-            apply_file(b"B" * 10, change)
+        for wrong in (b"B" * 10, b"A" * 999, b"A" * 1001):
+            with pytest.raises(EditScriptError):
+                apply_file(wrong, change)
 
     def test_segment_count_mismatch(self):
         change = FileChange(
@@ -85,6 +93,109 @@ class TestApplyFile:
         change = FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("R", 1),))
         with pytest.raises(EditScriptError):
             apply_file(b"a\nb\n", change)
+
+
+def chunk_change(old: bytes, new: bytes, spec=DEFAULT_CHUNK_SPEC) -> FileChange:
+    ops, segments = chunk_diff(old, new, spec)
+    return FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
+
+
+class TestDeltaRuns:
+    """Chunk insert runs travel deflated against the old bytes before them."""
+
+    def check_round_trip(self, old: bytes, new: bytes, spec=DEFAULT_CHUNK_SPEC):
+        change = chunk_change(old, new, spec)
+        assert sum(op.count for op in change.ops if op.kind in "RD") == len(old)
+        assert sum(op.count for op in change.ops if op.kind in "RI") == len(new)
+        assert apply_file(old, change) == new
+        return change
+
+    def test_insert_at_offset_zero_has_empty_dictionary(self):
+        # A zero run cuts into whole max-size chunks, so the old chunks
+        # after it line up again and the script opens with the insert.
+        old = random.Random(1).randbytes(20_000)
+        change = self.check_round_trip(old, bytes(DEFAULT_CHUNK_SPEC.max_size) + old)
+        assert change.ops[0] == EditOp("I", DEFAULT_CHUNK_SPEC.max_size)
+
+    def test_delete_run_longer_than_window(self):
+        rng = random.Random(2)
+        old = rng.randbytes(120_000)
+        new = old[:10_000] + rng.randbytes(700) + old[60_000:]
+        change = self.check_round_trip(old, new)
+        assert max(op.count for op in change.ops if op.kind == "D") > DELTA_WINDOW
+
+    def test_incompressible_pure_insert(self):
+        rng = random.Random(3)
+        new = rng.randbytes(50_000)
+        change = self.check_round_trip(b"", new)
+        assert [op.kind for op in change.ops] == ["I"]
+        # Stored deflate blocks: a few bytes of framing per 64 KiB.
+        assert len(change.segments[0]) < len(new) + 64
+
+    def test_file_shrinks_to_empty(self):
+        change = self.check_round_trip(random.Random(4).randbytes(40_000), b"")
+        assert [op.kind for op in change.ops] == ["D"]
+        assert change.segments == ()
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(0xD17A)
+        spec = ChunkSpec(window=16, mask_bits=7, min_size=32, max_size=1024)
+        for _ in range(60):
+            old = rng.randbytes(rng.choice((0, 1, 300, 5_000, 40_000)))
+            new = bytearray(old)
+            for _ in range(rng.randint(0, 6)):
+                at = rng.randint(0, len(new))
+                cut = rng.choice((0, 1, 100, 40_000))
+                new[at : at + cut] = rng.randbytes(rng.choice((0, 1, 50, 2_000)))
+            self.check_round_trip(old, bytes(new), spec)
+
+    def test_built_against_other_old_bytes_is_rejected(self):
+        rng = random.Random(5)
+        old = rng.randbytes(60_000)
+        new = bytearray(old)
+        new[30_000] ^= 0xFF
+        base = FileTree.from_dict("a", {"f.bin": old})
+        cs = compare_trees(base, FileTree.from_dict("a", {"f.bin": bytes(new)}))
+        # Same length, other bytes: the spans line up, the runs inflate
+        # against the wrong dictionary, and the target digest refuses.
+        other = FileTree.from_dict("a", {"f.bin": rng.randbytes(60_000)})
+        with pytest.raises(DigestMismatchError):
+            apply_changeset(other, cs, verify_source=False)
+
+    def damaged(self, mutate) -> tuple[bytes, FileChange]:
+        rng = random.Random(6)
+        old = rng.randbytes(30_000)
+        new = old[:15_000] + rng.randbytes(40) + old[15_000:]
+        change = chunk_change(old, new)
+        segments = list(change.segments)
+        segments[0] = mutate(segments[0])
+        return old, FileChange("f", ChangeKind.CHUNK_PATCH, change.ops, tuple(segments))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda z: z + b"!",
+            lambda z: z[:-1],
+            lambda z: b"\xff" + z[1:],
+            lambda z: zlib.compress(b"x", 9)[2:-4],
+        ],
+        ids=["trailing-byte", "cut-short", "bad-block-type", "whole-but-short"],
+    )
+    def test_damaged_run_fails_closed(self, mutate):
+        # A flip that still inflates to the span is left to the target
+        # digest, as in TestApplyChangeset.
+        old, change = self.damaged(mutate)
+        with pytest.raises(ApplyError):
+            apply_file(old, change)
+
+    def test_run_never_inflates_past_its_span(self):
+        old, change = self.damaged(lambda z: z)
+        span = next(op.count for op in change.ops if op.kind == "I")
+        coder = zlib.compressobj(9, zlib.DEFLATED, -15)
+        long_run = coder.compress(bytes(span * 1000)) + coder.flush()
+        _, change = self.damaged(lambda z: long_run)
+        with pytest.raises(DeltaRunError):
+            apply_file(old, change)
 
 
 class TestApplyChangeset:
@@ -159,7 +270,6 @@ class TestApplyChangeset:
         assert applied.get("more").content == b"m\n"
         # off-target result is returned but flagged
         assert report.verified is False
-        assert report.mismatch == ()
 
     def test_delete_missing_file(self):
         base = FileTree.from_dict("a", {})

@@ -5,10 +5,6 @@ failure, 4 rollback performed. Machine consumers pass ``--json`` after
 any subcommand and get one object on stdout with a versioned ``schema``
 field. File outputs are written to a temp sibling and renamed into
 place, so an interrupted run never leaves a half-written artifact.
-
-The chunking geometry can be overridden for experiments with
-``SATPATCH_CHUNK_SPEC=window,mask_bits,min,max`` (bytes, bits, bytes,
-bytes); packages record their geometry, so apply never needs it.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpusgen, layerstore, linksim
-from .diffgen import ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees
+from .diffgen import compare_trees
 from .errors import (
     ApplyError,
     LayerStoreError,
@@ -38,7 +34,6 @@ from .package import decode_package, encode_package, wire_layout
 from .reconstruct import apply_changeset, replace_directory
 
 SCHEMA = "satpatch-cli/1"
-ENV_CHUNK_SPEC = "SATPATCH_CHUNK_SPEC"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,23 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _chunk_spec_from_env() -> ChunkSpec:
-    raw = os.environ.get(ENV_CHUNK_SPEC)
-    if not raw:
-        return DEFAULT_CHUNK_SPEC
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise CliError(
-            EXIT_INPUT,
-            f"{ENV_CHUNK_SPEC} must be window,mask_bits,min,max (got {raw!r})",
-        )
-    try:
-        window, mask_bits, min_size, max_size = (int(p) for p in parts)
-        return ChunkSpec(window, mask_bits, min_size, max_size)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, f"bad {ENV_CHUNK_SPEC}: {exc}") from exc
 
 
 def _load(path: str) -> FileTree:
@@ -147,10 +125,9 @@ def _latency_str(nbytes: int, link: linksim.LinkModel) -> str:
 
 
 def _cmd_diff(args) -> int:
-    spec = _chunk_spec_from_env()
     orig = _load(args.orig)
     upd = _load(args.upd)
-    changeset = compare_trees(orig, upd, spec)
+    changeset = compare_trees(orig, upd)
     blob = encode_package(changeset)
     _write_bytes(args.output, blob)
     _emit(
@@ -306,10 +283,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = _chunk_spec_from_env()
     orig = _load(args.orig)
     upd = _load(args.upd)
-    changeset = compare_trees(orig, upd, spec)
+    changeset = compare_trees(orig, upd)
     blob = encode_package(changeset)
     try:
         base = linksim.baseline_sizes(orig, upd, changeset, args.app_prefix)
@@ -412,12 +388,11 @@ def _cmd_rollback(args) -> int:
 
 
 def _cmd_gen_variant(args) -> int:
-    spec_env = _chunk_spec_from_env()
     orig = _load(args.orig)
     try:
         vspec = corpusgen.VariantSpec(args.ratio, seed=args.seed)
         variant = corpusgen.generate_variant(
-            orig, vspec, scope_prefix=args.scope, chunk_spec=spec_env
+            orig, vspec, scope_prefix=args.scope
         )
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
@@ -428,7 +403,7 @@ def _cmd_gen_variant(args) -> int:
             else ""
         )
         raise CliError(EXIT_INPUT, f"variant generation failed: {exc}{detail}") from exc
-    achieved = float(linksim.modification_ratio(orig, variant, spec_env).ratio)
+    achieved = float(linksim.modification_ratio(orig, variant).ratio)
     _write_tree(variant, args.output)
     _emit(
         args,

@@ -20,7 +20,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffgen import ChunkSpec, DEFAULT_CHUNK_SPEC, chunk_diff, chunk_lengths
+from .diffgen import (
+    RETAIN,
+    ChunkSpec,
+    DEFAULT_CHUNK_SPEC,
+    chunk_diff,
+    chunk_lengths,
+    split_lines,
+)
 from .errors import VariantError
 from .fstree import FileTree
 from .linksim import modification_ratio
@@ -66,7 +73,7 @@ class _TextFile:
 
     def __init__(self, content: bytes):
         self.lines: list[tuple[bytes, bool]] = [
-            (line, True) for line in _split_keepends(content)
+            (line, True) for line in split_lines(content)
         ]
         self.preserved = len(content)
         self.size = len(content)
@@ -83,20 +90,6 @@ class _TextFile:
 
     def content(self) -> bytes:
         return b"".join(line for line, _ in self.lines)
-
-
-def _split_keepends(content: bytes) -> list[bytes]:
-    out = []
-    start = 0
-    while True:
-        idx = content.find(b"\n", start)
-        if idx < 0:
-            break
-        out.append(content[start : idx + 1])
-        start = idx + 1
-    if start < len(content):
-        out.append(content[start:])
-    return out
 
 
 def _indent_of(lines: list[tuple[bytes, bool]], pos: int) -> bytes:
@@ -166,7 +159,7 @@ def _flip_chunk_bytes(content: bytes, rng: random.Random, spec: ChunkSpec) -> by
 
 def _chunk_retained(orig: bytes, current: bytes, spec: ChunkSpec) -> int:
     ops, _ = chunk_diff(orig, current, spec)
-    return sum(op.count for op in ops if op.kind == "R")
+    return sum(op.count for op in ops if op.kind == RETAIN)
 
 
 def generate_variant(

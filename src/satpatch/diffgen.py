@@ -87,6 +87,8 @@ class ChangeKind(Enum):
 
 
 PATCH_KINDS = frozenset({ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH})
+#: Kinds that leave new file content at their path.
+CONTENT_KINDS = PATCH_KINDS | {ChangeKind.FILE_INSERT}
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 A :class:`FileTree` maps normalized relative paths to directory or file
 entries. Files carry their raw bytes, a SHA-256 content hash, and a
-textual/binary classification. Trees are immutable once built and iterate
-in lexicographic path order, which makes hashing, diffing, and packaging
-deterministic.
+textual/binary classification. An :class:`Entry` computes its hash and
+class once, when it is built, and no caller can supply them, so a tree
+never holds a stale hash and never hashes a file twice. Trees are
+immutable once built and iterate in lexicographic path order, which
+makes hashing, diffing, and packaging deterministic.
 
 Sources can be a plain directory on disk or an uncompressed tar archive.
 Only entry kind and content are modeled; permissions, ownership,
@@ -18,7 +20,7 @@ import hashlib
 import io
 import os
 import tarfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
@@ -92,25 +94,21 @@ def parent_path(path: str) -> str | None:
 
 @dataclass(frozen=True)
 class Entry:
-    """One tree entry: a directory, or a file with content and metadata."""
+    """One tree entry: a directory, or a file with content and metadata.
+
+    ``content_hash`` and ``textual`` are derived from ``content`` here and
+    cannot be passed in; a directory has an empty hash and is not textual.
+    """
 
     kind: EntryKind
     content: bytes = b""
-    content_hash: bytes = b""
-    textual: bool = False
+    content_hash: bytes = field(init=False, default=b"")
+    textual: bool = field(init=False, default=False)
 
-    @staticmethod
-    def file(content: bytes) -> "Entry":
-        return Entry(
-            kind=EntryKind.FILE,
-            content=content,
-            content_hash=hash_content(content),
-            textual=classify_textual(content),
-        )
-
-    @staticmethod
-    def directory() -> "Entry":
-        return Entry(kind=EntryKind.DIRECTORY)
+    def __post_init__(self):
+        if self.kind is EntryKind.FILE:
+            object.__setattr__(self, "content_hash", hash_content(self.content))
+            object.__setattr__(self, "textual", classify_textual(self.content))
 
     @property
     def is_file(self) -> bool:
@@ -142,8 +140,6 @@ class FileTree:
                 parent_entry = ordered.get(parent)
                 if parent_entry is None or not parent_entry.is_dir:
                     raise TreeError(f"missing parent directory for {path!r}")
-            if entry.is_file and hash_content(entry.content) != entry.content_hash:
-                raise TreeError(f"stale content hash for {path!r}")
         self.root_label = root_label
         self._entries = ordered
 
@@ -157,20 +153,15 @@ class FileTree:
         entries: dict[str, Entry] = {}
         for raw_path, value in mapping.items():
             path = normalize_path(raw_path)
-            entry = Entry.directory() if value is None else Entry.file(value)
+            if value is None:
+                entry = Entry(EntryKind.DIRECTORY)
+            else:
+                entry = Entry(EntryKind.FILE, value)
             existing = entries.get(path)
             if existing is not None and existing != entry:
                 raise TreeError(f"conflicting entries for {path!r}")
             entries[path] = entry
-        for path in list(entries):
-            parent = parent_path(path)
-            while parent is not None:
-                current = entries.get(parent)
-                if current is None:
-                    entries[parent] = Entry.directory()
-                elif not current.is_dir:
-                    raise TreeError(f"file {parent!r} used as a directory")
-                parent = parent_path(parent)
+        _add_parents(entries)
         return FileTree(root_label, entries)
 
     # -- mapping protocol --------------------------------------------------
@@ -198,9 +189,6 @@ class FileTree:
 
     def files(self) -> Iterator[tuple[str, Entry]]:
         return ((p, e) for p, e in self._entries.items() if e.is_file)
-
-    def dirs(self) -> Iterator[str]:
-        return (p for p, e in self._entries.items() if e.is_dir)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FileTree):
@@ -263,12 +251,12 @@ def _load_directory(root: Path) -> FileTree:
             full = base / name
             if full.is_symlink():
                 raise TreeError(f"symlinks are not modeled: {full}")
-            entries[_rel(root, full)] = Entry.directory()
+            entries[_rel(root, full)] = Entry(EntryKind.DIRECTORY)
         for name in sorted(filenames):
             full = base / name
             if full.is_symlink() or not full.is_file():
                 raise TreeError(f"only regular files are modeled: {full}")
-            entries[_rel(root, full)] = Entry.file(full.read_bytes())
+            entries[_rel(root, full)] = Entry(EntryKind.FILE, full.read_bytes())
     return FileTree(root.name, entries)
 
 
@@ -286,12 +274,12 @@ def _load_tar_stream(fileobj: BinaryIO, root_label: str) -> FileTree:
         for member in tar:
             path = normalize_path(member.name)
             if member.isdir():
-                entry = Entry.directory()
+                entry = Entry(EntryKind.DIRECTORY)
             elif member.isfile():
                 extracted = tar.extractfile(member)
                 if extracted is None:
                     raise TreeError(f"unreadable archive member: {member.name!r}")
-                entry = Entry.file(extracted.read())
+                entry = Entry(EntryKind.FILE, extracted.read())
             else:
                 raise TreeError(
                     f"unsupported archive member type for {member.name!r}"
@@ -300,12 +288,20 @@ def _load_tar_stream(fileobj: BinaryIO, root_label: str) -> FileTree:
                 raise TreeError(f"duplicate archive entry: {path!r}")
             entries[path] = entry
     # Archives routinely omit directory members; synthesize missing parents.
+    _add_parents(entries)
+    return FileTree(root_label, entries)
+
+
+def _add_parents(entries: dict[str, Entry]) -> None:
+    """Add every missing parent directory of ``entries`` in place; a file
+    used as a directory is a :class:`TreeError`."""
     for path in list(entries):
         parent = parent_path(path)
         while parent is not None and parent not in entries:
-            entries[parent] = Entry.directory()
+            entries[parent] = Entry(EntryKind.DIRECTORY)
             parent = parent_path(parent)
-    return FileTree(root_label, entries)
+        if parent is not None and not entries[parent].is_dir:
+            raise TreeError(f"file {parent!r} used as a directory")
 
 
 # -- writing ---------------------------------------------------------------

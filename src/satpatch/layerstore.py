@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .diffgen import ChangeKind, ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees
+from .diffgen import CONTENT_KINDS, ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees
 from .errors import (
     DuplicateTagError,
     LayerStoreError,
@@ -190,9 +190,6 @@ class RecoveryCost:
     restore_ops: int
 
 
-_FILE_KINDS = (ChangeKind.FILE_INSERT, ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH)
-
-
 def recovery_cost(
     prior: FileTree,
     active: FileTree,
@@ -215,7 +212,7 @@ def recovery_cost(
         return RecoveryCost(strategy, len(record.encode()), 1, 1)
     reverse = compare_trees(active, prior, spec)
     if strategy is RecoveryStrategy.FILE:
-        stored = [c.path for c in reverse.changes if c.kind in _FILE_KINDS]
+        stored = [c.path for c in reverse.changes if c.kind in CONTENT_KINDS]
         size = sum(len(prior[p].content) for p in stored)
         return RecoveryCost(strategy, size, len(stored), len(reverse.changes))
     if strategy is RecoveryStrategy.PATCH:
@@ -269,15 +266,16 @@ class LayerStore:
         os.replace(tmp, self.index)
 
     def _read_index(self) -> LayerStack:
+        # A power cut can leave the index empty or cut short; reading that
+        # as an empty store would let _prune delete every rollback target.
         layers = []
-        app_id = "app"
-        active_tag = "-"
+        app_ids, active_tags = [], []
         for raw in self.index.read_text(encoding="utf-8").splitlines():
             fields = raw.split("\t")
             if fields[0] == "app" and len(fields) == 2:
-                app_id = fields[1]
+                app_ids.append(fields[1])
             elif fields[0] == "active" and len(fields) == 2:
-                active_tag = fields[1]
+                active_tags.append(fields[1])
             elif fields[0] == "layer" and len(fields) == 5:
                 tag, digest_hex, s, f = fields[1:]
                 try:
@@ -287,6 +285,9 @@ class LayerStore:
                 layers.append(Layer(check_tag(tag), digest, s == "S", f == "F"))
             else:
                 raise LayerStoreError(f"unreadable index line: {raw!r}")
+        if len(app_ids) != 1 or len(active_tags) != 1:
+            raise LayerStoreError("index needs exactly one app and one active line")
+        (app_id,), (active_tag,) = app_ids, active_tags
         active = -1
         if active_tag != "-":
             active = next(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffgen import (
+    CONTENT_KINDS,
     PATCH_KINDS,
     ChangeKind,
     ChangeSet,
@@ -131,11 +132,7 @@ def baseline_sizes(
         b2 = _gzip_size(write_tar(upd, paths=under))
     else:
         b2 = b1
-    changed_files = [
-        c.path
-        for c in changeset.changes
-        if c.kind is ChangeKind.FILE_INSERT or c.kind in PATCH_KINDS
-    ]
+    changed_files = [c.path for c in changeset.changes if c.kind in CONTENT_KINDS]
     b3 = _gzip_size(write_tar(upd, paths=changed_files))
     return BaselineSizes(b1, b2, b3)
 

@@ -333,8 +333,3 @@ def wire_layout(blob: bytes) -> dict:
         "kinds": kinds,
         "paths": sorted(paths.items(), key=lambda kv: (-kv[1], kv[0])),
     }
-
-
-def package_size(changeset: ChangeSet) -> int:
-    """Compressed byte size of the encoded package."""
-    return len(encode_package(changeset))

@@ -37,7 +37,7 @@ from .errors import (
     EditScriptError,
     TreeError,
 )
-from .fstree import Entry, FileTree, materialize, tree_digest
+from .fstree import Entry, EntryKind, FileTree, materialize, parent_path, tree_digest
 from .package import decode_package
 
 
@@ -45,8 +45,8 @@ from .package import decode_package
 class ApplyReport:
     """What an apply did: entry counts, payload size, resulting digest.
 
-    ``verified`` records whether the result digest equals the packaged
-    target digest.
+    An apply that returns a report has verified both digests, so
+    ``target_digest`` is always the packaged one.
     """
 
     files_added: int = 0
@@ -57,7 +57,6 @@ class ApplyReport:
     bytes_received: int = 0
     bytes_written: int = 0
     target_digest: bytes = b""
-    verified: bool = False
 
     @property
     def changes_applied(self) -> int:
@@ -147,31 +146,20 @@ def apply_file(old: bytes, change: FileChange) -> bytes:
     raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
 
 
-def _parent(path: str) -> str:
-    return path.rpartition("/")[0]
-
-
-def apply_changeset(
-    tree: FileTree,
-    changeset: ChangeSet,
-    *,
-    verify_source: bool = True,
-    verify_target: bool = True,
-) -> tuple[FileTree, ApplyReport]:
+def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, ApplyReport]:
     """Apply a ChangeSet, returning the new tree and a report.
 
-    ``verify_source`` rejects a delta built against a different base up
-    front; ``verify_target`` compares the result digest with the packaged
-    one. Both default on; disabling them is for tooling that patches
-    unrelated trees on purpose.
+    A delta built against a different base is rejected before any replay,
+    and a result whose digest is not the packaged target digest is
+    rejected after it.
     """
-    if verify_source and tree_digest(tree) != changeset.source_digest:
+    if tree_digest(tree) != changeset.source_digest:
         raise BaseVersionMismatchError(
             f"package was built against source {changeset.source_digest.hex()[:16]}, "
             f"tree digest is {tree_digest(tree).hex()[:16]}"
         )
     entries = dict(tree.items())
-    children = Counter(_parent(p) for p in entries)
+    children = Counter(parent_path(p) for p in entries)
     added_f = deleted_f = patched = added_d = deleted_d = written = 0
     for change in changeset.changes:
         path = change.path
@@ -181,7 +169,7 @@ def apply_changeset(
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to delete")
             del entries[path]
-            children[_parent(path)] -= 1
+            children[parent_path(path)] -= 1
             deleted_f += 1
         elif kind is ChangeKind.DIR_DELETE:
             if entry is None or not entry.is_dir:
@@ -189,27 +177,27 @@ def apply_changeset(
             if children[path]:
                 raise EditScriptError(f"{path!r}: directory still has children")
             del entries[path]
-            children[_parent(path)] -= 1
+            children[parent_path(path)] -= 1
             deleted_d += 1
         elif kind is ChangeKind.DIR_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
-            entries[path] = Entry.directory()
-            children[_parent(path)] += 1
+            entries[path] = Entry(EntryKind.DIRECTORY)
+            children[parent_path(path)] += 1
             added_d += 1
         elif kind is ChangeKind.FILE_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
             check_segments(change)
-            entries[path] = Entry.file(change.segments[0])
-            children[_parent(path)] += 1
+            entries[path] = Entry(EntryKind.FILE, change.segments[0])
+            children[parent_path(path)] += 1
             written += len(change.segments[0])
             added_f += 1
         else:
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to patch")
             content = apply_file(entry.content, change)
-            entries[path] = Entry.file(content)
+            entries[path] = Entry(EntryKind.FILE, content)
             written += len(content)
             patched += 1
     try:
@@ -217,7 +205,7 @@ def apply_changeset(
     except TreeError as exc:
         raise EditScriptError(f"result is not a valid tree: {exc}") from exc
     result_digest = tree_digest(new_tree)
-    if verify_target and result_digest != changeset.target_digest:
+    if result_digest != changeset.target_digest:
         raise DigestMismatchError(
             changeset.target_digest.hex(), result_digest.hex()
         )
@@ -230,18 +218,15 @@ def apply_changeset(
         bytes_received=changeset.segment_bytes(),
         bytes_written=written,
         target_digest=result_digest,
-        verified=result_digest == changeset.target_digest,
     )
     return new_tree, report
 
 
-def apply_package(
-    tree: FileTree, blob: bytes, **kwargs
-) -> tuple[FileTree, ApplyReport]:
+def apply_package(tree: FileTree, blob: bytes) -> tuple[FileTree, ApplyReport]:
     """Decode a package and apply it. Decode errors surface before any
     replay work starts, so a damaged package can never half-apply.
     """
-    return apply_changeset(tree, decode_package(blob), **kwargs)
+    return apply_changeset(tree, decode_package(blob))
 
 
 def replace_directory(tree: FileTree, dest: str | Path) -> None:

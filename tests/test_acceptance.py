@@ -159,7 +159,6 @@ def test_c2_randomized_round_trips_are_byte_exact():
                 assert rebuilt == upd
                 for path, entry in upd.files():
                     assert rebuilt[path].content == entry.content
-                assert report.verified is True
                 assert report.target_digest == tree_digest(upd)
             except (AssertionError, SatpatchError) as exc:
                 failures.append((i, repr(exc)))

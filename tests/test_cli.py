@@ -287,25 +287,6 @@ class TestGenVariant:
         assert code == 2
 
 
-class TestChunkSpecEnv:
-    def test_override_travels_in_package(self, trees, capsys, monkeypatch):
-        tmp, orig, upd = trees
-        monkeypatch.setenv("SATPATCH_CHUNK_SPEC", "32,8,64,4096")
-        pkg = tmp / "fine.satpkg"
-        assert run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)[0] == 0
-        monkeypatch.delenv("SATPATCH_CHUNK_SPEC")
-        # apply reads the geometry from the package, not the environment
-        code, _, _ = run(capsys, "apply", tmp / "orig", pkg, "-o", tmp / "out")
-        assert code == 0
-        assert load_tree(tmp / "out") == upd
-
-    def test_malformed_env_exits_2(self, trees, capsys, monkeypatch):
-        tmp, *_ = trees
-        monkeypatch.setenv("SATPATCH_CHUNK_SPEC", "1,2,3")
-        code, _, err = run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", tmp / "p")
-        assert code == 2 and "SATPATCH_CHUNK_SPEC" in err
-
-
 class TestUsage:
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:

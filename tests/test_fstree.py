@@ -96,6 +96,19 @@ class TestHashing:
     def test_matches_hashlib(self, blob):
         assert hash_content(blob) == hashlib.sha256(blob).digest()
 
+    def test_entry_derives_its_hash(self):
+        entry = Entry(EntryKind.FILE, b"abc")
+        assert entry.content_hash.hex() == ABC_SHA256 and entry.textual
+        with pytest.raises(TypeError):
+            Entry(EntryKind.FILE, b"x", content_hash=hash_content(b"y"))
+
+    def test_load_hashes_each_file_once(self, tmp_path, hashed_sizes):
+        tree = FileTree.from_dict("app", {"a.txt": b"x" * 10, "d/b.bin": b"\0" * 300, "e": None})
+        materialize(tree, tmp_path / "app")
+        hashed_sizes.clear()
+        assert load_tree(tmp_path / "app") == tree
+        assert sorted(hashed_sizes) == [10, 300]
+
 
 class TestFileTree:
     def test_from_dict_synthesizes_parents(self):
@@ -110,7 +123,7 @@ class TestFileTree:
 
     def test_missing_parent_rejected(self):
         with pytest.raises(TreeError):
-            FileTree("app", {"a/b.txt": Entry.file(b"x")})
+            FileTree("app", {"a/b.txt": Entry(EntryKind.FILE, b"x")})
 
     def test_file_used_as_directory_rejected(self):
         with pytest.raises(TreeError):

@@ -295,9 +295,14 @@ class TestLayerStore:
         with pytest.raises(LayerStoreError):
             store.active_tree()
 
-    def test_corrupt_index(self, tmp_path):
+    @pytest.mark.parametrize(
+        "index",
+        ["nonsense line\n", "", "app\tapp\n"],
+        ids=["garbage", "empty", "no-active-line"],
+    )
+    def test_corrupt_index(self, tmp_path, index):
         store_dir = tmp_path / "s"
         LayerStore(store_dir)
-        (store_dir / "layers.idx").write_text("nonsense line\n")
+        (store_dir / "layers.idx").write_text(index)
         with pytest.raises(LayerStoreError):
             LayerStore(store_dir)

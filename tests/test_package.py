@@ -33,7 +33,6 @@ from satpatch.package import (
     PACKAGE_VERSION,
     decode_package,
     encode_package,
-    package_size,
     wire_layout,
 )
 from satpatch.reconstruct import apply_changeset
@@ -113,10 +112,6 @@ class TestDeterminism:
     def test_identical_bytes(self):
         cs = sample_changeset()
         assert encode_package(cs) == encode_package(cs)
-
-    def test_size_helper(self):
-        cs = sample_changeset()
-        assert package_size(cs) == len(encode_package(cs))
 
     def test_compression_effective(self):
         cs = sample_changeset()

@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,6 @@ def round_trip(old: FileTree, new: FileTree, spec=None) -> FileTree:
     cs = compare_trees(old, new, spec) if spec else compare_trees(old, new)
     applied, report = apply_package(old, encode_package(cs))
     assert report.target_digest == tree_digest(new)
-    assert report.verified is True
     return applied
 
 
@@ -160,7 +160,7 @@ class TestDeltaRuns:
         # against the wrong dictionary, and the target digest refuses.
         other = FileTree.from_dict("a", {"f.bin": rng.randbytes(60_000)})
         with pytest.raises(DigestMismatchError):
-            apply_changeset(other, cs, verify_source=False)
+            apply_changeset(other, replace(cs, source_digest=tree_digest(other)))
 
     def damaged(self, mutate) -> tuple[bytes, FileChange]:
         rng = random.Random(6)
@@ -199,6 +199,28 @@ class TestDeltaRuns:
 
 
 class TestApplyChangeset:
+    def test_hashes_only_new_content(self, hashed_sizes):
+        rng = random.Random(3)
+        blob = rng.randbytes(20_000)
+        old = FileTree.from_dict(
+            "app",
+            {"big.bin": blob, "same.bin": rng.randbytes(9_000), "t.txt": b"a\nb\n", "gone": b"g"},
+        )
+        new = FileTree.from_dict(
+            "app",
+            {
+                "big.bin": blob[:5_000] + b"Z" + blob[5_001:],
+                "same.bin": old["same.bin"].content,
+                "t.txt": b"a\nc\n",
+                "new/f.txt": b"fresh",
+            },
+        )
+        cs = compare_trees(old, new)
+        hashed_sizes.clear()
+        applied, _ = apply_changeset(old, cs)
+        assert applied == new
+        assert sorted(hashed_sizes) == [4, 5, 20_000]
+
     def test_mixed_update(self):
         old = FileTree.from_dict(
             "app",
@@ -256,20 +278,14 @@ class TestApplyChangeset:
         with pytest.raises(BaseVersionMismatchError):
             apply_changeset(wrong_base, cs)
 
-    def test_verify_source_off_allows_compatible_base(self):
+    def test_compatible_base_fails_target_digest(self):
         old = FileTree.from_dict("a", {"f": b"1\n", "extra": b"e\n"})
         new_f = FileTree.from_dict("a", {"f": b"2\n", "extra": b"e\n"})
         cs = compare_trees(old, new_f)
         other = FileTree.from_dict("a", {"f": b"1\n", "extra": b"e\n", "more": b"m\n"})
+        # Every script replays on ``other``; only the target digest refuses.
         with pytest.raises(DigestMismatchError):
-            apply_changeset(other, cs, verify_source=False)
-        applied, report = apply_changeset(
-            other, cs, verify_source=False, verify_target=False
-        )
-        assert applied.get("f").content == b"2\n"
-        assert applied.get("more").content == b"m\n"
-        # off-target result is returned but flagged
-        assert report.verified is False
+            apply_changeset(other, replace(cs, source_digest=tree_digest(other)))
 
     def test_delete_missing_file(self):
         base = FileTree.from_dict("a", {})

@@ -5,6 +5,8 @@ failure, 4 rollback performed. Machine consumers pass ``--json`` after
 any subcommand and get one object on stdout with a versioned ``schema``
 field. File outputs are written to a temp sibling and renamed into
 place, so an interrupted run never leaves a half-written artifact.
+``diff`` and ``apply`` also report where their time went (``timings``, in
+seconds per phase) and the process's peak resident set (``peak_rss_kib``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +113,26 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
+class _Stopwatch:
+    """Wall seconds per named phase, each phase ending at its ``lap``."""
+
+    def __init__(self):
+        self.timings: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.timings[phase] = now - self._last
+        self._last = now
+
+
+def _cost(watch: _Stopwatch) -> dict:
+    """The ``timings`` and ``peak_rss_kib`` fields of a JSON record."""
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"timings": watch.timings, "peak_rss_kib": peak}
+
+
 def _bandwidth(args) -> linksim.LinkModel:
     return linksim.LinkModel(uplink_bandwidth_bps=args.bandwidth_kbps * 1000)
 
@@ -125,10 +149,14 @@ def _latency_str(nbytes: int, link: linksim.LinkModel) -> str:
 
 
 def _cmd_diff(args) -> int:
+    watch = _Stopwatch()
     orig = _load(args.orig)
     upd = _load(args.upd)
+    watch.lap("load")
     changeset = compare_trees(orig, upd)
+    watch.lap("compare")
     blob = encode_package(changeset)
+    watch.lap("encode")
     _write_bytes(args.output, blob)
     _emit(
         args,
@@ -139,22 +167,27 @@ def _cmd_diff(args) -> int:
             "changes": len(changeset.changes),
             "source_digest": changeset.source_digest.hex(),
             "target_digest": changeset.target_digest.hex(),
+            **_cost(watch),
         },
     )
     return EXIT_OK
 
 
 def _cmd_apply(args) -> int:
+    watch = _Stopwatch()
     orig = _load(args.orig)
     blob = _read_bytes(args.package)
+    watch.lap("load")
     try:
         changeset = decode_package(blob)
     except PackageError as exc:
         raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
+    watch.lap("decode")
     try:
         new_tree, report = apply_changeset(orig, changeset)
     except ApplyError as exc:
         raise CliError(EXIT_APPLY, f"apply failed, tree untouched: {exc}") from exc
+    watch.lap("apply")
     out = args.output
     if out is None:
         if not Path(args.orig).is_dir():
@@ -165,6 +198,7 @@ def _cmd_apply(args) -> int:
         out = args.orig
     else:
         _write_tree(new_tree, out)
+    watch.lap("write")
     _emit(
         args,
         f"applied {report.changes_applied} changes to {out} "
@@ -179,6 +213,7 @@ def _cmd_apply(args) -> int:
             "bytes_received": report.bytes_received,
             "bytes_written": report.bytes_written,
             "target_digest": report.target_digest.hex(),
+            **_cost(watch),
         },
     )
     return EXIT_OK

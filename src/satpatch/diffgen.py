@@ -19,6 +19,8 @@ instead of literals.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import zlib
 from dataclasses import dataclass
@@ -204,48 +206,97 @@ def split_lines(data: bytes) -> list[bytes]:
     return out
 
 
-# Rolling-hash tables. The multiplier is odd, hence invertible mod 2**64,
-# which lets window hashes come out of two prefix sums. Byte weights are
-# drawn from SHA-256 so every input byte disturbs all 64 hash bits.
-_HASH_MULT = np.uint64(1000000007)
-_HASH_MULT_INV = np.uint64(pow(1000000007, -1, 2**64))
+# Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
+# over its bytes, newest first (j = 0), with 64-bit byte weights drawn from
+# SHA-256 so every input byte disturbs every hash bit. A boundary needs only
+# the low ``mask_bits <= 32`` bits of that hash to be zero, and the low 32
+# bits of a uint64 sum or product depend only on the low 32 bits of its
+# operands, so the chunker computes in uint32 with the weights' low halves.
+_HASH_MULT = 1000000007
 _BYTE_WEIGHTS = np.array(
     [
-        int.from_bytes(hashlib.sha256(bytes([v])).digest()[:8], "big")
+        int.from_bytes(hashlib.sha256(bytes([v])).digest()[4:8], "big")
         for v in range(256)
     ],
-    dtype=np.uint64,
+    dtype=np.uint32,
 )
+#: Bytes hashed per pass of the chunker; consecutive blocks share
+#: ``window - 1`` bytes, and a window wider than half a block widens it.
+_BLOCK = 1 << 18
+
+
+def _inverse_powers(length: int) -> np.ndarray:
+    """mult**-k mod 2**32 for k < ``length``, read-only."""
+    out = np.full(length, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
+    out[0] = 1
+    np.cumprod(out, dtype=np.uint32, out=out)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _block_inverse_powers() -> np.ndarray:
+    """The table for the standard block, built on first use: a process
+    that never chunks (the onboard apply) never holds it."""
+    return _inverse_powers(_BLOCK)
 
 
 def _boundary_candidates(data: bytes, spec: ChunkSpec) -> np.ndarray:
     """Positions where a full hash window ends with the masked bits zero.
 
-    The window hash is sum(weight[data[pos-j]] * mult**j for j < window),
-    a pure function of window content, so candidates are stable under
-    shifts of the surrounding data. Computed via prefix sums: with
-    C(i) = sum(w[k] * mult**-k, k <= i), the hash at pos is
-    mult**pos * (C(pos) - C(pos - window)). All arithmetic is uint64
-    wraparound.
+    The window ending at ``pos`` hashes to
+    H(pos) = sum(w64[data[pos-j]] * mult**j for j < window) mod 2**64, a
+    pure function of window content, so candidates are stable under
+    shifts of the surrounding data. Three facts let the test run on small
+    blocks in 32-bit arithmetic without moving any candidate:
+
+    1. With prefix sums C(i) = sum(w64[data[k]] * mult**-k for k <= i),
+       H(pos) = mult**pos * (C(pos) - C(pos - window)). ``mult`` is odd,
+       so mult**pos is a unit mod 2**64 and the low ``mask_bits`` bits of
+       H(pos) are zero iff those of the difference are: no final multiply.
+    2. ``mask_bits <= 32``, and the low 32 bits of uint64 sums and
+       products depend only on the low 32 bits of the operands, so every
+       step runs in uint32 with the weights' low 32 bits.
+    3. Prefix sums restarted at a block start ``s`` are
+       mult**s * (C(i) - C(s - 1)), so inside the block a window's
+       difference is the global one times mult**s, another odd factor.
+       Each block thus decides every window that lies inside it, blocks
+       that overlap by ``window - 1`` bytes decide every window once, and
+       one table of inverse powers serves every block.
+
+    Memory is three block-sized work buffers plus the result.
     """
     n = len(data)
     w = spec.window
     if n < w:
         return np.empty(0, dtype=np.int64)
-    weights = _BYTE_WEIGHTS[np.frombuffer(data, dtype=np.uint8)]
-    inv_pows = np.empty(n, dtype=np.uint64)
-    inv_pows[0] = 1
-    pows = np.empty(n, dtype=np.uint64)
-    pows[0] = 1
-    if n > 1:
-        np.cumprod(np.full(n - 1, _HASH_MULT_INV, dtype=np.uint64), out=inv_pows[1:])
-        np.cumprod(np.full(n - 1, _HASH_MULT, dtype=np.uint64), out=pows[1:])
-    csum = np.cumsum(weights * inv_pows, dtype=np.uint64)
-    upper = csum[w - 1 :]
-    lower = np.concatenate((np.zeros(1, dtype=np.uint64), csum[: n - w]))
-    hashes = pows[w - 1 :] * (upper - lower)
-    mask = np.uint64((1 << spec.mask_bits) - 1)
-    return np.flatnonzero((hashes & mask) == 0) + (w - 1)
+    block = max(_BLOCK, 2 * w)
+    inv_pows = _block_inverse_powers() if block == _BLOCK else _inverse_powers(block)
+    mask = np.uint32((1 << spec.mask_bits) - 1)
+    view = np.frombuffer(data, dtype=np.uint8)
+    sums = np.empty(min(block, n), dtype=np.uint32)
+    diffs = np.empty(sums.size - w + 1, dtype=np.uint32)
+    hits = np.empty(diffs.size, dtype=bool)
+    found = []
+    start = 0
+    while True:
+        stop = min(start + block, n)
+        size = stop - start
+        count = size - w + 1
+        part = sums[:size]
+        # byte indices are always in range; "clip" lets take write to
+        # ``out`` directly instead of through a checked buffer
+        np.take(_BYTE_WEIGHTS, view[start:stop], out=part, mode="clip")
+        np.multiply(part, inv_pows[:size], out=part)
+        np.cumsum(part, dtype=np.uint32, out=part)
+        diffs[0] = part[w - 1]
+        np.subtract(part[w:], part[: size - w], out=diffs[1:count])
+        np.bitwise_and(diffs[:count], mask, out=diffs[:count])
+        np.equal(diffs[:count], 0, out=hits[:count])
+        found.append(np.flatnonzero(hits[:count]) + (start + w - 1))
+        if stop == n:
+            return np.concatenate(found)
+        start = stop - (w - 1)
 
 
 def chunk_lengths(data: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC) -> list[int]:
@@ -253,17 +304,18 @@ def chunk_lengths(data: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC) -> list[int
     n = len(data)
     if n == 0:
         return []
-    cands = _boundary_candidates(data, spec)
+    cands = _boundary_candidates(data, spec).tolist()
     lengths = []
-    start = 0
+    start = i = 0
     while start < n:
         hi = min(start + spec.max_size, n) - 1
         lo = start + spec.min_size - 1
         end = hi
         if lo < hi:
-            i = int(np.searchsorted(cands, lo, side="left"))
-            if i < cands.size and cands[i] < hi:
-                end = int(cands[i])
+            # lo only grows, so the previous answer bounds the search
+            i = bisect.bisect_left(cands, lo, i)
+            if i < len(cands) and cands[i] < hi:
+                end = cands[i]
         lengths.append(end - start + 1)
         start = end + 1
     return lengths

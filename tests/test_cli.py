@@ -90,6 +90,28 @@ class TestPipeline:
         code, _, err = run(capsys, "apply", tmp / "orig", pkg, "-o", tmp / "x")
         assert code == 2 and "bad package" in err
 
+    def test_json_reports_phase_timings_and_peak_rss(self, trees, capsys):
+        tmp, *_ = trees
+        pkg = tmp / "up.satpkg"
+        phases = {
+            "diff": ("load", "compare", "encode"),
+            "apply": ("load", "decode", "apply", "write"),
+        }
+        argvs = {
+            "diff": ("diff", tmp / "orig", tmp / "upd", "-o", pkg, "--json"),
+            "apply": ("apply", tmp / "orig", pkg, "-o", tmp / "out", "--json"),
+        }
+        for command, argv in argvs.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["schema"] == "satpatch-cli/1"
+            assert set(doc["timings"]) == set(phases[command])
+            for value in [*doc["timings"].values(), doc["peak_rss_kib"]]:
+                assert isinstance(value, (int, float)) and not isinstance(value, bool)
+                assert value >= 0
+            assert doc["peak_rss_kib"] > 0
+
     def test_existing_output_refused(self, trees, capsys):
         tmp, *_ = trees
         pkg = tmp / "up.satpkg"

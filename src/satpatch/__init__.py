@@ -11,7 +11,7 @@ and rollback (:mod:`satpatch.layerstore`), budget transmission time
 
 __version__ = "0.1.0"
 
-from .diffgen import ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees
+from .diffgen import compare_trees
 from .errors import (
     ApplyError,
     LayerStoreError,
@@ -29,8 +29,6 @@ from .reconstruct import ApplyReport, apply_changeset, apply_package
 __all__ = [
     "ApplyError",
     "ApplyReport",
-    "ChunkSpec",
-    "DEFAULT_CHUNK_SPEC",
     "FileTree",
     "LayerStoreError",
     "LinkError",

@@ -83,6 +83,8 @@ def _write_bytes(path: str, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, target)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot write {path!r}: {exc.strerror}") from exc
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -99,6 +101,8 @@ def _write_tree(tree: FileTree, out: str) -> None:
     try:
         materialize(tree, tmp)
         os.rename(tmp, target)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot write {out!r}: {exc.strerror}") from exc
     finally:
         if tmp.exists():
             shutil.rmtree(tmp, ignore_errors=True)
@@ -133,8 +137,14 @@ def _cost(watch: _Stopwatch) -> dict:
     return {"timings": watch.timings, "peak_rss_kib": peak}
 
 
-def _bandwidth(args) -> linksim.LinkModel:
-    return linksim.LinkModel(uplink_bandwidth_bps=args.bandwidth_kbps * 1000)
+def _link(args, windows=None) -> linksim.LinkModel:
+    try:
+        return linksim.LinkModel(
+            uplink_bandwidth_bps=args.bandwidth_kbps * 1000,
+            contact_windows=windows,
+        )
+    except (ValueError, LinkError) as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
 
 
 def _kb(nbytes: int) -> str:
@@ -250,13 +260,7 @@ def _cmd_estimate(args) -> int:
     except PackageError as exc:
         raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
     windows = _parse_windows(args.windows) if args.windows else None
-    try:
-        link = linksim.LinkModel(
-            uplink_bandwidth_bps=args.bandwidth_kbps * 1000,
-            contact_windows=windows,
-        )
-    except (ValueError, LinkError) as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    link = _link(args, windows)
     size = len(blob)
     payload = {
         "bytes": size,
@@ -318,6 +322,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    link = _link(args)
     orig = _load(args.orig)
     upd = _load(args.upd)
     changeset = compare_trees(orig, upd)
@@ -326,7 +331,6 @@ def _cmd_bench(args) -> int:
         base = linksim.baseline_sizes(orig, upd, changeset, args.app_prefix)
     except LinkError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    link = _bandwidth(args)
     rows = [
         ("full-image", base.b1_bytes),
         ("app-dir", base.b2_bytes),
@@ -361,8 +365,8 @@ def _cmd_bench(args) -> int:
 def _open_store(args) -> layerstore.LayerStore:
     try:
         return layerstore.LayerStore(args.store)
-    except LayerStoreError as exc:
-        raise CliError(EXIT_INPUT, f"cannot open store: {exc}") from exc
+    except (LayerStoreError, OSError) as exc:
+        raise CliError(EXIT_INPUT, f"cannot open store {args.store!r}: {exc}") from exc
 
 
 def _cmd_commit(args) -> int:

@@ -18,22 +18,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .diffgen import (
-    RETAIN,
-    ChunkSpec,
-    DEFAULT_CHUNK_SPEC,
-    chunk_diff,
-    chunk_lengths,
-    split_lines,
-)
+from .diffgen import RETAIN, WINDOW, chunk_diff, chunk_lengths, split_lines
 from .errors import VariantError
 from .fstree import FileTree
 from .linksim import modification_ratio
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
-DELETION_KINDS = ("redundant_comments", "unused_imports", "logs")
+#: Share of textual edits that insert lines; the rest delete a redundant
+#: comment, an unused import, or a log line (see :func:`_deletable`).
+INSERT_SHARE = 0.7
+#: Generate-and-measure rounds before the generator gives up on a target.
+_MAX_ROUNDS = 6
 
 _WORDS = (
     "telemetry frame sensor gain offset buffer cache probe flight orbit "
@@ -43,27 +39,14 @@ _WORDS = (
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Recipe for one variant: target, seed, and the edit taxonomy mix."""
+    """Recipe for one variant: the target ratio and the seed."""
 
     target_ratio: float
     seed: int
-    edit_mix: tuple[float, float] = (0.7, 0.3)  # insertions, deletions
-    textual_edit_kinds: tuple[str, ...] = INSERTION_KINDS
-    deletion_kinds: tuple[str, ...] = DELETION_KINDS
 
     def __post_init__(self):
         if not 0 <= self.target_ratio < 1:
             raise ValueError("target_ratio must be in [0, 1)")
-        if len(self.edit_mix) != 2 or min(self.edit_mix) < 0:
-            raise ValueError("edit_mix is (insertions, deletions), both >= 0")
-        if abs(sum(self.edit_mix) - 1.0) > 1e-9:
-            raise ValueError("edit_mix proportions must sum to 1")
-        if not self.textual_edit_kinds or not set(self.textual_edit_kinds) <= set(
-            INSERTION_KINDS
-        ):
-            raise ValueError(f"textual_edit_kinds must be drawn from {INSERTION_KINDS}")
-        if not set(self.deletion_kinds) <= set(DELETION_KINDS):
-            raise ValueError(f"deletion_kinds must be drawn from {DELETION_KINDS}")
 
 
 class _TextFile:
@@ -119,28 +102,20 @@ def _make_insertion(kind: str, rng: random.Random, serial: int, indent: bytes) -
     return [indent + b"_unused_%s_n%05d = %d\n" % (word.encode(), serial, serial)]
 
 
-def _deletable(line: bytes, kinds: tuple[str, ...]) -> bool:
-    stripped = line.strip()
-    if "redundant_comments" in kinds and stripped.startswith(b"#"):
-        return True
-    if "unused_imports" in kinds and (
-        stripped.startswith(b"import ") or stripped.startswith(b"from ")
-    ):
-        return True
-    if "logs" in kinds and (
-        stripped.startswith(b"logging.") or stripped.startswith(b"print(")
-    ):
-        return True
-    return False
+def _deletable(line: bytes) -> bool:
+    """A redundant comment, an unused import, or a log line."""
+    return line.strip().startswith(
+        (b"#", b"import ", b"from ", b"logging.", b"print(")
+    )
 
 
-def _flip_chunk_bytes(content: bytes, rng: random.Random, spec: ChunkSpec) -> bytes:
+def _flip_chunk_bytes(content: bytes, rng: random.Random) -> bytes:
     """Flip a few bytes well inside one chunk. Keeping the flip at least
     a hash window away from both chunk edges leaves other chunks intact.
     Returns the content unmodified when no chunk is big enough.
     """
-    lengths = chunk_lengths(content, spec)
-    margin = spec.window + 8
+    lengths = chunk_lengths(content)
+    margin = WINDOW + 8
     starts = []
     offset = 0
     for length in lengths:
@@ -157,8 +132,8 @@ def _flip_chunk_bytes(content: bytes, rng: random.Random, spec: ChunkSpec) -> by
     return bytes(mutated)
 
 
-def _chunk_retained(orig: bytes, current: bytes, spec: ChunkSpec) -> int:
-    ops, _ = chunk_diff(orig, current, spec)
+def _chunk_retained(orig: bytes, current: bytes) -> int:
+    ops, _ = chunk_diff(orig, current)
     return sum(op.count for op in ops if op.kind == RETAIN)
 
 
@@ -166,8 +141,6 @@ def generate_variant(
     orig: FileTree,
     spec: VariantSpec,
     scope_prefix: str | None = None,
-    chunk_spec: ChunkSpec = DEFAULT_CHUNK_SPEC,
-    max_rounds: int = 6,
 ) -> FileTree:
     """Build a variant of ``orig`` whose modification ratio lands within
     0.05 of ``spec.target_ratio``. Deterministic per (tree, spec).
@@ -221,7 +194,6 @@ def generate_variant(
         return 1 - preserved / upd if upd else 0.0
 
     serial = 0
-    insert_share = spec.edit_mix[0]
 
     def try_flip(goal: float) -> bool:
         """One chunk flip, reverted if it jumps the ratio past the band.
@@ -232,13 +204,11 @@ def generate_variant(
         path = rng.choice(binary_paths)
         before_content = binary_files[path]
         before_preserved = binary_preserved[path]
-        mutated = _flip_chunk_bytes(before_content, rng, chunk_spec)
+        mutated = _flip_chunk_bytes(before_content, rng)
         if mutated == before_content:
             return False
         binary_files[path] = mutated
-        binary_preserved[path] = _chunk_retained(
-            orig[path].content, mutated, chunk_spec
-        )
+        binary_preserved[path] = _chunk_retained(orig[path].content, mutated)
         if estimate() > goal + 0.02:
             binary_files[path] = before_content
             binary_preserved[path] = before_preserved
@@ -251,8 +221,8 @@ def generate_variant(
             return
         path = rng.choice(text_paths)
         record = text_files[path]
-        if rng.random() < insert_share:
-            kind = rng.choice(spec.textual_edit_kinds)
+        if rng.random() < INSERT_SHARE:
+            kind = rng.choice(INSERTION_KINDS)
             pos = rng.randint(0, len(record.lines))
             serial += 1
             for i, line in enumerate(
@@ -261,15 +231,13 @@ def generate_variant(
                 record.insert(pos + i, line)
         else:
             candidates = [
-                i
-                for i, (line, _) in enumerate(record.lines)
-                if _deletable(line, spec.deletion_kinds)
+                i for i, (line, _) in enumerate(record.lines) if _deletable(line)
             ]
             if not candidates:
                 serial += 1
                 for i, line in enumerate(
                     _make_insertion(
-                        rng.choice(spec.textual_edit_kinds),
+                        rng.choice(INSERTION_KINDS),
                         rng,
                         serial,
                         _indent_of(record.lines, 0),
@@ -294,14 +262,14 @@ def generate_variant(
 
     goal = spec.target_ratio
     achieved = 0.0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         steps = 0
         cap = 200_000
         while estimate() < goal and steps < cap:
             one_edit(goal)
             steps += 1
         variant = build()
-        achieved = float(modification_ratio(orig, variant, chunk_spec).ratio)
+        achieved = float(modification_ratio(orig, variant).ratio)
         if abs(achieved - spec.target_ratio) <= 0.05:
             return variant
         if achieved > spec.target_ratio + 0.05:
@@ -315,7 +283,7 @@ def generate_variant(
     )
 
 
-def sample_app_tree(seed: int = 0, text_scale: int = 1) -> FileTree:
+def sample_app_tree(seed: int = 0) -> FileTree:
     """Deterministic application-shaped fixture tree.
 
     A Python-style payload app under ``app/`` (modules with imports,
@@ -353,11 +321,11 @@ def sample_app_tree(seed: int = 0, text_scale: int = 1) -> FileTree:
         return b"".join(out)
 
     mapping: dict[str, bytes | None] = {
-        "app/main.py": module(220 * text_scale),
-        "app/sensors/imu.py": module(150 * text_scale),
-        "app/sensors/camera.py": module(180 * text_scale),
-        "app/utils/telemetry.py": module(120 * text_scale),
-        "app/utils/params.py": module(90 * text_scale),
+        "app/main.py": module(220),
+        "app/sensors/imu.py": module(150),
+        "app/sensors/camera.py": module(180),
+        "app/utils/telemetry.py": module(120),
+        "app/utils/params.py": module(90),
         "app/config.json": (
             b'{\n' + b"".join(
                 b'  "%s": %d,\n' % (w.encode(), rng.randrange(1000)) for w in _WORDS

@@ -37,31 +37,16 @@ DELETE = "D"
 INSERT = "I"
 
 
-@dataclass(frozen=True)
-class ChunkSpec:
-    """Parameters of the content-defined chunker.
-
-    A chunk boundary falls where the rolling hash of the trailing
-    ``window`` bytes has ``mask_bits`` low zero bits, subject to
-    ``min_size``/``max_size`` clamps. Both producer and receiver must use
-    the same spec, so it travels in the package header.
-    """
-
-    window: int = 48
-    mask_bits: int = 11
-    min_size: int = 256
-    max_size: int = 16384
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if not 0 <= self.mask_bits <= 32:
-            raise ValueError("mask_bits out of range")
-        if not 0 < self.min_size <= self.max_size:
-            raise ValueError("need 0 < min_size <= max_size")
-
-
-DEFAULT_CHUNK_SPEC = ChunkSpec()
+# Chunker parameters: a boundary falls where the rolling hash of the
+# trailing WINDOW bytes has MASK_BITS low zero bits, and chunk lengths are
+# clamped to [MIN_SIZE, MAX_SIZE]. They are fixed design constants, as in
+# LBFS, which uses the same 48-byte window: only the ground chunks (the
+# receiver replays byte spans), and no caller needs other values. The
+# package header carries them and decode requires them.
+WINDOW = 48
+MASK_BITS = 11
+MIN_SIZE = 256
+MAX_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,6 @@ class ChangeSet:
 
     source_digest: bytes
     target_digest: bytes
-    chunk_spec: ChunkSpec
     changes: tuple[FileChange, ...]
 
     def segment_bytes(self) -> int:
@@ -209,7 +193,7 @@ def split_lines(data: bytes) -> list[bytes]:
 # Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
 # over its bytes, newest first (j = 0), with 64-bit byte weights drawn from
 # SHA-256 so every input byte disturbs every hash bit. A boundary needs only
-# the low ``mask_bits <= 32`` bits of that hash to be zero, and the low 32
+# the low ``MASK_BITS <= 32`` bits of that hash to be zero, and the low 32
 # bits of a uint64 sum or product depend only on the low 32 bits of its
 # operands, so the chunker computes in uint32 with the weights' low halves.
 _HASH_MULT = 1000000007
@@ -221,95 +205,88 @@ _BYTE_WEIGHTS = np.array(
     dtype=np.uint32,
 )
 #: Bytes hashed per pass of the chunker; consecutive blocks share
-#: ``window - 1`` bytes, and a window wider than half a block widens it.
+#: ``WINDOW - 1`` bytes.
 _BLOCK = 1 << 18
 
 
-def _inverse_powers(length: int) -> np.ndarray:
-    """mult**-k mod 2**32 for k < ``length``, read-only."""
-    out = np.full(length, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
+@functools.cache
+def _inverse_powers() -> np.ndarray:
+    """mult**-k mod 2**32 for k < ``_BLOCK``, read-only. Built on first
+    use: a process that never chunks (the onboard apply) never holds it."""
+    out = np.full(_BLOCK, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
     out[0] = 1
     np.cumprod(out, dtype=np.uint32, out=out)
     out.flags.writeable = False
     return out
 
 
-@functools.cache
-def _block_inverse_powers() -> np.ndarray:
-    """The table for the standard block, built on first use: a process
-    that never chunks (the onboard apply) never holds it."""
-    return _inverse_powers(_BLOCK)
-
-
-def _boundary_candidates(data: bytes, spec: ChunkSpec) -> np.ndarray:
+def _boundary_candidates(data: bytes) -> np.ndarray:
     """Positions where a full hash window ends with the masked bits zero.
 
     The window ending at ``pos`` hashes to
-    H(pos) = sum(w64[data[pos-j]] * mult**j for j < window) mod 2**64, a
+    H(pos) = sum(w64[data[pos-j]] * mult**j for j < WINDOW) mod 2**64, a
     pure function of window content, so candidates are stable under
     shifts of the surrounding data. Three facts let the test run on small
     blocks in 32-bit arithmetic without moving any candidate:
 
     1. With prefix sums C(i) = sum(w64[data[k]] * mult**-k for k <= i),
-       H(pos) = mult**pos * (C(pos) - C(pos - window)). ``mult`` is odd,
-       so mult**pos is a unit mod 2**64 and the low ``mask_bits`` bits of
+       H(pos) = mult**pos * (C(pos) - C(pos - WINDOW)). ``mult`` is odd,
+       so mult**pos is a unit mod 2**64 and the low ``MASK_BITS`` bits of
        H(pos) are zero iff those of the difference are: no final multiply.
-    2. ``mask_bits <= 32``, and the low 32 bits of uint64 sums and
+    2. ``MASK_BITS <= 32``, and the low 32 bits of uint64 sums and
        products depend only on the low 32 bits of the operands, so every
        step runs in uint32 with the weights' low 32 bits.
     3. Prefix sums restarted at a block start ``s`` are
        mult**s * (C(i) - C(s - 1)), so inside the block a window's
        difference is the global one times mult**s, another odd factor.
        Each block thus decides every window that lies inside it, blocks
-       that overlap by ``window - 1`` bytes decide every window once, and
+       that overlap by ``WINDOW - 1`` bytes decide every window once, and
        one table of inverse powers serves every block.
 
     Memory is three block-sized work buffers plus the result.
     """
     n = len(data)
-    w = spec.window
-    if n < w:
+    if n < WINDOW:
         return np.empty(0, dtype=np.int64)
-    block = max(_BLOCK, 2 * w)
-    inv_pows = _block_inverse_powers() if block == _BLOCK else _inverse_powers(block)
-    mask = np.uint32((1 << spec.mask_bits) - 1)
+    inv_pows = _inverse_powers()
+    mask = np.uint32((1 << MASK_BITS) - 1)
     view = np.frombuffer(data, dtype=np.uint8)
-    sums = np.empty(min(block, n), dtype=np.uint32)
-    diffs = np.empty(sums.size - w + 1, dtype=np.uint32)
+    sums = np.empty(min(_BLOCK, n), dtype=np.uint32)
+    diffs = np.empty(sums.size - WINDOW + 1, dtype=np.uint32)
     hits = np.empty(diffs.size, dtype=bool)
     found = []
     start = 0
     while True:
-        stop = min(start + block, n)
+        stop = min(start + _BLOCK, n)
         size = stop - start
-        count = size - w + 1
+        count = size - WINDOW + 1
         part = sums[:size]
         # byte indices are always in range; "clip" lets take write to
         # ``out`` directly instead of through a checked buffer
         np.take(_BYTE_WEIGHTS, view[start:stop], out=part, mode="clip")
         np.multiply(part, inv_pows[:size], out=part)
         np.cumsum(part, dtype=np.uint32, out=part)
-        diffs[0] = part[w - 1]
-        np.subtract(part[w:], part[: size - w], out=diffs[1:count])
+        diffs[0] = part[WINDOW - 1]
+        np.subtract(part[WINDOW:], part[: size - WINDOW], out=diffs[1:count])
         np.bitwise_and(diffs[:count], mask, out=diffs[:count])
         np.equal(diffs[:count], 0, out=hits[:count])
-        found.append(np.flatnonzero(hits[:count]) + (start + w - 1))
+        found.append(np.flatnonzero(hits[:count]) + (start + WINDOW - 1))
         if stop == n:
             return np.concatenate(found)
-        start = stop - (w - 1)
+        start = stop - (WINDOW - 1)
 
 
-def chunk_lengths(data: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC) -> list[int]:
+def chunk_lengths(data: bytes) -> list[int]:
     """Byte lengths of the content-defined chunks of ``data``, in order."""
     n = len(data)
     if n == 0:
         return []
-    cands = _boundary_candidates(data, spec).tolist()
+    cands = _boundary_candidates(data).tolist()
     lengths = []
     start = i = 0
     while start < n:
-        hi = min(start + spec.max_size, n) - 1
-        lo = start + spec.min_size - 1
+        hi = min(start + MAX_SIZE, n) - 1
+        lo = start + MIN_SIZE - 1
         end = hi
         if lo < hi:
             # lo only grows, so the previous answer bounds the search
@@ -321,11 +298,11 @@ def chunk_lengths(data: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC) -> list[int
     return lengths
 
 
-def chunkify(data: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC) -> list[bytes]:
+def chunkify(data: bytes) -> list[bytes]:
     """Split ``data`` into content-defined chunks; b"".join(...) round-trips."""
     chunks = []
     start = 0
-    for length in chunk_lengths(data, spec):
+    for length in chunk_lengths(data):
         chunks.append(data[start : start + length])
         start += length
     return chunks
@@ -531,13 +508,11 @@ def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, 
     return _assemble(raw, old_units, new_units)
 
 
-def chunk_diff(
-    old: bytes, new: bytes, spec: ChunkSpec = DEFAULT_CHUNK_SPEC
-) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
+def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
     """Minimal chunk-level edit script for binary content, as byte spans
     with delta-coded insert runs."""
-    old_units = chunkify(old, spec)
-    new_units = chunkify(new, spec)
+    old_units = chunkify(old)
+    new_units = chunkify(new)
     raw = diff_units(old_units, new_units)
     return _assemble(raw, old_units, new_units, old)
 
@@ -545,9 +520,7 @@ def chunk_diff(
 # -- tree comparison ---------------------------------------------------------
 
 
-def compare_trees(
-    old: FileTree, new: FileTree, spec: ChunkSpec = DEFAULT_CHUNK_SPEC
-) -> ChangeSet:
+def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
     """Compute the ChangeSet turning ``old`` into ``new``.
 
     Files matching by content hash are skipped entirely. A changed file
@@ -593,13 +566,13 @@ def compare_trees(
                     FileChange(path, ChangeKind.TEXT_PATCH, ops, segments)
                 )
             else:
-                ops, segments = chunk_diff(o.content, n.content, spec)
+                ops, segments = chunk_diff(o.content, n.content)
                 patches.append(
                     FileChange(path, ChangeKind.CHUNK_PATCH, ops, segments)
                 )
     dir_del.reverse()  # children before parents
     changes = tuple(file_del + dir_del + dir_ins + file_ins + patches)
-    return ChangeSet(tree_digest(old), tree_digest(new), spec, changes)
+    return ChangeSet(tree_digest(old), tree_digest(new), changes)
 
 
 def retained_bytes(change: FileChange, new_content: bytes) -> int:

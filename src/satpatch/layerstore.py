@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .diffgen import CONTENT_KINDS, ChunkSpec, DEFAULT_CHUNK_SPEC, compare_trees
+from .diffgen import CONTENT_KINDS, compare_trees
 from .errors import (
     DuplicateTagError,
     LayerStoreError,
@@ -50,7 +50,6 @@ class FailureEvent:
 
     phase: FailurePhase
     exit_code: int
-    timestamp: float = 0.0
 
     def __post_init__(self):
         if self.exit_code == 0:
@@ -194,7 +193,6 @@ def recovery_cost(
     prior: FileTree,
     active: FileTree,
     strategy: RecoveryStrategy,
-    spec: ChunkSpec = DEFAULT_CHUNK_SPEC,
     tag: str = "stable",
 ) -> RecoveryCost:
     """Cost of protecting ``prior`` as the rollback target of ``active``.
@@ -210,7 +208,7 @@ def recovery_cost(
     if strategy is RecoveryStrategy.LAYER:
         record = f"{tag}\t{tree_digest(prior).hex()}\tS-\n"
         return RecoveryCost(strategy, len(record.encode()), 1, 1)
-    reverse = compare_trees(active, prior, spec)
+    reverse = compare_trees(active, prior)
     if strategy is RecoveryStrategy.FILE:
         stored = [c.path for c in reverse.changes if c.kind in CONTENT_KINDS]
         size = sum(len(prior[p].content) for p in stored)
@@ -356,9 +354,7 @@ class LayerStore:
             if entry.is_dir() and entry.name not in keep:
                 shutil.rmtree(entry)
 
-    def recovery_cost_report(
-        self, strategy: RecoveryStrategy, spec: ChunkSpec = DEFAULT_CHUNK_SPEC
-    ) -> RecoveryCost:
+    def recovery_cost_report(self, strategy: RecoveryStrategy) -> RecoveryCost:
         """Cost model for the current (stable, active) layer pair."""
         if len(self.stack.layers) < 2:
             raise LayerStoreError("need at least two layers to compare")
@@ -371,5 +367,5 @@ class LayerStore:
             raise LayerStoreError("active layer is the stable layer; nothing at risk")
         prior = self.tree_of(target_layer.tag)
         return recovery_cost(
-            prior, self.tree_of(active.tag), strategy, spec, tag=target_layer.tag
+            prior, self.tree_of(active.tag), strategy, tag=target_layer.tag
         )

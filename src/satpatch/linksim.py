@@ -19,8 +19,6 @@ from .diffgen import (
     PATCH_KINDS,
     ChangeKind,
     ChangeSet,
-    ChunkSpec,
-    DEFAULT_CHUNK_SPEC,
     compare_trees,
     retained_bytes,
 )
@@ -150,9 +148,7 @@ class ModRatioReport:
     degenerate: bool = False
 
 
-def modification_ratio(
-    orig: FileTree, upd: FileTree, spec: ChunkSpec = DEFAULT_CHUNK_SPEC
-) -> ModRatioReport:
+def modification_ratio(orig: FileTree, upd: FileTree) -> ModRatioReport:
     """ratio = 1 - S_preserved/S_upd.
 
     S_upd is the total file byte size of the updated tree. S_preserved
@@ -163,7 +159,7 @@ def modification_ratio(
     s_upd = upd.total_file_bytes()
     if s_upd == 0:
         return ModRatioReport(0, 0, Fraction(0), degenerate=True)
-    changeset = compare_trees(orig, upd, spec)
+    changeset = compare_trees(orig, upd)
     touched: dict[str, int] = {}
     for change in changeset.changes:
         if change.kind in PATCH_KINDS:

@@ -11,6 +11,10 @@ bytes:
     u32 record count
     per record: u16 path length | path | u32 run index | u64 length | bytes
 
+The four u32 words are the ground chunker's fixed constants
+(``diffgen.WINDOW``, ``MASK_BITS``, ``MIN_SIZE``, ``MAX_SIZE``). The
+receiver never chunks; decode requires exactly these values.
+
 Manifest lines are tab-separated: change code, percent-encoded path, and
 for patches an op string such as ``R5 D2 I3``. One grammar serves both
 patch kinds: a token is R (retain), D (delete) or I (insert) and a
@@ -45,10 +49,13 @@ from .diffgen import (
     PATCH_KINDS,
     ChangeKind,
     ChangeSet,
-    ChunkSpec,
     EditOp,
     FileChange,
     INSERT,
+    MASK_BITS,
+    MAX_SIZE,
+    MIN_SIZE,
+    WINDOW,
     check_segments,
     insert_runs,
 )
@@ -68,6 +75,8 @@ MAGIC = b"SATL"
 PACKAGE_VERSION = 2
 
 _DIGEST_LEN = 32
+#: The chunker constants, in header order.
+_CHUNK_PARAMS = (WINDOW, MASK_BITS, MIN_SIZE, MAX_SIZE)
 _CODES = {kind.value: kind for kind in ChangeKind}
 
 
@@ -139,12 +148,11 @@ def _decode_manifest(blob: bytes) -> list[FileChange]:
 
 def encode_package(changeset: ChangeSet) -> bytes:
     """Serialize and compress a ChangeSet. Deterministic."""
-    spec = changeset.chunk_spec
     manifest = _encode_manifest(changeset.changes)
     parts = [
         MAGIC,
         struct.pack(">B", PACKAGE_VERSION),
-        struct.pack(">IIII", spec.window, spec.mask_bits, spec.min_size, spec.max_size),
+        struct.pack(">IIII", *_CHUNK_PARAMS),
         changeset.source_digest,
         changeset.target_digest,
         struct.pack(">Q", len(manifest)),
@@ -248,11 +256,9 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
     (version,) = cur.unpack(">B", "version")
     if version != PACKAGE_VERSION:
         raise UnsupportedVersionError(f"package version {version} not supported")
-    window, mask_bits, min_size, max_size = cur.unpack(">IIII", "chunk spec")
-    try:
-        spec = ChunkSpec(window, mask_bits, min_size, max_size)
-    except ValueError as exc:
-        raise CorruptPackageError(f"invalid chunk spec: {exc}") from exc
+    params = cur.unpack(">IIII", "chunk parameters")
+    if params != _CHUNK_PARAMS:
+        raise CorruptPackageError(f"chunk parameters {params}, expected {_CHUNK_PARAMS}")
     source_digest = cur.take(_DIGEST_LEN, "source digest")
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
@@ -300,7 +306,7 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
         except ApplyError as exc:
             raise PackageInconsistencyError(str(exc), change.path) from exc
         out.append(change)
-    return ChangeSet(source_digest, target_digest, spec, tuple(out)), manifest_len
+    return ChangeSet(source_digest, target_digest, tuple(out)), manifest_len
 
 
 def wire_layout(blob: bytes) -> dict:

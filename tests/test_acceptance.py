@@ -15,7 +15,7 @@ import pytest
 import treegen
 from conftest import record_verdict
 from satpatch.corpusgen import VariantSpec, generate_variant, sample_app_tree
-from satpatch.diffgen import DEFAULT_CHUNK_SPEC, chunkify, compare_trees, line_diff
+from satpatch.diffgen import chunkify, compare_trees, line_diff
 from satpatch.errors import SatpatchError
 from satpatch.fstree import FileTree, tree_digest
 from satpatch.layerstore import (
@@ -214,7 +214,7 @@ def test_c5_chunking_localizes_edits():
         for seed in range(100):
             rng = random.Random(seed)
             blob = rng.randbytes(1 << 20)
-            base_hashes = [hashlib.sha256(c).digest() for c in chunkify(blob, DEFAULT_CHUNK_SPEC)]
+            base_hashes = [hashlib.sha256(c).digest() for c in chunkify(blob)]
 
             pos = rng.randrange(len(blob) - 64)
             flipped = (
@@ -223,14 +223,14 @@ def test_c5_chunking_localizes_edits():
                 + blob[pos + 64 :]
             )
             new = set(
-                hashlib.sha256(c).digest() for c in chunkify(flipped, DEFAULT_CHUNK_SPEC)
+                hashlib.sha256(c).digest() for c in chunkify(flipped)
             ) - set(base_hashes)
             if len(new) > 3:
                 flip_violations.append((seed, len(new)))
 
             prepended = bytes([rng.randrange(256)]) + blob
             pre_hashes = [
-                hashlib.sha256(c).digest() for c in chunkify(prepended, DEFAULT_CHUNK_SPEC)
+                hashlib.sha256(c).digest() for c in chunkify(prepended)
             ]
             i, j = len(base_hashes), len(pre_hashes)
             while i > 0 and j > 0 and base_hashes[i - 1] == pre_hashes[j - 1]:
@@ -266,10 +266,8 @@ def test_c6_failure_rolls_back_and_recovery_costs_order(tmp_path, corpus_matrix)
         big_blob = big_rng.randbytes(100 * 1024 * 1024)
         big_prior = FileTree.from_dict("b", {"a.bin": big_blob})
         big_active = FileTree.from_dict("b", {"a.bin": big_blob, "b": b"x"})
-        small = recovery_cost(small_prior, small_active, RecoveryStrategy.LAYER,
-                              DEFAULT_CHUNK_SPEC)
-        big = recovery_cost(big_prior, big_active, RecoveryStrategy.LAYER,
-                            DEFAULT_CHUNK_SPEC)
+        small = recovery_cost(small_prior, small_active, RecoveryStrategy.LAYER)
+        big = recovery_cost(big_prior, big_active, RecoveryStrategy.LAYER)
         assert small.backup_ops == big.backup_ops
         assert small.restore_ops == big.restore_ops
 
@@ -277,7 +275,7 @@ def test_c6_failure_rolls_back_and_recovery_costs_order(tmp_path, corpus_matrix)
         base, variants = corpus_matrix
         active = variants[(0.1, 0)]
         storages = {
-            strat: recovery_cost(base, active, strat, DEFAULT_CHUNK_SPEC).storage_bytes
+            strat: recovery_cost(base, active, strat).storage_bytes
             for strat in (
                 RecoveryStrategy.PATCH, RecoveryStrategy.FILE, RecoveryStrategy.IMAGE,
             )

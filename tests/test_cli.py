@@ -328,3 +328,45 @@ class TestUsage:
         doc = json.loads(out)
         assert doc["schema"] == "satpatch-cli/1"
         assert "error" in doc
+
+
+class TestEnvironmentErrors:
+    """Bad arguments and unwritable outputs exit 2 with an error record."""
+
+    def check(self, capsys, *argv) -> str:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["schema"] == "satpatch-cli/1" and doc["error"]
+        return doc["error"]
+
+    @pytest.mark.parametrize("kbps", ["0", "-5"])
+    def test_bench_nonpositive_bandwidth(self, trees, capsys, kbps):
+        tmp, *_ = trees
+        error = self.check(
+            capsys, "bench", tmp / "orig", tmp / "upd", "--bandwidth-kbps", kbps
+        )
+        assert "bandwidth" in error
+
+    def test_diff_into_missing_directory(self, trees, capsys):
+        tmp, *_ = trees
+        out = tmp / "missing_dir" / "p.satpkg"
+        error = self.check(capsys, "diff", tmp / "orig", tmp / "upd", "-o", out)
+        assert str(out) in error
+        assert not (tmp / "missing_dir").exists()
+
+    def test_apply_tar_into_missing_directory(self, trees, capsys):
+        tmp, *_ = trees
+        pkg = tmp / "up.satpkg"
+        assert run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)[0] == 0
+        out = tmp / "missing_dir" / "x.tar"
+        error = self.check(capsys, "apply", tmp / "orig", pkg, "-o", out)
+        assert str(out) in error
+
+    def test_commit_store_is_a_regular_file(self, trees, capsys):
+        tmp, *_ = trees
+        store = tmp / "store"
+        store.write_bytes(b"not a directory\n")
+        error = self.check(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
+        assert str(store) in error
+        assert store.read_bytes() == b"not a directory\n"

@@ -1,7 +1,8 @@
 import pytest
 
 from satpatch.corpusgen import (
-    DELETION_KINDS,
+    INSERT_SHARE,
+    INSERTION_KINDS,
     VariantSpec,
     _deletable,
     generate_variant,
@@ -28,27 +29,27 @@ def split_keepends(content: bytes) -> list[bytes]:
 class TestVariantSpec:
     def test_defaults(self):
         spec = VariantSpec(0.2, seed=1)
-        assert spec.edit_mix == (0.7, 0.3)
-        assert "comments" in spec.textual_edit_kinds
+        assert (spec.target_ratio, spec.seed) == (0.2, 1)
+        assert INSERT_SHARE == 0.7
+        assert "comments" in INSERTION_KINDS
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.0, 1.5])
     def test_ratio_out_of_range(self, ratio):
         with pytest.raises(ValueError):
             VariantSpec(ratio, seed=0)
 
-    def test_edit_mix_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            VariantSpec(0.2, seed=0, edit_mix=(0.5, 0.6))
-
-    def test_unknown_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            VariantSpec(0.2, seed=0, textual_edit_kinds=("rewrite_everything",))
-        with pytest.raises(ValueError):
-            VariantSpec(0.2, seed=0, deletion_kinds=("functions",))
-
-    def test_empty_insertion_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            VariantSpec(0.2, seed=0, textual_edit_kinds=())
+    def test_deletable_lines(self):
+        # Redundant comments, imports and log lines, at any indent.
+        for line in (
+            b"# note\n",
+            b"    import os\n",
+            b"from a import b\n",
+            b'  logging.info("x")\n',
+            b'print("x")\n',
+        ):
+            assert _deletable(line), line
+        for line in (b"x = 1\n", b"def f():\n", b"importer = 2\n", b"\n"):
+            assert not _deletable(line), line
 
 
 class TestSampleAppTree:
@@ -123,7 +124,7 @@ class TestGenerateVariant:
             orig_sub = [
                 line
                 for line in split_keepends(entry.content)
-                if not _deletable(line, DELETION_KINDS)
+                if not _deletable(line)
             ]
             keep = set(orig_sub)
             var_sub = [

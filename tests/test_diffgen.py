@@ -8,14 +8,16 @@ against the package's own apply path.
 import random
 import zlib
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpatch.diffgen import (
-    DEFAULT_CHUNK_SPEC,
+    _BLOCK,
+    MASK_BITS,
+    MAX_SIZE,
+    MIN_SIZE,
+    WINDOW,
     ChangeKind,
-    ChunkSpec,
     EditOp,
     chunk_diff,
     chunk_lengths,
@@ -206,11 +208,10 @@ class TestChunking:
         assert b"".join(chunkify(blob)) == blob
 
     def test_bounds(self):
-        spec = DEFAULT_CHUNK_SPEC
         blob = random.Random(1).randbytes(200_000)
-        lens = chunk_lengths(blob, spec)
-        assert all(l <= spec.max_size for l in lens)
-        assert all(l >= spec.min_size for l in lens[:-1])
+        lens = chunk_lengths(blob)
+        assert all(l <= MAX_SIZE for l in lens)
+        assert all(l >= MIN_SIZE for l in lens[:-1])
         assert lens[-1] >= 1
 
     def test_short_input_is_one_chunk(self):
@@ -242,14 +243,12 @@ class TestChunking:
         assert a[-3:] == b[-3:]
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ChunkSpec(window=0)
-        with pytest.raises(ValueError):
-            ChunkSpec(min_size=0)
-        with pytest.raises(ValueError):
-            ChunkSpec(min_size=512, max_size=256)
-        with pytest.raises(ValueError):
-            ChunkSpec(mask_bits=40)
+        # The checks the chunker's constants must pass: the uint32 scan
+        # needs MASK_BITS <= 32, and blocks that overlap by WINDOW - 1
+        # bytes need the window to fit well inside one block.
+        assert 1 <= WINDOW <= _BLOCK // 2
+        assert 0 <= MASK_BITS <= 32
+        assert 0 < MIN_SIZE <= MAX_SIZE
 
 
 class TestChunkDiff:
@@ -283,7 +282,7 @@ class TestChunkDiff:
         old = rng.randbytes(120_000)
         new = old[:50_000] + b"\xff" * 64 + old[50_064:]
         _, segments = chunk_diff(old, new)
-        assert 0 < sum(len(s) for s in segments) <= 3 * DEFAULT_CHUNK_SPEC.max_size
+        assert 0 < sum(len(s) for s in segments) <= 3 * MAX_SIZE
 
     def test_identical(self):
         blob = random.Random(8).randbytes(30_000)

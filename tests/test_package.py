@@ -12,7 +12,6 @@ import pytest
 from satpatch.diffgen import (
     ChangeKind,
     ChangeSet,
-    ChunkSpec,
     EditOp,
     FileChange,
     compare_trees,
@@ -92,13 +91,6 @@ class TestRoundTrip:
         )
         cs = compare_trees(old, new)
         assert decode_package(encode_package(cs)) == cs
-
-    def test_custom_chunk_spec_travels(self):
-        spec = ChunkSpec(window=32, mask_bits=8, min_size=64, max_size=4096)
-        old = FileTree.from_dict("a", {"b.bin": random.Random(0).randbytes(9000)})
-        new = FileTree.from_dict("a", {"b.bin": random.Random(1).randbytes(9000)})
-        cs = compare_trees(old, new, spec)
-        assert decode_package(encode_package(cs)).chunk_spec == spec
 
     def test_random_pairs(self):
         rng = random.Random(42)
@@ -182,11 +174,18 @@ class TestDecodeErrors:
         with pytest.raises(TruncatedPackageError):
             decode_package(recompress(patched))
 
-    def test_invalid_chunk_spec(self):
+    @pytest.mark.parametrize(
+        "word,value",
+        [(0, 32), (1, 8), (2, 64), (3, 4096), (2, 0)],
+        ids=["window-32", "mask_bits-8", "min_size-64", "max_size-4096", "min_size-0"],
+    )
+    def test_chunk_parameters_must_match(self, word, value):
+        # The header's four u32 words follow magic and version. All but the
+        # last case are valid chunker settings, just not the ground's.
         container = container_of(encode_package(sample_changeset()))
-        # min_size (third u32 of the chunk spec block) zeroed out.
-        patched = container[:13] + struct.pack(">I", 0) + container[17:]
-        with pytest.raises(CorruptPackageError):
+        at = 5 + 4 * word
+        patched = container[:at] + struct.pack(">I", value) + container[at + 4 :]
+        with pytest.raises(CorruptPackageError, match="chunk parameters"):
             decode_package(recompress(patched))
 
 

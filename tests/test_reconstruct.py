@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpatch.diffgen import (
-    DEFAULT_CHUNK_SPEC,
     DELTA_WINDOW,
+    MAX_SIZE,
     ChangeKind,
     ChangeSet,
-    ChunkSpec,
     EditOp,
     FileChange,
     chunk_diff,
@@ -39,8 +38,8 @@ from satpatch.reconstruct import (
 from treegen import random_pair
 
 
-def round_trip(old: FileTree, new: FileTree, spec=None) -> FileTree:
-    cs = compare_trees(old, new, spec) if spec else compare_trees(old, new)
+def round_trip(old: FileTree, new: FileTree) -> FileTree:
+    cs = compare_trees(old, new)
     applied, report = apply_package(old, encode_package(cs))
     assert report.target_digest == tree_digest(new)
     return applied
@@ -95,16 +94,16 @@ class TestApplyFile:
             apply_file(b"a\nb\n", change)
 
 
-def chunk_change(old: bytes, new: bytes, spec=DEFAULT_CHUNK_SPEC) -> FileChange:
-    ops, segments = chunk_diff(old, new, spec)
+def chunk_change(old: bytes, new: bytes) -> FileChange:
+    ops, segments = chunk_diff(old, new)
     return FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
 
 
 class TestDeltaRuns:
     """Chunk insert runs travel deflated against the old bytes before them."""
 
-    def check_round_trip(self, old: bytes, new: bytes, spec=DEFAULT_CHUNK_SPEC):
-        change = chunk_change(old, new, spec)
+    def check_round_trip(self, old: bytes, new: bytes):
+        change = chunk_change(old, new)
         assert sum(op.count for op in change.ops if op.kind in "RD") == len(old)
         assert sum(op.count for op in change.ops if op.kind in "RI") == len(new)
         assert apply_file(old, change) == new
@@ -114,8 +113,8 @@ class TestDeltaRuns:
         # A zero run cuts into whole max-size chunks, so the old chunks
         # after it line up again and the script opens with the insert.
         old = random.Random(1).randbytes(20_000)
-        change = self.check_round_trip(old, bytes(DEFAULT_CHUNK_SPEC.max_size) + old)
-        assert change.ops[0] == EditOp("I", DEFAULT_CHUNK_SPEC.max_size)
+        change = self.check_round_trip(old, bytes(MAX_SIZE) + old)
+        assert change.ops[0] == EditOp("I", MAX_SIZE)
 
     def test_delete_run_longer_than_window(self):
         rng = random.Random(2)
@@ -138,16 +137,17 @@ class TestDeltaRuns:
         assert change.segments == ()
 
     def test_seeded_random_pairs(self):
+        # Sizes run from empty to a few hundred chunks, and edits from one
+        # byte to runs longer than the delta dictionary.
         rng = random.Random(0xD17A)
-        spec = ChunkSpec(window=16, mask_bits=7, min_size=32, max_size=1024)
         for _ in range(60):
-            old = rng.randbytes(rng.choice((0, 1, 300, 5_000, 40_000)))
+            old = rng.randbytes(rng.choice((0, 1, 4_800, 80_000, 640_000)))
             new = bytearray(old)
             for _ in range(rng.randint(0, 6)):
                 at = rng.randint(0, len(new))
-                cut = rng.choice((0, 1, 100, 40_000))
-                new[at : at + cut] = rng.randbytes(rng.choice((0, 1, 50, 2_000)))
-            self.check_round_trip(old, bytes(new), spec)
+                cut = rng.choice((0, 1, 1_600, 640_000))
+                new[at : at + cut] = rng.randbytes(rng.choice((0, 1, 800, 32_000)))
+            self.check_round_trip(old, bytes(new))
 
     def test_built_against_other_old_bytes_is_rejected(self):
         rng = random.Random(5)
@@ -292,7 +292,6 @@ class TestApplyChangeset:
         cs = ChangeSet(
             tree_digest(base),
             b"\x00" * 32,
-            ChunkSpec(),
             (FileChange("ghost", ChangeKind.FILE_DELETE),),
         )
         with pytest.raises(EditScriptError):
@@ -303,7 +302,6 @@ class TestApplyChangeset:
         cs = ChangeSet(
             tree_digest(base),
             b"\x00" * 32,
-            ChunkSpec(),
             (FileChange("d", ChangeKind.DIR_DELETE),),
         )
         with pytest.raises(EditScriptError):
@@ -314,7 +312,6 @@ class TestApplyChangeset:
         cs = ChangeSet(
             tree_digest(base),
             b"\x00" * 32,
-            ChunkSpec(),
             (FileChange("f", ChangeKind.FILE_INSERT, segments=(b"y",)),),
         )
         with pytest.raises(EditScriptError):
@@ -325,7 +322,6 @@ class TestApplyChangeset:
         cs = ChangeSet(
             tree_digest(base),
             b"\x00" * 32,
-            ChunkSpec(),
             (FileChange("no_dir/f", ChangeKind.FILE_INSERT, segments=(b"y",)),),
         )
         with pytest.raises(EditScriptError):
@@ -335,7 +331,7 @@ class TestApplyChangeset:
         old = FileTree.from_dict("a", {"f": b"1\n"})
         new = FileTree.from_dict("a", {"f": b"2\n"})
         cs = compare_trees(old, new)
-        tampered = ChangeSet(cs.source_digest, b"\xff" * 32, cs.chunk_spec, cs.changes)
+        tampered = ChangeSet(cs.source_digest, b"\xff" * 32, cs.changes)
         with pytest.raises(DigestMismatchError):
             apply_changeset(old, tampered)
 
@@ -345,7 +341,6 @@ class TestApplyChangeset:
         cs = ChangeSet(
             tree_digest(old),
             b"\x00" * 32,
-            ChunkSpec(),
             (
                 FileChange("f", ChangeKind.FILE_DELETE),
                 FileChange("ghost", ChangeKind.FILE_DELETE),
@@ -362,15 +357,6 @@ class TestEndToEnd:
         for _ in range(40):
             old, new = random_pair(rng, max_files=30, max_file_size=32 * 1024)
             assert round_trip(old, new) == new
-
-    def test_custom_chunk_spec_round_trip(self):
-        spec = ChunkSpec(window=16, mask_bits=6, min_size=32, max_size=1024)
-        rng = random.Random(11)
-        old = FileTree.from_dict("a", {"b": rng.randbytes(20_000)})
-        new = FileTree.from_dict(
-            "a", {"b": b"".join([rng.randbytes(100), old["b"].content])}
-        )
-        assert round_trip(old, new, spec) == new
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**9))

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage, 2 bad input or state, 3 apply or verify
 failure, 4 rollback performed. Machine consumers pass ``--json`` after
 any subcommand and get one object on stdout with a versioned ``schema``
-field. File outputs are written to a temp sibling and renamed into
-place, so an interrupted run never leaves a half-written artifact.
+field. File outputs are written to a temp sibling and moved into place
+only if nothing exists there, so an interrupted run never leaves a
+half-written artifact and an existing output is never replaced.
 ``diff`` and ``apply`` also report where their time went (``timings``, in
 seconds per phase) and the process's peak resident set (``peak_rss_kib``).
 """
@@ -82,7 +83,11 @@ def _write_bytes(path: str, data: bytes) -> None:
     tmp = target.parent / f"{target.name}.tmp-{os.getpid()}"
     try:
         tmp.write_bytes(data)
-        os.replace(tmp, target)
+        # a link, unlike a rename, fails on an existing target, so no
+        # output is ever replaced and there is no check-then-write race
+        os.link(tmp, target)
+    except FileExistsError as exc:
+        raise CliError(EXIT_INPUT, f"output path {path!r} already exists") from exc
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot write {path!r}: {exc.strerror}") from exc
     finally:

@@ -1,12 +1,28 @@
 """Delta computation between two application trees.
 
 Changed files are diffed at unit granularity: textual files as lines,
-binary files as content-defined chunks. Unit sequences are compared with
-a Myers shortest-edit-script search (linear-space middle-snake variant),
-so the emitted script has the provably minimal number of deleted and
-inserted units. Scripts are run-length encoded as R (retain), D (delete),
-I (insert) operations; inserted bytes ride alongside as one segment per
-I run.
+binary files as content-defined chunks. Both kinds of unit sequence go
+through one exact engine, so every script deletes and inserts the
+minimal number of units (:func:`diff_units`):
+
+1. units are interned, and units found on one side only are dropped,
+   because no common subsequence can hold them;
+2. the common prefix and suffix of each piece are retained as they are;
+3. a bit-parallel longest common subsequence, with Python ints as bit
+   vectors (Allison and Dix 1986; Hyyrö 2004), finds the matched pairs:
+   a piece too large to keep its rows is split at the middle of the new
+   sequence where a forward and a reverse row meet (Hirschberg 1975),
+   and a small piece is traced back from its stored rows;
+4. the canonical script is read straight off the matched pairs.
+
+For N old and M new units this costs O(N·M/64) word operations (CPython
+computes in 30-bit digits) in O(N + M) space, plus one N-bit mask per
+repeated old unit and at most ``_LEAF_BITS`` of stored rows. Once a
+piece knows how many units its scripts delete, its passes keep old
+positions far from the diagonal out of play, so a short script costs
+fewer operations than that bound. Scripts are run-length encoded as R
+(retain), D (delete), I (insert) operations; inserted bytes ride
+alongside as one segment per I run.
 
 Line-mode ops count lines. Chunk-mode ops count bytes: the chunk
 boundaries only steer the search, and the receiver replays byte spans
@@ -25,7 +41,8 @@ import hashlib
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -310,87 +327,181 @@ def chunkify(data: bytes) -> list[bytes]:
 
 # -- shortest edit script ----------------------------------------------------
 
+#: Bits of stored rows a piece may take to be traced back directly; a
+#: larger piece is split first. A stored row costs its bits plus about
+#: ``_ROW_HEADER_BITS`` of int header and list slot.
+_LEAF_BITS = 1 << 21
+_ROW_HEADER_BITS = 256
+#: Old positions a banded row pass takes into play at a time.
+_GROW = 256
 
-def _middle_snake(a: Sequence[int], b: Sequence[int], a0, a1, b0, b1):
-    """Middle snake of the shortest edit path through a[a0:a1] x b[b0:b1].
 
-    Bidirectional greedy search: forward and reverse furthest-reaching
-    D-paths meet near the middle, giving the edit distance d and a snake
-    (x, y) -> (u, v) in absolute indices that splits the problem in two.
-    Reverse paths are tracked in reversed coordinates; the diagonal k of
-    the forward space maps to delta - k in reverse space.
+class _MatchMasks:
+    """Where each unit of the old sequence occurs.
+
+    Units are dense ids. ``pos[u]`` is the position of a unit that occurs
+    once, whose one-bit mask is made when a row needs it: a mask per unit
+    would hold O(N·σ) bits for σ distinct units. A repeated unit has
+    ``pos[u] == -1`` and one mask over the whole sequence, forward and
+    bit-reversed, from which a piece cuts its own.
     """
-    n = a1 - a0
-    m = b1 - b0
-    delta = n - m
-    odd = delta & 1
-    half = (n + m + 1) // 2
-    off = half + 1
-    vf = [0] * (2 * half + 3)
-    vr = [0] * (2 * half + 3)
-    for d in range(half + 1):
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and vf[off + k - 1] < vf[off + k + 1]):
-                x = vf[off + k + 1]
+
+    __slots__ = ("n", "pos", "fwd", "rev")
+
+    def __init__(self, units: list[int]):
+        n = self.n = len(units)
+        pos = self.pos = [-1] * (max(units, default=-1) + 1)
+        repeated: dict[int, list[int]] = {}
+        for p, u in enumerate(units):
+            if u in repeated:
+                repeated[u].append(p)
+            elif pos[u] >= 0:
+                repeated[u] = [pos[u], p]
+                pos[u] = -1
             else:
-                x = vf[off + k - 1] + 1
-            y = x - k
-            sx = x
-            while x < n and y < m and a[a0 + x] == b[b0 + y]:
-                x += 1
-                y += 1
-            vf[off + k] = x
-            if odd and delta - (d - 1) <= k <= delta + (d - 1):
-                if vf[off + k] + vr[off + delta - k] >= n:
-                    return 2 * d - 1, a0 + sx, b0 + sx - k, a0 + x, b0 + y
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and vr[off + k - 1] < vr[off + k + 1]):
-                x = vr[off + k + 1]
-            else:
-                x = vr[off + k - 1] + 1
-            y = x - k
-            sx, sy = x, y
-            while x < n and y < m and a[a1 - 1 - x] == b[b1 - 1 - y]:
-                x += 1
-                y += 1
-            vr[off + k] = x
-            if not odd and -d <= delta - k <= d:
-                if vr[off + k] + vf[off + delta - k] >= n:
-                    return 2 * d, a0 + n - x, b0 + m - y, a0 + n - sx, b0 + m - sy
-    raise AssertionError("edit path search failed to converge")
+                pos[u] = p
+        self.fwd = {}
+        self.rev = {}
+        nbytes = (n + 7) // 8
+        for u, ps in repeated.items():
+            fwd = bytearray(nbytes)
+            rev = bytearray(nbytes)
+            for p in ps:
+                fwd[p >> 3] |= 1 << (p & 7)
+                q = n - 1 - p
+                rev[q >> 3] |= 1 << (q & 7)
+            self.fwd[u] = int.from_bytes(fwd, "little")
+            self.rev[u] = int.from_bytes(rev, "little")
 
 
-def _ses(a, b, a0, a1, b0, b1, out):
-    """Append raw ops for a[a0:a1] -> b[b0:b1] to ``out``.
+def _row(masks, a0, a1, units, band, reverse=False, rows=None, local=None):
+    """Bit-parallel LCS row of old[a0:a1] (reversed if ``reverse``)
+    against ``units`` (Allison and Dix 1986; Hyyrö 2004).
 
-    Raw ops are ('R', n), ('D', n), or ('I', b_start, n); insert payloads
-    are ranges of b so nothing is copied until final assembly.
+    Bit x of the row is 0 where old position x adds one to the LCS of the
+    prefix through x, so zeros below x count LCS(old[:x], units). Each
+    unit ``u`` updates the row as ``t = v & match[u]``,
+    ``v = (v + t) | (v ^ t)``; ``v ^ t`` is ``v - t`` because ``t`` is a
+    subset of ``v``. Old positions more than ``band`` past a row's
+    diagonal stay out of play (all ones, no matches) until the row
+    reaches them: a script that deletes at most ``band`` units never
+    passes there, so the row still holds every minimal script. Returns
+    the last row as ``a1 - a0`` bits, and appends every row, first the
+    initial one, to ``rows`` when given. ``local`` caches the piece's
+    masks of repeated units.
     """
-    run = 0
+    la = a1 - a0
+    width = min(la, band + _GROW)
+    full = v = (1 << width) - 1
+    pos = masks.pos
+    if reverse:
+        glob, shift, sign, base = masks.rev, masks.n - a1, -1, a1 - 1
+    else:
+        glob, shift, sign, base = masks.fwd, a0, 1, a0
+    if local is None:
+        local = {}
+    if rows is not None:
+        rows.append(v)
+    for r, u in enumerate(units, 1):
+        p = pos[u]
+        if p >= 0:
+            q = sign * (p - base)
+            t = v & (1 << q) if 0 <= q < width else 0
+        else:
+            m = local.get(u)
+            if m is None:
+                m = local[u] = glob.get(u, 0) >> shift & ((1 << la) - 1)
+            t = v & m
+        if t:
+            v = (v + t) | (v ^ t)
+            if v > full:
+                v &= full
+        if r + band >= width < la:
+            width = min(la, r + band + _GROW)
+            v |= ((1 << width) - 1) ^ full
+            full = (1 << width) - 1
+        if rows is not None:
+            rows.append(v)
+    return v | ((1 << la) - 1) ^ full
+
+
+def _zero_counts(v: int, width: int) -> np.ndarray:
+    """out[x] = number of zero bits of ``v`` below bit x, for x <= width."""
+    raw = np.frombuffer(v.to_bytes((width + 7) // 8, "little"), np.uint8)
+    zeros = 1 - np.unpackbits(raw, bitorder="little")[:width].astype(np.int64)
+    out = np.zeros(width + 1, np.int64)
+    np.cumsum(zeros, out=out[1:])
+    return out
+
+
+def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, band=None):
+    """Mark one longest common subsequence of a[a0:a1] and b[b0:b1] in
+    ``hit_a`` and ``hit_b``.
+
+    ``band``, when known, is the number of units every minimal script of
+    the piece deletes. A piece whose rows fit ``_LEAF_BITS`` is traced
+    back from its stored rows; a larger one is split at the middle of
+    ``b`` where a forward and a reverse row meet (Hirschberg 1975), which
+    also gives each half its own band.
+    """
     while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
+        hit_a[a0] = hit_b[b0] = 1
         a0 += 1
         b0 += 1
-        run += 1
-    if run:
-        out.append((RETAIN, run))
-    tail = 0
     while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
         a1 -= 1
         b1 -= 1
-        tail += 1
-    if a0 < a1 or b0 < b1:
-        if a0 == a1:
-            out.append((INSERT, b0, b1 - b0))
-        elif b0 == b1:
-            out.append((DELETE, a1 - a0))
+        hit_a[a1] = hit_b[b1] = 1
+    la, lb = a1 - a0, b1 - b0
+    if not la or not lb:
+        return
+    if lb == 1 or lb * (la + _ROW_HEADER_BITS) <= _LEAF_BITS:
+        _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, la if band is None else band)
+        return
+    mid = b0 + lb // 2
+    # Without a known band, guess one and widen it until the LCS found
+    # inside it needs no more deletes than the band allows.
+    guess = max(_GROW, la >> 3) if band is None else band
+    while True:
+        fwd = _zero_counts(_row(masks, a0, a1, b[b0:mid], guess), la)
+        rev = _zero_counts(_row(masks, a0, a1, b[mid:b1][::-1], guess, True), la)
+        score = fwd + rev[::-1]
+        i = int(np.argmax(score))
+        best = int(score[i])
+        if band is not None or guess >= la or la - best <= guess:
+            break
+        guess *= 2
+    if best:
+        _match(masks, a, b, a0, a0 + i, b0, mid, hit_a, hit_b, i - int(fwd[i]))
+        _match(masks, a, b, a0 + i, a1, mid, b1, hit_a, hit_b,
+               la - i - int(rev[la - i]))
+
+
+def _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, band):
+    """Leaf of :func:`_match`: store every row, then walk back from the
+    end. At old length i, unit b[j] extends the LCS iff its last
+    occurrence p below i sees only ones in row j over [p, i), that is, no
+    earlier unit already took a position there."""
+    la = a1 - a0
+    units = b[b0:b1]
+    rows: list[int] = []
+    local: dict[int, int] = {}
+    _row(masks, a0, a1, units, band, rows=rows, local=local)
+    pos = masks.pos
+    i, j = la, len(units)
+    while i and j:
+        j -= 1
+        u = units[j]
+        p = pos[u]
+        if p >= 0:
+            p -= a0
         else:
-            _, x, y, u, v = _middle_snake(a, b, a0, a1, b0, b1)
-            _ses(a, b, a0, x, b0, y, out)
-            if u > x:
-                out.append((RETAIN, u - x))
-            _ses(a, b, u, a1, v, b1, out)
-    if tail:
-        out.append((RETAIN, tail))
+            p = (local[u] & ((1 << i) - 1)).bit_length() - 1
+        if 0 <= p < i:
+            ones = (1 << (i - p)) - 1
+            if rows[j] >> p & ones == ones:
+                hit_a[a0 + p] = hit_b[b0 + j] = 1
+                i = p
 
 
 def diff_units(old_units: Sequence, new_units: Sequence) -> list[tuple]:
@@ -402,60 +513,54 @@ def diff_units(old_units: Sequence, new_units: Sequence) -> list[tuple]:
     replay-equivalent because deletes consume only old units and inserts
     only new ones.
     """
-    table: dict = {}
-    a = [table.setdefault(u, len(table)) for u in old_units]
-    start = len(table)
-    b = [table.setdefault(u, len(table)) for u in new_units]
-    raw: list[tuple] = []
-    if not a and not b:
-        return []
-    if not any(u < start for u in b):
-        # No unit occurs on both sides: the trivial script is minimal.
-        if a:
-            raw.append((DELETE, len(a)))
-        if b:
-            raw.append((INSERT, 0, len(b)))
-    else:
-        _ses(a, b, 0, len(a), 0, len(b), raw)
-    return _canonicalize(raw)
+    ids: dict = {}
+    a = [ids.setdefault(u, len(ids)) for u in old_units]
+    old_ids = len(ids)
+    b = [ids.setdefault(u, len(ids)) for u in new_units]
+    del ids
+    # A unit found on one side only is in no common subsequence.
+    in_b = bytearray(old_ids)
+    for u in b:
+        if u < old_ids:
+            in_b[u] = 1
+    shared_a = bytes(map(in_b.__getitem__, a))
+    shared_b = bytes(u < old_ids for u in b)
+    sub_a = list(compress(a, shared_a))
+    sub_b = list(compress(b, shared_b))
+    hit_a = bytearray(len(sub_a))
+    hit_b = bytearray(len(sub_b))
+    _match(_MatchMasks(sub_a), sub_a, sub_b, 0, len(sub_a), 0, len(sub_b), hit_a, hit_b)
+    kept_a = bytearray(len(a))
+    kept_b = bytearray(len(b))
+    for i in compress(compress(range(len(a)), shared_a), hit_a):
+        kept_a[i] = 1
+    for j in compress(compress(range(len(b)), shared_b), hit_b):
+        kept_b[j] = 1
+    return _script(kept_a, kept_b)
 
 
-def _canonicalize(raw: Iterable[tuple]) -> list[tuple]:
+def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
+    """Canonical raw ops from the retained positions of both sides, which
+    pair up in order."""
+    n, m = len(kept_a), len(kept_b)
     out: list[tuple] = []
-    retain = 0
-    deleted = 0
-    inserted: tuple | None = None  # (b_start, n), contiguous within a region
-    def flush_edits():
-        nonlocal deleted, inserted
-        if deleted:
-            out.append((DELETE, deleted))
-            deleted = 0
-        if inserted is not None:
-            out.append((INSERT, inserted[0], inserted[1]))
-            inserted = None
-    def flush_retain():
-        nonlocal retain
-        if retain:
-            out.append((RETAIN, retain))
-            retain = 0
-    for op in raw:
-        if op[0] == RETAIN:
-            flush_edits()
-            retain += op[1]
-        elif op[0] == DELETE:
-            flush_retain()
-            deleted += op[1]
-        else:
-            flush_retain()
-            if inserted is None:
-                inserted = (op[1], op[2])
-            else:
-                # I runs separated only by deletes consume adjacent new
-                # units, so they concatenate into one run.
-                inserted = (inserted[0], inserted[1] + op[2])
-    flush_edits()
-    flush_retain()
-    return out
+    i = j = 0
+    while True:
+        x = kept_a.find(1, i)
+        y = kept_b.find(1, j)
+        if x < 0:
+            x, y = n, m
+        if x > i:
+            out.append((DELETE, x - i))
+        if y > j:
+            out.append((INSERT, j, y - j))
+        if x == n:
+            return out
+        end_a = kept_a.find(0, x)
+        end_b = kept_b.find(0, y)
+        run = min((n if end_a < 0 else end_a) - x, (m if end_b < 0 else end_b) - y)
+        out.append((RETAIN, run))
+        i, j = x + run, y + run
 
 
 def _assemble(

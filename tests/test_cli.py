@@ -370,3 +370,47 @@ class TestEnvironmentErrors:
         error = self.check(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
         assert str(store) in error
         assert store.read_bytes() == b"not a directory\n"
+
+
+class TestExistingFileOutput:
+    """A file output that exists is refused, not replaced: exit 2, the
+    old bytes kept, no temp file left beside it."""
+
+    KEEP = b"keep me\n"
+
+    def refused(self, capsys, out, *argv, as_json):
+        out.write_bytes(self.KEEP)
+        code, stdout, stderr = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        if as_json:
+            assert stderr == ""
+            assert "already exists" in json.loads(stdout)["error"]
+        else:
+            assert stdout == "" and "already exists" in stderr
+        assert out.read_bytes() == self.KEEP
+        assert sorted(p.name for p in out.parent.glob(out.name + "*")) == [out.name]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_diff_package(self, trees, capsys, as_json):
+        tmp, *_ = trees
+        out = tmp / "p.satpkg"
+        self.refused(capsys, out, "diff", tmp / "orig", tmp / "upd", "-o", out,
+                     as_json=as_json)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_apply_tar(self, trees, capsys, as_json):
+        tmp, *_ = trees
+        pkg = tmp / "up.satpkg"
+        assert run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)[0] == 0
+        out = tmp / "out.tar"
+        self.refused(capsys, out, "apply", tmp / "orig", pkg, "-o", out,
+                     as_json=as_json)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_gen_variant_tar(self, tmp_path, capsys, as_json):
+        materialize(sample_app_tree(0), tmp_path / "base")
+        out = tmp_path / "var.tar"
+        self.refused(
+            capsys, out, "gen-variant", tmp_path / "base", out,
+            "--ratio", "0.1", "--seed", "3", "--scope", "app", as_json=as_json,
+        )

@@ -6,13 +6,19 @@ against the package's own apply path.
 """
 
 import random
+import tracemalloc
 import zlib
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satpatch import diffgen
 from satpatch.diffgen import (
     _BLOCK,
+    _GROW,
+    _LEAF_BITS,
+    _ROW_HEADER_BITS,
     MASK_BITS,
     MAX_SIZE,
     MIN_SIZE,
@@ -66,6 +72,71 @@ def edit_weight(raw):
     return sum(op[1] for op in raw if op[0] == "D") + sum(
         op[2] for op in raw if op[0] == "I"
     )
+
+
+#: Lines that recur in source text, as blank lines and braces do.
+STOCK_LINES = [
+    b"}\n", b"\n", b"{\n", b"    return 0;\n", b"    break;\n", b"  }\n",
+    b"#endif\n", b"    }\n", b"else {\n", b"        break;\n", b"/*\n",
+    b" */\n", b"    i++;\n", b"\t\n",
+]
+
+
+def churned_lines(n, churn, seed):
+    """``n`` lines, 30% drawn from STOCK_LINES and the rest unique, and a
+    copy with ``churn`` of its positions replaced by new such lines."""
+    rng = random.Random(seed)
+    serial = iter(range(10**9))
+
+    def line():
+        if rng.random() < 0.3:
+            return rng.choice(STOCK_LINES)
+        return b"    value_%d = compute(%d);\n" % (next(serial), rng.randrange(1000))
+
+    old = [line() for _ in range(n)]
+    new = list(old)
+    for pos in rng.sample(range(n), int(churn * n)):
+        new[pos] = line()
+    return old, new
+
+
+def _skewed(top):
+    # one symbol takes about three positions in four
+    return st.integers(0, 4 * top).map(lambda x: x % top if x >= 3 * top else 0)
+
+
+def _pairs(alphabet, min_size=0):
+    side = st.lists(alphabet, min_size=min_size, max_size=300)
+    return st.tuples(side, side)
+
+
+@st.composite
+def _shared_ends_only(draw):
+    """Sequences that share a prefix and a suffix and nothing in between."""
+    ends = st.lists(st.integers(0, 5), max_size=80)
+    head, tail = draw(ends), draw(ends)
+    a_mid = draw(st.lists(st.integers(6, 9), max_size=80))
+    b_mid = draw(st.lists(st.integers(10, 13), max_size=80))
+    return head + a_mid + tail, head + b_mid + tail
+
+
+UNIT_PAIRS = st.one_of(
+    _pairs(st.integers(0, 3)),
+    _pairs(st.integers(0, 3), min_size=65),
+    _pairs(_skewed(40), min_size=65),
+    _pairs(st.integers(0, 500), min_size=65),
+    st.tuples(
+        st.lists(st.integers(0, 9), max_size=200),
+        st.lists(st.integers(10, 19), max_size=200),
+    ),
+    _shared_ends_only(),
+)
+
+#: Engine thresholds: as shipped; every piece of two or more new units
+#: split and old positions taken into play one at a time; small leaves
+#: with a narrow band. The last two run the split, the banded rows and the
+#: band guess at sizes the quadratic oracle can check.
+THRESHOLDS = [(_LEAF_BITS, _GROW), (0, 1), (2000, 3)]
 
 
 class TestSplitLines:
@@ -164,6 +235,47 @@ class TestDiffUnits:
         raw = diff_units(a, b)
         assert replay_raw(a, b, raw) == b
         assert edit_weight(raw) == len(a) + len(b) - 2 * lcs_length(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(UNIT_PAIRS)
+    def test_minimal_past_engine_thresholds(self, pair):
+        # Lengths to 300, small, skewed and wide alphabets, no shared unit,
+        # and a shared prefix and suffix only, at every threshold setting.
+        a, b = pair
+        cost = len(a) + len(b) - 2 * lcs_length(a, b)
+        for leaf_bits, grow in THRESHOLDS:
+            with patch.object(diffgen, "_LEAF_BITS", leaf_bits), patch.object(
+                diffgen, "_GROW", grow
+            ):
+                raw = diff_units(a, b)
+            assert replay_raw(a, b, raw) == b
+            assert edit_weight(raw) == cost
+
+    def test_minimal_when_pieces_split(self):
+        # Large enough that the shipped thresholds split the pair, guess
+        # its band and trace leaves under it.
+        a, b = churned_lines(1800, 0.1, seed=11)
+        shared = set(a) & set(b)
+        kept_a = sum(u in shared for u in a)
+        kept_b = sum(u in shared for u in b)
+        assert kept_b * (kept_a + _ROW_HEADER_BITS) > _LEAF_BITS
+        raw = diff_units(a, b)
+        assert replay_raw(a, b, raw) == b
+        assert edit_weight(raw) == len(a) + len(b) - 2 * lcs_length(a, b)
+
+    def test_heavy_churn_memory_bound(self):
+        # 20,000 lines, 30% repeated and 30% churned, where an O((N+M)·D)
+        # search takes tens of seconds. The engine stays inside the memory
+        # bound the other large-input tests use; no time is checked.
+        a, b = churned_lines(20_000, 0.3, seed=12)
+        tracemalloc.start()
+        try:
+            raw = diff_units(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert replay_raw(a, b, raw) == b
+        assert peak < 16 * 2**20
 
 
 class TestLineDiff:

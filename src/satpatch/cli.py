@@ -209,7 +209,12 @@ def _cmd_apply(args) -> int:
             raise CliError(
                 EXIT_USAGE, "in-place apply needs a directory tree; use -o"
             )
-        replace_directory(new_tree, args.orig)
+        try:
+            replace_directory(new_tree, args.orig)
+        except OSError as exc:
+            raise CliError(
+                EXIT_INPUT, f"cannot replace {args.orig!r}: {exc.strerror}"
+            ) from exc
         out = args.orig
     else:
         _write_tree(new_tree, out)

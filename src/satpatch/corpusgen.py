@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diffgen import RETAIN, WINDOW, chunk_diff, chunk_lengths, split_lines
+from .diffgen import (
+    WINDOW, ChangeKind, FileChange, chunk_diff, chunk_lengths, retained_bytes, split_lines
+)
 from .errors import VariantError
-from .fstree import FileTree
+from .fstree import FileTree, under_prefix
 from .linksim import modification_ratio
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
@@ -132,11 +134,6 @@ def _flip_chunk_bytes(content: bytes, rng: random.Random) -> bytes:
     return bytes(mutated)
 
 
-def _chunk_retained(orig: bytes, current: bytes) -> int:
-    ops, _ = chunk_diff(orig, current)
-    return sum(op.count for op in ops if op.kind == RETAIN)
-
-
 def generate_variant(
     orig: FileTree,
     spec: VariantSpec,
@@ -146,18 +143,14 @@ def generate_variant(
     0.05 of ``spec.target_ratio``. Deterministic per (tree, spec).
 
     ``scope_prefix`` confines edits to one subtree (the application
-    directory in fixtures); the ratio is still measured over the whole
-    tree. Raises VariantError when the target cannot be reached, with the
-    achieved ratio attached.
+    directory in fixtures; see :func:`under_prefix`); the ratio is still
+    measured over the whole tree. Raises VariantError when the target
+    cannot be reached, with the achieved ratio attached.
     """
+    in_scope = (lambda path: True) if scope_prefix is None else under_prefix(scope_prefix)
     if spec.target_ratio == 0:
         return orig
     rng = random.Random(spec.seed)
-
-    def in_scope(path: str) -> bool:
-        if scope_prefix is None:
-            return True
-        return path == scope_prefix or path.startswith(scope_prefix + "/")
 
     text_files: dict[str, _TextFile] = {}
     binary_files: dict[str, bytes] = {}
@@ -208,7 +201,10 @@ def generate_variant(
         if mutated == before_content:
             return False
         binary_files[path] = mutated
-        binary_preserved[path] = _chunk_retained(orig[path].content, mutated)
+        change = FileChange(
+            path, ChangeKind.CHUNK_PATCH, *chunk_diff(orig[path].content, mutated)
+        )
+        binary_preserved[path] = retained_bytes(change, mutated)
         if estimate() > goal + 0.02:
             binary_files[path] = before_content
             binary_preserved[path] = before_preserved

@@ -31,6 +31,10 @@ insert run travels delta-coded: a raw deflate stream whose preset
 dictionary is the old content just before the run's old offset (see
 :func:`delta_dictionary`), so bytes the run replaces cost back-references
 instead of literals.
+
+A :class:`FileChange` checks its own structure when it is built, so every
+change the differ or the decoder returns is well formed, and
+:func:`unit_edges` gives the byte offsets that scripts of both kinds walk.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import hashlib
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Sequence
 
 import numpy as np
@@ -102,12 +106,36 @@ class FileChange:
     Patches carry an edit script plus the inserted-byte segments, in I-op
     order (delta-coded for chunk patches). A file insert is a single
     segment holding the whole content.
+
+    A FileChange checks the structure that needs no old content when it is
+    built: one segment per insert run, and each text insert run exactly as
+    many lines as its op counts. Chunk insert runs are checked when they
+    inflate against the old content. Raises SegmentCountError or
+    EditScriptError.
     """
 
     path: str
     kind: ChangeKind
     ops: tuple[EditOp, ...] = ()
     segments: tuple[bytes, ...] = ()
+
+    def __post_init__(self):
+        needed = insert_runs(self.kind, self.ops)
+        if len(self.segments) != needed:
+            raise SegmentCountError(
+                f"{self.path!r}: {needed} insert runs but "
+                f"{len(self.segments)} segments"
+            )
+        if self.kind is not ChangeKind.TEXT_PATCH:
+            return
+        runs = [op for op in self.ops if op.kind == INSERT]
+        for run, (op, segment) in enumerate(zip(runs, self.segments)):
+            lines = len(split_lines(segment))
+            if lines != op.count:
+                raise EditScriptError(
+                    f"{self.path!r}: insert run {run} splits into {lines} "
+                    f"lines, op covers {op.count}"
+                )
 
 
 @dataclass(frozen=True)
@@ -127,38 +155,13 @@ class ChangeSet:
         return sum(len(s) for c in self.changes for s in c.segments)
 
 
-def insert_runs(change: FileChange) -> int:
-    """How many segments ``change`` must carry."""
-    if change.kind is ChangeKind.FILE_INSERT:
+def insert_runs(kind: ChangeKind, ops: tuple[EditOp, ...]) -> int:
+    """How many segments a change of ``kind`` with ``ops`` must carry."""
+    if kind is ChangeKind.FILE_INSERT:
         return 1
-    if change.kind in PATCH_KINDS:
-        return sum(1 for op in change.ops if op.kind == INSERT)
+    if kind in PATCH_KINDS:
+        return sum(1 for op in ops if op.kind == INSERT)
     return 0
-
-
-def check_segments(change: FileChange) -> None:
-    """The segment checks that need no old content: one segment per insert
-    run, and each text insert run exactly as many lines as its op counts.
-
-    Chunk insert runs are checked when they inflate against the old
-    content. Raises SegmentCountError or EditScriptError.
-    """
-    needed = insert_runs(change)
-    if len(change.segments) != needed:
-        raise SegmentCountError(
-            f"{change.path!r}: {needed} insert runs but "
-            f"{len(change.segments)} segments"
-        )
-    if change.kind is not ChangeKind.TEXT_PATCH:
-        return
-    runs = [op for op in change.ops if op.kind == INSERT]
-    for run, (op, segment) in enumerate(zip(runs, change.segments)):
-        lines = len(split_lines(segment))
-        if lines != op.count:
-            raise EditScriptError(
-                f"{change.path!r}: insert run {run} splits into {lines} "
-                f"lines, op covers {op.count}"
-            )
 
 
 # -- delta-coded chunk insert runs --------------------------------------------
@@ -205,6 +208,15 @@ def split_lines(data: bytes) -> list[bytes]:
     if start < len(data):
         out.append(data[start:])
     return out
+
+
+def unit_edges(content: bytes, kind: ChangeKind) -> Sequence[int]:
+    """Byte offsets of the op units of ``content`` in a patch of ``kind``:
+    unit k is ``content[edges[k]:edges[k + 1]]``. A text unit is a line
+    (as :func:`split_lines` cuts it), a chunk unit a byte."""
+    if kind is ChangeKind.TEXT_PATCH:
+        return list(accumulate(map(len, split_lines(content)), initial=0))
+    return range(len(content) + 1)
 
 
 # Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
@@ -683,20 +695,17 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
 def retained_bytes(change: FileChange, new_content: bytes) -> int:
     """Bytes of the new file content that the script retains from the old.
 
-    Used for modification-ratio accounting. Chunk ops count bytes; line
-    ops are measured against the new content's line lengths.
+    Used for modification-ratio accounting. The retain runs are measured
+    on the new content's units (:func:`unit_edges`), so one walk serves
+    line and chunk scripts.
     """
-    if change.kind is ChangeKind.CHUNK_PATCH:
-        return sum(op.count for op in change.ops if op.kind == RETAIN)
-    if change.kind is not ChangeKind.TEXT_PATCH:
+    if change.kind not in PATCH_KINDS:
         raise TreeError(f"not a patch change: {change.kind}")
-    lines = split_lines(new_content)
-    total = 0
-    j = 0
+    edges = unit_edges(new_content, change.kind)
+    total = j = 0
     for op in change.ops:
         if op.kind == RETAIN:
-            total += sum(len(l) for l in lines[j : j + op.count])
-            j += op.count
-        elif op.kind == INSERT:
+            total += edges[j + op.count] - edges[j]
+        if op.kind != DELETE:
             j += op.count
     return total

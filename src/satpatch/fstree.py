@@ -23,7 +23,7 @@ import tarfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .errors import PathError, TreeError
 
@@ -90,6 +90,15 @@ def parent_path(path: str) -> str | None:
     """Parent of a normalized path, or None for a top-level entry."""
     idx = path.rfind("/")
     return None if idx < 0 else path[:idx]
+
+
+def under_prefix(prefix: str) -> Callable[[str], bool]:
+    """Test for normalized paths at or below ``prefix``, which is
+    normalized first: ``app/`` and ``./app`` mean ``app``, and ``../x``
+    raises PathError."""
+    root = normalize_path(prefix)
+    below = root + "/"
+    return lambda path: path == root or path.startswith(below)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .diffgen import (
     retained_bytes,
 )
 from .errors import LinkError, PrefixMatchError
-from .fstree import FileTree, write_tar
+from .fstree import FileTree, under_prefix, write_tar
 from .package import gzip_bytes
 
 KIB = 1024
@@ -50,6 +50,8 @@ class LinkModel:
     contact_windows: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.uplink_bandwidth_bps, int):
+            raise TypeError("bandwidth must be an int number of bits per second")
         if self.uplink_bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if self.contact_windows is None:
@@ -75,7 +77,7 @@ def round_half_up(value: Fraction, decimals: int = 2) -> Fraction:
 
 def format_quantity(value: Fraction) -> str:
     """Render with comma thousands grouping and exactly 2 decimals."""
-    cents = (value * 100 + Fraction(1, 2)).__floor__()
+    cents = int(round_half_up(value) * 100)
     sign = "-" if cents < 0 else ""
     cents = abs(cents)
     return f"{sign}{cents // 100:,}.{cents % 100:02d}"
@@ -113,16 +115,13 @@ def baseline_sizes(
     """Upload sizes of the three conventional strategies, in bytes.
 
     B1: the full updated tree. B2: entries at or under ``app_prefix``
-    (everything when the prefix is empty). B3: only files the changeset
-    adds or modifies. All are level-9 gzip'd deterministic tars.
+    (everything when the prefix is empty; see :func:`under_prefix`). B3:
+    only files the changeset adds or modifies. All are level-9 gzip'd
+    deterministic tars.
     """
     b1 = _gzip_size(write_tar(upd))
     if app_prefix:
-        under = [
-            p
-            for p in upd.paths()
-            if p == app_prefix or p.startswith(app_prefix + "/")
-        ]
+        under = list(filter(under_prefix(app_prefix), upd.paths()))
         if not under:
             raise PrefixMatchError(
                 f"application prefix {app_prefix!r} matches no entries"

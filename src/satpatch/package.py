@@ -33,8 +33,10 @@ depends only on the change kind, so no flag travels with a run.
 
 Decoding inflates the container only as far as the fields read so far
 need, checks each record against the manifest before reading its bytes,
-and validates structure with a typed PackageError subclass; it never
-touches the filesystem.
+and builds each FileChange once, which checks its own structure (a
+failure becomes PackageInconsistencyError); what needs the old content is
+left to the replay. Every failure is a typed PackageError subclass, and
+decode never touches the filesystem.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .diffgen import (
     MAX_SIZE,
     MIN_SIZE,
     WINDOW,
-    check_segments,
     insert_runs,
 )
 from .errors import (
@@ -116,12 +117,13 @@ def _encode_manifest(changes: tuple[FileChange, ...]) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def _decode_manifest(blob: bytes) -> list[FileChange]:
+def _decode_manifest(blob: bytes) -> list[tuple[str, ChangeKind, tuple[EditOp, ...]]]:
+    """``(path, kind, ops)`` per manifest line; ops are () but for patches."""
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest is not valid UTF-8: {exc}")
-    changes = []
+    entries = []
     for line_no, line in enumerate(text.split("\n")[:-1], start=1):
         fields = line.split("\t")
         if len(fields) < 2:
@@ -136,14 +138,14 @@ def _decode_manifest(blob: bytes) -> list[FileChange]:
         if kind in PATCH_KINDS:
             if len(fields) != 3:
                 raise ManifestError("patch line needs an op field", line_no, path)
-            changes.append(FileChange(path, kind, _parse_ops(fields[2], line_no, path)))
+            entries.append((path, kind, _parse_ops(fields[2], line_no, path)))
         else:
             if len(fields) != 2:
                 raise ManifestError("unexpected extra fields", line_no, path)
-            changes.append(FileChange(path, kind))
+            entries.append((path, kind, ()))
     if text and not text.endswith("\n"):
-        raise ManifestError("manifest not newline-terminated", len(changes) + 1)
-    return changes
+        raise ManifestError("manifest not newline-terminated", len(entries) + 1)
+    return entries
 
 
 def encode_package(changeset: ChangeSet) -> bytes:
@@ -262,15 +264,13 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
     source_digest = cur.take(_DIGEST_LEN, "source digest")
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
-    changes = _decode_manifest(cur.take(manifest_len, "manifest"))
+    entries = _decode_manifest(cur.take(manifest_len, "manifest"))
     claims: dict[tuple[str, int], bytes | None] = {}
-    for change in changes:
-        for run in range(insert_runs(change)):
-            if (change.path, run) in claims:
-                raise PackageInconsistencyError(
-                    f"segment run {run} claimed twice", change.path
-                )
-            claims[(change.path, run)] = None
+    for path, kind, ops in entries:
+        for run in range(insert_runs(kind, ops)):
+            if (path, run) in claims:
+                raise PackageInconsistencyError(f"segment run {run} claimed twice", path)
+            claims[(path, run)] = None
     (record_count,) = cur.unpack(">I", "segment count")
     for _ in range(record_count):
         (path_len,) = cur.unpack(">H", "segment path length")
@@ -290,23 +290,17 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
             )
         claims[key] = cur.take(seg_len, "segment data")
     cur.finish()
-    out = []
-    for change in changes:
-        segments = []
-        for run in range(insert_runs(change)):
-            segment = claims[(change.path, run)]
-            if segment is None:
-                raise PackageInconsistencyError(
-                    f"missing segment for insert run {run}", change.path
-                )
-            segments.append(segment)
-        change = FileChange(change.path, change.kind, change.ops, tuple(segments))
+    changes = []
+    for path, kind, ops in entries:
+        segments = tuple(claims[(path, run)] for run in range(insert_runs(kind, ops)))
+        if None in segments:
+            run = segments.index(None)
+            raise PackageInconsistencyError(f"missing segment for insert run {run}", path)
         try:
-            check_segments(change)
+            changes.append(FileChange(path, kind, ops, segments))
         except ApplyError as exc:
-            raise PackageInconsistencyError(str(exc), change.path) from exc
-        out.append(change)
-    return ChangeSet(source_digest, target_digest, tuple(out)), manifest_len
+            raise PackageInconsistencyError(str(exc), path) from exc
+    return ChangeSet(source_digest, target_digest, tuple(changes)), manifest_len
 
 
 def wire_layout(blob: bytes) -> dict:

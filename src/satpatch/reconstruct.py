@@ -6,9 +6,12 @@ replayed cleanly and the result's digest equals the packaged target
 digest. Any failure raises an ApplyError subclass and leaves the caller's
 tree exactly as it was.
 
-Chunk-mode scripts are replayed as byte spans, so the receiver never
-re-chunks its local content; each insert run inflates against the old
-bytes before it (see :mod:`satpatch.package` for the wire rule).
+Apply checks a change only against the old content: its structure was
+checked when the FileChange was built, at decode for a package. One loop
+replays both patch kinds through the old content's unit edges (lines of
+a text patch, bytes of a chunk patch), so the receiver never re-chunks
+its local content; each chunk insert run inflates against the old bytes
+before it (see :mod:`satpatch.package` for the wire rule).
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .diffgen import (
     ChangeSet,
     FileChange,
     INSERT,
+    PATCH_KINDS,
     RETAIN,
-    check_segments,
     delta_dictionary,
-    split_lines,
+    unit_edges,
 )
 from .errors import (
     BaseVersionMismatchError,
@@ -69,30 +72,6 @@ class ApplyReport:
         )
 
 
-def _replay_lines(old: bytes, change: FileChange) -> bytes:
-    check_segments(change)
-    lines = split_lines(old)
-    out: list[bytes] = []
-    pos = 0
-    seg = iter(change.segments)
-    for op in change.ops:
-        if op.kind == INSERT:
-            out.append(next(seg))
-            continue
-        if pos + op.count > len(lines):
-            raise EditScriptError(
-                f"{change.path!r}: script walks past line {len(lines)}"
-            )
-        if op.kind == RETAIN:
-            out.extend(lines[pos : pos + op.count])
-        pos += op.count
-    if pos != len(lines):
-        raise EditScriptError(
-            f"{change.path!r}: script consumed {pos} of {len(lines)} lines"
-        )
-    return b"".join(out)
-
-
 def _inflate_run(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
     """Inflate a delta-coded insert run; never yields more than ``span``
     bytes, and fails closed unless it is exactly one whole stream of
@@ -114,36 +93,37 @@ def _inflate_run(segment: bytes, old: bytes, pos: int, span: int, path: str) -> 
     return run
 
 
-def _replay_chunks(old: bytes, change: FileChange) -> bytes:
-    check_segments(change)
+def apply_file(old: bytes, change: FileChange) -> bytes:
+    """Replay a single patch of either kind against old file content: a
+    retain copies the old bytes between two unit edges, and a chunk insert
+    run inflates against the old bytes before its edge."""
+    if change.kind not in PATCH_KINDS:
+        raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
+    chunked = change.kind is ChangeKind.CHUNK_PATCH
+    unit = "byte" if chunked else "line"
+    edges = unit_edges(old, change.kind)
+    units = len(edges) - 1
     out: list[bytes] = []
     pos = 0
     seg = iter(change.segments)
     for op in change.ops:
         if op.kind == INSERT:
-            out.append(_inflate_run(next(seg), old, pos, op.count, change.path))
+            run = next(seg)
+            if chunked:
+                run = _inflate_run(run, old, edges[pos], op.count, change.path)
+            out.append(run)
             continue
-        if pos + op.count > len(old):
-            raise EditScriptError(
-                f"{change.path!r}: script walks past byte {len(old)}"
-            )
+        end = pos + op.count
+        if end > units:
+            raise EditScriptError(f"{change.path!r}: script walks past {unit} {units}")
         if op.kind == RETAIN:
-            out.append(old[pos : pos + op.count])
-        pos += op.count
-    if pos != len(old):
+            out.append(old[edges[pos] : edges[end]])
+        pos = end
+    if pos != units:
         raise EditScriptError(
-            f"{change.path!r}: script consumed {pos} of {len(old)} bytes"
+            f"{change.path!r}: script consumed {pos} of {units} {unit}s"
         )
     return b"".join(out)
-
-
-def apply_file(old: bytes, change: FileChange) -> bytes:
-    """Replay a single patch against old file content."""
-    if change.kind is ChangeKind.TEXT_PATCH:
-        return _replay_lines(old, change)
-    if change.kind is ChangeKind.CHUNK_PATCH:
-        return _replay_chunks(old, change)
-    raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
 
 
 def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, ApplyReport]:
@@ -188,7 +168,6 @@ def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, App
         elif kind is ChangeKind.FILE_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
-            check_segments(change)
             entries[path] = Entry(EntryKind.FILE, change.segments[0])
             children[parent_path(path)] += 1
             written += len(change.segments[0])
@@ -232,11 +211,12 @@ def apply_package(tree: FileTree, blob: bytes) -> tuple[FileTree, ApplyReport]:
 def replace_directory(tree: FileTree, dest: str | Path) -> None:
     """Swap ``dest`` to hold ``tree``, building the new copy on the side.
 
-    The new tree is materialized next to ``dest`` and moved into place
-    with two renames. A crash can leave a ``.old``/``.new`` sibling
-    behind but never a half-written ``dest``.
+    The new tree is materialized next to ``dest`` (resolved, so ``.``
+    has real siblings) and moved into place with two renames. A crash can
+    leave a ``.old``/``.new`` sibling behind but never a half-written
+    ``dest``.
     """
-    dest = Path(dest)
+    dest = Path(dest).resolve()
     if not dest.is_dir():
         raise TreeError(f"not a directory: {dest}")
     staging = dest.parent / (dest.name + ".satpatch-new")
@@ -244,7 +224,11 @@ def replace_directory(tree: FileTree, dest: str | Path) -> None:
     for leftover in (staging, retired):
         if leftover.exists():
             shutil.rmtree(leftover)
-    materialize(tree, staging)
-    os.rename(dest, retired)
+    try:
+        materialize(tree, staging)
+        os.rename(dest, retired)
+    except OSError:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     os.rename(staging, dest)
     shutil.rmtree(retired)

@@ -63,6 +63,17 @@ class TestPipeline:
         leftovers = [p for p in tmp.iterdir() if "satpatch" in p.name]
         assert leftovers == []
 
+    def test_in_place_apply_from_inside_the_tree(self, trees, capsys, monkeypatch):
+        tmp, orig, upd = trees
+        pkg = tmp / "up.satpkg"
+        run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)
+        monkeypatch.chdir(tmp / "orig")
+        code, _, err = run(capsys, "apply", ".", pkg)
+        assert code == 0, err
+        assert load_tree(tmp / "orig") == upd
+        leftovers = [p for p in tmp.rglob("*") if ".satpatch-" in p.name]
+        assert leftovers == []
+
     def test_tar_round_trip(self, trees, capsys):
         tmp, orig, upd = trees
         pkg = tmp / "up.satpkg"
@@ -249,6 +260,23 @@ class TestBench:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("prefix", ["app/", "./app"])
+    def test_prefix_spellings_agree(self, trees, capsys, prefix):
+        tmp, *_ = trees
+        outs = [
+            run(capsys, "bench", tmp / "orig", tmp / "upd", "--app-prefix", p, "--json")
+            for p in (prefix, "app")
+        ]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
+    def test_escaping_prefix_exits_2(self, trees, capsys):
+        tmp, *_ = trees
+        code, _, err = run(
+            capsys, "bench", tmp / "orig", tmp / "upd", "--app-prefix", "../x"
+        )
+        assert code == 2 and "invalid path" in err
+
 
 class TestLayerCommands:
     def test_commit_stable_rollback_cycle(self, trees, capsys):
@@ -298,6 +326,16 @@ class TestGenVariant:
         doc = json.loads(out)
         assert abs(doc["achieved_ratio"] - 0.1) <= 0.05
         assert load_tree(tmp_path / "var")  # materialized and loadable
+
+    @pytest.mark.parametrize("scope, code", [("app/", 0), ("./app", 0), ("../x", 2)])
+    def test_scope_spellings(self, tmp_path, capsys, scope, code):
+        materialize(sample_app_tree(0), tmp_path / "base")
+        args = ["gen-variant", tmp_path / "base", "--ratio", "0.1", "--seed", "3"]
+        got, _, err = run(capsys, *args[:2], tmp_path / "var", *args[2:], "--scope", scope)
+        assert got == code, err
+        if code == 0:
+            run(capsys, *args[:2], tmp_path / "ref", *args[2:], "--scope", "app")
+            assert load_tree(tmp_path / "var") == load_tree(tmp_path / "ref")
 
     def test_bad_ratio_exits_2(self, tmp_path, capsys):
         materialize(sample_app_tree(0), tmp_path / "base")

@@ -19,6 +19,7 @@ from satpatch.fstree import (
     materialize,
     normalize_path,
     tree_digest,
+    under_prefix,
     write_tar,
 )
 
@@ -51,6 +52,19 @@ class TestNormalizePath:
     def test_dot_only_is_rejected(self):
         with pytest.raises(PathError):
             normalize_path("./.")
+
+
+class TestUnderPrefix:
+    @pytest.mark.parametrize("prefix", ["app", "app/", "./app", "app//"])
+    def test_spellings_agree(self, prefix):
+        inside = under_prefix(prefix)
+        paths = ["app", "app/main.py", "app/sub/x", "apps", "apps/x", "doc.txt"]
+        assert [p for p in paths if inside(p)] == ["app", "app/main.py", "app/sub/x"]
+
+    @pytest.mark.parametrize("bad", ["", "../x", "/app", "."])
+    def test_rejects(self, bad):
+        with pytest.raises(PathError):
+            under_prefix(bad)
 
 
 class TestClassifyTextual:

@@ -78,6 +78,11 @@ class TestTransmissionLatency:
         with pytest.raises(TypeError):
             transmission_latency(48.64)
 
+    def test_float_bandwidth_rejected(self):
+        # A float rate would turn every latency into a float.
+        with pytest.raises(TypeError):
+            LinkModel(uplink_bandwidth_bps=1.5)
+
     @given(st.integers(0, 10**12), st.integers(1, 10**9))
     def test_linear_in_size_inverse_in_bandwidth(self, size, bw):
         link = LinkModel(uplink_bandwidth_bps=bw)

@@ -45,6 +45,14 @@ def round_trip(old: FileTree, new: FileTree) -> FileTree:
     return applied
 
 
+#: Old content of two units for either patch kind: two lines, two bytes.
+TWO_UNITS = pytest.mark.parametrize(
+    "kind, old, unit",
+    [(ChangeKind.TEXT_PATCH, b"a\nb\n", "line"), (ChangeKind.CHUNK_PATCH, b"ab", "byte")],
+    ids=["text", "chunk"],
+)
+
+
 class TestApplyFile:
     def test_text(self):
         ops, segments = line_diff(b"a\nb\nc\n", b"a\nX\nc\n")
@@ -69,29 +77,41 @@ class TestApplyFile:
             with pytest.raises(EditScriptError):
                 apply_file(wrong, change)
 
+    # The structure that needs no old content is checked when the change
+    # is built, so a malformed patch never reaches apply_file.
     def test_segment_count_mismatch(self):
-        change = FileChange(
-            "f", ChangeKind.TEXT_PATCH, (EditOp("I", 1),), segments=()
-        )
         with pytest.raises(SegmentCountError):
-            apply_file(b"", change)
+            FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("I", 1),), segments=())
 
     def test_insert_line_count_mismatch(self):
-        change = FileChange(
-            "f", ChangeKind.TEXT_PATCH, (EditOp("I", 2),), segments=(b"one\n",)
-        )
         with pytest.raises(EditScriptError):
-            apply_file(b"", change)
+            FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("I", 2),), segments=(b"one\n",))
 
-    def test_script_overrun(self):
-        change = FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("R", 5),))
-        with pytest.raises(EditScriptError):
-            apply_file(b"a\n", change)
+    @TWO_UNITS
+    def test_script_overrun(self, kind, old, unit):
+        change = FileChange("f", kind, (EditOp("R", 1), EditOp("D", 4)))
+        with pytest.raises(EditScriptError, match=f"walks past {unit} 2"):
+            apply_file(old, change)
 
-    def test_script_underrun(self):
-        change = FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("R", 1),))
-        with pytest.raises(EditScriptError):
-            apply_file(b"a\nb\n", change)
+    @TWO_UNITS
+    def test_script_underrun(self, kind, old, unit):
+        change = FileChange("f", kind, (EditOp("R", 1),))
+        with pytest.raises(EditScriptError, match=f"consumed 1 of 2 {unit}s"):
+            apply_file(old, change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            FileChange("f", ChangeKind.FILE_INSERT, segments=(b"x\n",)),
+            FileChange("f", ChangeKind.FILE_DELETE),
+            FileChange("f", ChangeKind.DIR_INSERT),
+            FileChange("f", ChangeKind.DIR_DELETE),
+        ],
+        ids=lambda change: change.kind.name,
+    )
+    def test_not_a_patch(self, change):
+        with pytest.raises(EditScriptError, match="not a patch"):
+            apply_file(b"x\n", change)
 
 
 def chunk_change(old: bytes, new: bytes) -> FileChange:

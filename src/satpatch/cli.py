@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import resource
-import shutil
 import sys
 import time
 from fractions import Fraction
@@ -99,18 +98,20 @@ def _write_tree(tree: FileTree, out: str) -> None:
     if out.endswith(".tar"):
         _write_bytes(out, write_tar(tree))
         return
-    target = Path(out)
-    if target.exists():
-        raise CliError(EXIT_INPUT, f"output path {out!r} already exists")
-    tmp = target.parent / f"{target.name}.satpatch-tmp-{os.getpid()}"
     try:
-        materialize(tree, tmp)
-        os.rename(tmp, target)
+        materialize(tree, out)
+    except TreeError as exc:
+        raise CliError(EXIT_INPUT, f"output path {out!r} already exists") from exc
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot write {out!r}: {exc.strerror}") from exc
-    finally:
-        if tmp.exists():
-            shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _unpack(read, blob: bytes):
+    """``read(blob)``, with a damaged package reported as bad input."""
+    try:
+        return read(blob)
+    except PackageError as exc:
+        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
 
 
 def _emit(args, human: str, payload: dict) -> None:
@@ -193,10 +194,7 @@ def _cmd_apply(args) -> int:
     orig = _load(args.orig)
     blob = _read_bytes(args.package)
     watch.lap("load")
-    try:
-        changeset = decode_package(blob)
-    except PackageError as exc:
-        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
+    changeset = _unpack(decode_package, blob)
     watch.lap("decode")
     try:
         new_tree, report = apply_changeset(orig, changeset)
@@ -265,10 +263,7 @@ def _parse_windows(path: str) -> list[tuple[Fraction, Fraction]]:
 
 def _cmd_estimate(args) -> int:
     blob = _read_bytes(args.package)
-    try:
-        decode_package(blob)  # integrity gate before quoting numbers
-    except PackageError as exc:
-        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
+    _unpack(decode_package, blob)  # integrity gate before quoting numbers
     windows = _parse_windows(args.windows) if args.windows else None
     link = _link(args, windows)
     size = len(blob)
@@ -307,10 +302,7 @@ _TOP_PATHS = 10
 
 def _cmd_inspect(args) -> int:
     blob = _read_bytes(args.package)
-    try:
-        layout = wire_layout(blob)
-    except PackageError as exc:
-        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
+    layout = _unpack(wire_layout, blob)
     layout["paths"] = layout["paths"][:_TOP_PATHS]
     lines = [
         f"package: {len(blob)} B compressed",
@@ -337,10 +329,7 @@ def _cmd_bench(args) -> int:
     upd = _load(args.upd)
     changeset = compare_trees(orig, upd)
     blob = encode_package(changeset)
-    try:
-        base = linksim.baseline_sizes(orig, upd, changeset, args.app_prefix)
-    except LinkError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    base = linksim.baseline_sizes(orig, upd, changeset, args.app_prefix)
     rows = [
         ("full-image", base.b1_bytes),
         ("app-dir", base.b2_bytes),
@@ -396,11 +385,7 @@ def _cmd_commit(args) -> int:
 
 
 def _cmd_mark_stable(args) -> int:
-    store = _open_store(args)
-    try:
-        store.mark_stable(args.tag)
-    except LayerStoreError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    _open_store(args).mark_stable(args.tag)
     _emit(args, f"marked {args.tag} stable", {"tag": args.tag, "stable": True})
     return EXIT_OK
 

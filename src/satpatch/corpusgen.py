@@ -211,37 +211,27 @@ def generate_variant(
             return False
         return True
 
-    def one_edit(goal: float) -> None:
+    def insert_at(record: _TextFile, pos: int, kind: str) -> None:
         nonlocal serial
+        serial += 1
+        for i, line in enumerate(
+            _make_insertion(kind, rng, serial, _indent_of(record.lines, pos))
+        ):
+            record.insert(pos + i, line)
+
+    def one_edit(goal: float) -> None:
         if binary_paths and rng.random() < 0.08 and try_flip(goal):
             return
-        path = rng.choice(text_paths)
-        record = text_files[path]
+        record = text_files[rng.choice(text_paths)]
         if rng.random() < INSERT_SHARE:
             kind = rng.choice(INSERTION_KINDS)
-            pos = rng.randint(0, len(record.lines))
-            serial += 1
-            for i, line in enumerate(
-                _make_insertion(kind, rng, serial, _indent_of(record.lines, pos))
-            ):
-                record.insert(pos + i, line)
-        else:
-            candidates = [
-                i for i, (line, _) in enumerate(record.lines) if _deletable(line)
-            ]
-            if not candidates:
-                serial += 1
-                for i, line in enumerate(
-                    _make_insertion(
-                        rng.choice(INSERTION_KINDS),
-                        rng,
-                        serial,
-                        _indent_of(record.lines, 0),
-                    )
-                ):
-                    record.insert(i, line)
-                return
+            insert_at(record, rng.randint(0, len(record.lines)), kind)
+            return
+        candidates = [i for i, (line, _) in enumerate(record.lines) if _deletable(line)]
+        if candidates:
             record.delete(rng.choice(candidates))
+        else:  # nothing deletable: insert at the top instead
+            insert_at(record, 0, rng.choice(INSERTION_KINDS))
 
     def build() -> FileTree:
         mapping: dict[str, bytes | None] = {}

@@ -19,6 +19,7 @@ import codecs
 import hashlib
 import io
 import os
+import shutil
 import tarfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -317,18 +318,30 @@ def _add_parents(entries: dict[str, Entry]) -> None:
 
 
 def materialize(tree: FileTree, dest: str | Path) -> Path:
-    """Write the tree to ``dest`` (created; must not already exist)."""
+    """Write the tree to ``dest``, which must not exist yet; missing
+    parents are created. This is the one writer of tree entries.
+
+    The tree is built in a hidden sibling (its name starts with ``.``,
+    so it never equals a layer tag) and renamed into place, so ``dest``
+    is either absent or whole. On any failure the sibling is removed.
+    """
     root = Path(dest)
     if root.exists():
         raise TreeError(f"destination already exists: {root}")
-    root.mkdir(parents=True)
-    for path, entry in tree.items():
-        target = root / path
-        if entry.is_dir:
-            target.mkdir(exist_ok=True)
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(entry.content)
+    root.parent.mkdir(parents=True, exist_ok=True)
+    staging = root.parent / f".{root.name}.satpatch-{os.urandom(4).hex()}"
+    staging.mkdir()
+    try:
+        for path, entry in tree.items():
+            target = staging / path
+            if entry.is_dir:
+                target.mkdir()
+            else:
+                target.write_bytes(entry.content)
+        os.rename(staging, root)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     return root
 
 

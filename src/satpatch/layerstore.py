@@ -228,8 +228,11 @@ class LayerStore:
 
     Layout: ``layers.idx`` (app id, active tag, one line per layer) and
     ``trees/<tag>/`` for the materialized layers. Index updates are
-    write-temp-then-rename; the tree for a new commit lands on disk
-    before the index references it.
+    write-temp-then-rename; the tree for a new commit is staged in a
+    hidden sibling and renamed to ``trees/<tag>`` before the index
+    references it. :meth:`_prune` is the one cleanup path: it drops every
+    tree the retention policy does not keep, and so any leftover of a
+    commit cut short.
     """
 
     def __init__(self, root: str | Path, app_id: str = "app"):
@@ -319,10 +322,9 @@ class LayerStore:
 
     def commit(self, tree: FileTree, tag: str) -> None:
         new_stack = commit_layer(self.stack, tree, tag)
-        dest = self.trees_dir / tag
-        if dest.exists():
-            shutil.rmtree(dest)
-        materialize(tree, dest)
+        # a crash can leave trees/<tag> or a hidden staging sibling behind
+        self._prune()
+        materialize(tree, self.trees_dir / tag)
         self.stack = new_stack
         self._write_index()
         self._prune()
@@ -353,19 +355,3 @@ class LayerStore:
         for entry in self.trees_dir.iterdir():
             if entry.is_dir() and entry.name not in keep:
                 shutil.rmtree(entry)
-
-    def recovery_cost_report(self, strategy: RecoveryStrategy) -> RecoveryCost:
-        """Cost model for the current (stable, active) layer pair."""
-        if len(self.stack.layers) < 2:
-            raise LayerStoreError("need at least two layers to compare")
-        active = self.stack.active_layer
-        target = self.stack.latest_stable()
-        if target is None:
-            raise UnrecoverableStateError("no stable layer to protect")
-        target_layer = self.stack.layers[target]
-        if target_layer.tag == active.tag:
-            raise LayerStoreError("active layer is the stable layer; nothing at risk")
-        prior = self.tree_of(target_layer.tag)
-        return recovery_cost(
-            prior, self.tree_of(active.tag), strategy, tag=target_layer.tag
-        )

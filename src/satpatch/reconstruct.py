@@ -212,9 +212,10 @@ def replace_directory(tree: FileTree, dest: str | Path) -> None:
     """Swap ``dest`` to hold ``tree``, building the new copy on the side.
 
     The new tree is materialized next to ``dest`` (resolved, so ``.``
-    has real siblings) and moved into place with two renames. A crash can
-    leave a ``.old``/``.new`` sibling behind but never a half-written
-    ``dest``.
+    has real siblings) and moved into place with two renames; if the
+    second fails, the old tree is renamed back. A crash can leave a
+    ``.old``/``.new`` sibling behind, which the next call removes, but
+    never a half-written ``dest``.
     """
     dest = Path(dest).resolve()
     if not dest.is_dir():
@@ -224,11 +225,11 @@ def replace_directory(tree: FileTree, dest: str | Path) -> None:
     for leftover in (staging, retired):
         if leftover.exists():
             shutil.rmtree(leftover)
+    materialize(tree, staging)
+    os.rename(dest, retired)
     try:
-        materialize(tree, staging)
-        os.rename(dest, retired)
+        os.rename(staging, dest)
     except OSError:
-        shutil.rmtree(staging, ignore_errors=True)
+        os.rename(retired, dest)
         raise
-    os.rename(staging, dest)
     shutil.rmtree(retired)

@@ -1,9 +1,14 @@
-"""Shared test plumbing: acceptance verdict reporting and a hash counter.
+"""Shared test plumbing: acceptance verdict reporting, a hash counter and
+crash-point injection.
 
 The acceptance tests record one PASS/FAIL line per criterion; emitting
 them from the terminal-summary hook keeps them visible under pytest's
 default fd-level capture.
 """
+
+import errno
+import os
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +40,39 @@ def hashed_sizes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(fstree, "hash_content", counting)
     return sizes
+
+
+@pytest.fixture
+def crash_points(monkeypatch):
+    """``run(k, action)`` calls ``action()`` with the k-th call to
+    ``os.rename``, ``Path.mkdir`` or ``Path.write_bytes`` raising OSError
+    (none for k=0) and returns how many calls were made.
+
+    Enumerating k up to the call count of a clean run visits every crash
+    point between two writes, after ALICE (Pillai et al., OSDI 2014); the
+    process itself goes on, so cleanup code still runs.
+    """
+    state = {"calls": 0, "crash_at": 0}
+
+    def wrap(write):
+        def crashing(*args, **kwargs):
+            state["calls"] += 1
+            if state["calls"] == state["crash_at"]:
+                raise OSError(errno.EIO, "injected crash")
+            return write(*args, **kwargs)
+
+        return crashing
+
+    monkeypatch.setattr(os, "rename", wrap(os.rename))
+    monkeypatch.setattr(Path, "mkdir", wrap(Path.mkdir))
+    monkeypatch.setattr(Path, "write_bytes", wrap(Path.write_bytes))
+
+    def run(k: int, action) -> int:
+        state.update(calls=0, crash_at=k)
+        try:
+            action()
+        finally:
+            state["crash_at"] = 0
+        return state["calls"]
+
+    return run

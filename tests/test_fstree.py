@@ -202,6 +202,29 @@ class TestRoundTrips:
         with pytest.raises(TreeError):
             materialize(FileTree("a", {}), tmp_path)
 
+    def test_materialize_root_mode(self, tmp_path):
+        # staged under a random name, but not with mkdtemp's 0700
+        (tmp_path / "ref").mkdir()
+        materialize(FileTree("a", {}), tmp_path / "out")
+        mode = (tmp_path / "out").stat().st_mode & 0o777
+        assert mode == (tmp_path / "ref").stat().st_mode & 0o777
+
+    def test_materialize_crash_points(self, tmp_path, crash_points):
+        tree = FileTree.from_dict(
+            "app",
+            {"main.py": b"x\n", "lib/a.bin": b"\x00\x01", "lib/empty": None, "z": b""},
+        )
+        clean = tmp_path / "clean" / "app"
+        calls = crash_points(0, lambda: materialize(tree, clean))
+        assert load_tree(clean) == tree
+        assert calls >= len(tree) + 3  # parent, staging, entries, rename
+        for k in range(1, calls + 1):
+            dest = tmp_path / f"crash-{k}" / "app"
+            with pytest.raises(OSError, match="injected crash"):
+                crash_points(k, lambda: materialize(tree, dest))
+            assert not dest.exists() or load_tree(dest) == tree
+        assert [p for p in tmp_path.rglob("*") if "satpatch" in p.name] == []
+
     def test_tar_round_trip(self):
         tree = FileTree.from_dict("app", {"a/b.txt": b"hello", "c.bin": b"\xff\x00"})
         blob = write_tar(tree)

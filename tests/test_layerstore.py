@@ -272,21 +272,44 @@ class TestLayerStore:
         store.on_failure(FAIL_137)
         assert store.active_tree() == V10
 
-    def test_cost_report_requires_two_layers(self, tmp_path):
-        store = LayerStore(tmp_path / "s")
-        store.commit(V10, "V1.0")
-        with pytest.raises(LayerStoreError):
-            store.recovery_cost_report(RecoveryStrategy.IMAGE)
-
-    def test_cost_report(self, tmp_path):
-        store = LayerStore(tmp_path / "s")
+    @staticmethod
+    def _stocked(root) -> LayerStore:
+        store = LayerStore(root)
         store.commit(V10, "V1.0")
         store.mark_stable("V1.0")
         store.commit(V11, "V1.1")
-        image = store.recovery_cost_report(RecoveryStrategy.IMAGE)
-        assert image.storage_bytes == V10.total_file_bytes()
-        layer = store.recovery_cost_report(RecoveryStrategy.LAYER)
-        assert layer.backup_ops == 1
+        return store
+
+    def test_commit_crash_points(self, tmp_path, crash_points):
+        store = self._stocked(tmp_path / "clean")
+        calls = crash_points(0, lambda: store.commit(V12, "V1.2"))
+        assert store.active_tree() == V12
+        for k in range(1, calls + 1):
+            root = tmp_path / f"crash-{k}"
+            store = self._stocked(root)
+            with pytest.raises(OSError, match="injected crash"):
+                crash_points(k, lambda: store.commit(V12, "V1.2"))
+            # nothing of the cut commit is left under trees/
+            assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.1"]
+            reopened = LayerStore(root)
+            assert reopened.stack.active_layer.tag == "V1.1"
+            assert reopened.tree_of("V1.1") == V11
+            reopened.commit(V12, "V1.2")
+            assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.2"]
+            assert LayerStore(root).active_tree() == V12
+
+    def test_commit_clears_a_power_cut_commit(self, tmp_path):
+        # what a power cut mid-commit leaves: no in-process cleanup ran
+        root = tmp_path / "s"
+        self._stocked(root)
+        (root / "trees" / ".V1.2.satpatch-0badcafe" / "lib").mkdir(parents=True)
+        (root / "trees" / "V1.2").mkdir()
+        (root / "trees" / "V1.2" / "main.py").write_bytes(b"print('v1")
+        store = LayerStore(root)
+        assert store.active_tree() == V11
+        store.commit(V12, "V1.2")
+        assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.2"]
+        assert LayerStore(root).active_tree() == V12
 
     def test_digest_verified_on_load(self, tmp_path):
         store = LayerStore(tmp_path / "s")

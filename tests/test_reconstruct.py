@@ -396,8 +396,25 @@ class TestReplaceDirectory:
         materialize(old, target)
         replace_directory(new, target)
         assert load_tree(target) == new
-        assert not (tmp_path / "app.satpatch-old").exists()
-        assert not (tmp_path / "app.satpatch-new").exists()
+        assert [p for p in tmp_path.rglob("*") if "satpatch" in p.name] == []
+
+    def test_crash_points(self, tmp_path, crash_points):
+        old = FileTree.from_dict("app", {"f.txt": b"old\n", "d/g.txt": b"keep\n"})
+        new = FileTree.from_dict("app", {"f.txt": b"new\n", "d/g.txt": b"keep\n"})
+        target = tmp_path / "app"
+        from satpatch.fstree import materialize
+
+        materialize(old, tmp_path / "clean")
+        calls = crash_points(0, lambda: replace_directory(new, tmp_path / "clean"))
+        assert load_tree(tmp_path / "clean") == new
+        materialize(old, target)
+        for k in range(1, calls + 1):
+            with pytest.raises(OSError, match="injected crash"):
+                crash_points(k, lambda: replace_directory(new, target))
+            assert load_tree(target) in (old, new)
+        replace_directory(new, target)
+        assert load_tree(target) == new
+        assert [p for p in tmp_path.rglob("*") if "satpatch" in p.name] == []
 
     def test_missing_target(self, tmp_path):
         from satpatch.errors import TreeError

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fstree import FileTree, load_tree, materialize, tree_digest, write_tar
 from .package import decode_package, encode_package, wire_layout
-from .reconstruct import apply_changeset, replace_directory
+from .reconstruct import apply_changeset, replace_directory, restore_directory
 
 SCHEMA = "satpatch-cli/1"
 
@@ -191,6 +191,13 @@ def _cmd_diff(args) -> int:
 
 def _cmd_apply(args) -> int:
     watch = _Stopwatch()
+    if args.output is None:
+        try:
+            restore_directory(args.orig)
+        except OSError as exc:
+            raise CliError(
+                EXIT_INPUT, f"cannot restore {args.orig!r}: {exc.strerror}"
+            ) from exc
     orig = _load(args.orig)
     blob = _read_bytes(args.package)
     watch.lap("load")

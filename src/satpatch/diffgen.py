@@ -17,12 +17,9 @@ minimal number of units (:func:`diff_units`):
 
 For N old and M new units this costs O(N·M/64) word operations (CPython
 computes in 30-bit digits) in O(N + M) space, plus one N-bit mask per
-repeated old unit and at most ``_LEAF_BITS`` of stored rows. Once a
-piece knows how many units its scripts delete, its passes keep old
-positions far from the diagonal out of play, so a short script costs
-fewer operations than that bound. Scripts are run-length encoded as R
-(retain), D (delete), I (insert) operations; inserted bytes ride
-alongside as one segment per I run.
+repeated old unit and at most ``_LEAF_BITS`` of stored rows. Scripts are
+run-length encoded as R (retain), D (delete), I (insert) operations;
+inserted bytes ride alongside as one segment per I run.
 
 Line-mode ops count lines. Chunk-mode ops count bytes: the chunk
 boundaries only steer the search, and the receiver replays byte spans
@@ -344,8 +341,6 @@ def chunkify(data: bytes) -> list[bytes]:
 #: ``_ROW_HEADER_BITS`` of int header and list slot.
 _LEAF_BITS = 1 << 21
 _ROW_HEADER_BITS = 256
-#: Old positions a banded row pass takes into play at a time.
-_GROW = 256
 
 
 class _MatchMasks:
@@ -386,7 +381,7 @@ class _MatchMasks:
             self.rev[u] = int.from_bytes(rev, "little")
 
 
-def _row(masks, a0, a1, units, band, reverse=False, rows=None, local=None):
+def _row(masks, a0, a1, units, reverse=False, rows=None, local=None):
     """Bit-parallel LCS row of old[a0:a1] (reversed if ``reverse``)
     against ``units`` (Allison and Dix 1986; Hyyrö 2004).
 
@@ -394,17 +389,12 @@ def _row(masks, a0, a1, units, band, reverse=False, rows=None, local=None):
     prefix through x, so zeros below x count LCS(old[:x], units). Each
     unit ``u`` updates the row as ``t = v & match[u]``,
     ``v = (v + t) | (v ^ t)``; ``v ^ t`` is ``v - t`` because ``t`` is a
-    subset of ``v``. Old positions more than ``band`` past a row's
-    diagonal stay out of play (all ones, no matches) until the row
-    reaches them: a script that deletes at most ``band`` units never
-    passes there, so the row still holds every minimal script. Returns
-    the last row as ``a1 - a0`` bits, and appends every row, first the
-    initial one, to ``rows`` when given. ``local`` caches the piece's
-    masks of repeated units.
+    subset of ``v``. Returns the last row as ``a1 - a0`` bits, and appends
+    every row, first the initial one, to ``rows`` when given. ``local``
+    caches the piece's masks of repeated units.
     """
     la = a1 - a0
-    width = min(la, band + _GROW)
-    full = v = (1 << width) - 1
+    full = v = (1 << la) - 1
     pos = masks.pos
     if reverse:
         glob, shift, sign, base = masks.rev, masks.n - a1, -1, a1 - 1
@@ -414,27 +404,23 @@ def _row(masks, a0, a1, units, band, reverse=False, rows=None, local=None):
         local = {}
     if rows is not None:
         rows.append(v)
-    for r, u in enumerate(units, 1):
+    for u in units:
         p = pos[u]
         if p >= 0:
             q = sign * (p - base)
-            t = v & (1 << q) if 0 <= q < width else 0
+            t = v & (1 << q) if 0 <= q < la else 0
         else:
             m = local.get(u)
             if m is None:
-                m = local[u] = glob.get(u, 0) >> shift & ((1 << la) - 1)
+                m = local[u] = glob.get(u, 0) >> shift & full
             t = v & m
         if t:
             v = (v + t) | (v ^ t)
             if v > full:
                 v &= full
-        if r + band >= width < la:
-            width = min(la, r + band + _GROW)
-            v |= ((1 << width) - 1) ^ full
-            full = (1 << width) - 1
         if rows is not None:
             rows.append(v)
-    return v | ((1 << la) - 1) ^ full
+    return v
 
 
 def _zero_counts(v: int, width: int) -> np.ndarray:
@@ -446,15 +432,13 @@ def _zero_counts(v: int, width: int) -> np.ndarray:
     return out
 
 
-def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, band=None):
+def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b):
     """Mark one longest common subsequence of a[a0:a1] and b[b0:b1] in
     ``hit_a`` and ``hit_b``.
 
-    ``band``, when known, is the number of units every minimal script of
-    the piece deletes. A piece whose rows fit ``_LEAF_BITS`` is traced
-    back from its stored rows; a larger one is split at the middle of
-    ``b`` where a forward and a reverse row meet (Hirschberg 1975), which
-    also gives each half its own band.
+    A piece whose rows fit ``_LEAF_BITS`` is traced back from its stored
+    rows; a larger one is split at the middle of ``b`` where a forward and
+    a reverse row meet (Hirschberg 1975).
     """
     while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
         hit_a[a0] = hit_b[b0] = 1
@@ -468,39 +452,29 @@ def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, band=None):
     if not la or not lb:
         return
     if lb == 1 or lb * (la + _ROW_HEADER_BITS) <= _LEAF_BITS:
-        _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, la if band is None else band)
+        _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b)
         return
     mid = b0 + lb // 2
-    # Without a known band, guess one and widen it until the LCS found
-    # inside it needs no more deletes than the band allows.
-    guess = max(_GROW, la >> 3) if band is None else band
-    while True:
-        fwd = _zero_counts(_row(masks, a0, a1, b[b0:mid], guess), la)
-        rev = _zero_counts(_row(masks, a0, a1, b[mid:b1][::-1], guess, True), la)
-        score = fwd + rev[::-1]
-        i = int(np.argmax(score))
-        best = int(score[i])
-        if band is not None or guess >= la or la - best <= guess:
-            break
-        guess *= 2
-    if best:
-        _match(masks, a, b, a0, a0 + i, b0, mid, hit_a, hit_b, i - int(fwd[i]))
-        _match(masks, a, b, a0 + i, a1, mid, b1, hit_a, hit_b,
-               la - i - int(rev[la - i]))
+    fwd = _zero_counts(_row(masks, a0, a1, b[b0:mid]), la)
+    rev = _zero_counts(_row(masks, a0, a1, b[mid:b1][::-1], True), la)
+    score = fwd + rev[::-1]
+    i = int(np.argmax(score))
+    if score[i]:
+        _match(masks, a, b, a0, a0 + i, b0, mid, hit_a, hit_b)
+        _match(masks, a, b, a0 + i, a1, mid, b1, hit_a, hit_b)
 
 
-def _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b, band):
+def _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b):
     """Leaf of :func:`_match`: store every row, then walk back from the
     end. At old length i, unit b[j] extends the LCS iff its last
     occurrence p below i sees only ones in row j over [p, i), that is, no
     earlier unit already took a position there."""
-    la = a1 - a0
     units = b[b0:b1]
     rows: list[int] = []
     local: dict[int, int] = {}
-    _row(masks, a0, a1, units, band, rows=rows, local=local)
+    _row(masks, a0, a1, units, rows=rows, local=local)
     pos = masks.pos
-    i, j = la, len(units)
+    i, j = a1 - a0, len(units)
     while i and j:
         j -= 1
         u = units[j]
@@ -678,15 +652,10 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
             insert(path, n)
         elif o.is_file and o.content_hash != n.content_hash:
             if o.textual and n.textual:
-                ops, segments = line_diff(o.content, n.content)
-                patches.append(
-                    FileChange(path, ChangeKind.TEXT_PATCH, ops, segments)
-                )
+                kind, differ = ChangeKind.TEXT_PATCH, line_diff
             else:
-                ops, segments = chunk_diff(o.content, n.content)
-                patches.append(
-                    FileChange(path, ChangeKind.CHUNK_PATCH, ops, segments)
-                )
+                kind, differ = ChangeKind.CHUNK_PATCH, chunk_diff
+            patches.append(FileChange(path, kind, *differ(o.content, n.content)))
     dir_del.reverse()  # children before parents
     changes = tuple(file_del + dir_del + dir_ins + file_ins + patches)
     return ChangeSet(tree_digest(old), tree_digest(new), changes)

@@ -40,7 +40,7 @@ from .errors import (
     EditScriptError,
     TreeError,
 )
-from .fstree import Entry, EntryKind, FileTree, materialize, parent_path, tree_digest
+from .fstree import Entry, EntryKind, FileTree, materialize, tree_digest
 from .package import decode_package
 
 
@@ -133,14 +133,14 @@ def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, App
     and a result whose digest is not the packaged target digest is
     rejected after it.
     """
-    if tree_digest(tree) != changeset.source_digest:
+    source_digest = tree_digest(tree)
+    if source_digest != changeset.source_digest:
         raise BaseVersionMismatchError(
             f"package was built against source {changeset.source_digest.hex()[:16]}, "
-            f"tree digest is {tree_digest(tree).hex()[:16]}"
+            f"tree digest is {source_digest.hex()[:16]}"
         )
     entries = dict(tree.items())
-    children = Counter(parent_path(p) for p in entries)
-    added_f = deleted_f = patched = added_d = deleted_d = written = 0
+    written = 0
     for change in changeset.changes:
         path = change.path
         entry = entries.get(path)
@@ -149,36 +149,27 @@ def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, App
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to delete")
             del entries[path]
-            children[parent_path(path)] -= 1
-            deleted_f += 1
         elif kind is ChangeKind.DIR_DELETE:
             if entry is None or not entry.is_dir:
                 raise EditScriptError(f"{path!r}: no such directory to delete")
-            if children[path]:
-                raise EditScriptError(f"{path!r}: directory still has children")
             del entries[path]
-            children[parent_path(path)] -= 1
-            deleted_d += 1
         elif kind is ChangeKind.DIR_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
             entries[path] = Entry(EntryKind.DIRECTORY)
-            children[parent_path(path)] += 1
-            added_d += 1
         elif kind is ChangeKind.FILE_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
             entries[path] = Entry(EntryKind.FILE, change.segments[0])
-            children[parent_path(path)] += 1
             written += len(change.segments[0])
-            added_f += 1
         else:
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to patch")
             content = apply_file(entry.content, change)
             entries[path] = Entry(EntryKind.FILE, content)
             written += len(content)
-            patched += 1
+    # A directory deleted under its children leaves them without a parent,
+    # which FileTree refuses; the target digest decides everything else.
     try:
         new_tree = FileTree(tree.root_label, entries)
     except TreeError as exc:
@@ -188,12 +179,13 @@ def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, App
         raise DigestMismatchError(
             changeset.target_digest.hex(), result_digest.hex()
         )
+    kinds = Counter(c.kind for c in changeset.changes)
     report = ApplyReport(
-        files_added=added_f,
-        files_deleted=deleted_f,
-        files_patched=patched,
-        dirs_added=added_d,
-        dirs_deleted=deleted_d,
+        files_added=kinds[ChangeKind.FILE_INSERT],
+        files_deleted=kinds[ChangeKind.FILE_DELETE],
+        files_patched=kinds[ChangeKind.TEXT_PATCH] + kinds[ChangeKind.CHUNK_PATCH],
+        dirs_added=kinds[ChangeKind.DIR_INSERT],
+        dirs_deleted=kinds[ChangeKind.DIR_DELETE],
         bytes_received=changeset.segment_bytes(),
         bytes_written=written,
         target_digest=result_digest,
@@ -213,9 +205,11 @@ def replace_directory(tree: FileTree, dest: str | Path) -> None:
 
     The new tree is materialized next to ``dest`` (resolved, so ``.``
     has real siblings) and moved into place with two renames; if the
-    second fails, the old tree is renamed back. A crash can leave a
-    ``.old``/``.new`` sibling behind, which the next call removes, but
-    never a half-written ``dest``.
+    second fails, the old tree is renamed back. ``dest`` is never half
+    written, but a crash between the two renames leaves it absent, with
+    the old tree in its ``.satpatch-old`` sibling, until
+    :func:`restore_directory` renames it back. The next call removes any
+    other sibling a crash left behind.
     """
     dest = Path(dest).resolve()
     if not dest.is_dir():
@@ -233,3 +227,13 @@ def replace_directory(tree: FileTree, dest: str | Path) -> None:
         os.rename(retired, dest)
         raise
     shutil.rmtree(retired)
+
+
+def restore_directory(dest: str | Path) -> None:
+    """Undo a :func:`replace_directory` cut between its two renames: if
+    ``dest`` is absent and its ``.satpatch-old`` sibling holds the old
+    tree, rename that back. Otherwise do nothing."""
+    dest = Path(dest).resolve()
+    retired = dest.parent / (dest.name + ".satpatch-old")
+    if not os.path.lexists(dest) and retired.is_dir():
+        os.rename(retired, dest)

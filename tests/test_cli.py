@@ -74,6 +74,20 @@ class TestPipeline:
         leftovers = [p for p in tmp.rglob("*") if ".satpatch-" in p.name]
         assert leftovers == []
 
+    def test_in_place_apply_after_a_cut_swap(self, trees, capsys):
+        # A power cut between the swap's two renames leaves the old tree
+        # in its ``.satpatch-old`` sibling, the staged new tree beside it
+        # and no tree at the path; the next apply restores and applies.
+        tmp, orig, upd = trees
+        pkg = tmp / "up.satpkg"
+        run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)
+        materialize(upd, tmp / "orig.satpatch-new")
+        (tmp / "orig").rename(tmp / "orig.satpatch-old")
+        code, _, err = run(capsys, "apply", tmp / "orig", pkg)
+        assert code == 0, err
+        assert load_tree(tmp / "orig") == upd
+        assert [p for p in tmp.iterdir() if "satpatch" in p.name] == []
+
     def test_tar_round_trip(self, trees, capsys):
         tmp, orig, upd = trees
         pkg = tmp / "up.satpkg"

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from satpatch import diffgen
 from satpatch.diffgen import (
     _BLOCK,
-    _GROW,
     _LEAF_BITS,
     _ROW_HEADER_BITS,
     MASK_BITS,
@@ -132,11 +131,10 @@ UNIT_PAIRS = st.one_of(
     _shared_ends_only(),
 )
 
-#: Engine thresholds: as shipped; every piece of two or more new units
-#: split and old positions taken into play one at a time; small leaves
-#: with a narrow band. The last two run the split, the banded rows and the
-#: band guess at sizes the quadratic oracle can check.
-THRESHOLDS = [(_LEAF_BITS, _GROW), (0, 1), (2000, 3)]
+#: Leaf sizes (``_LEAF_BITS``): as shipped; every piece of two or more
+#: new units split; small leaves. The last two run the split at sizes the
+#: quadratic oracle can check.
+THRESHOLDS = [_LEAF_BITS, 0, 2000]
 
 
 class TestSplitLines:
@@ -243,17 +241,15 @@ class TestDiffUnits:
         # and a shared prefix and suffix only, at every threshold setting.
         a, b = pair
         cost = len(a) + len(b) - 2 * lcs_length(a, b)
-        for leaf_bits, grow in THRESHOLDS:
-            with patch.object(diffgen, "_LEAF_BITS", leaf_bits), patch.object(
-                diffgen, "_GROW", grow
-            ):
+        for leaf_bits in THRESHOLDS:
+            with patch.object(diffgen, "_LEAF_BITS", leaf_bits):
                 raw = diff_units(a, b)
             assert replay_raw(a, b, raw) == b
             assert edit_weight(raw) == cost
 
     def test_minimal_when_pieces_split(self):
-        # Large enough that the shipped thresholds split the pair, guess
-        # its band and trace leaves under it.
+        # Large enough that the shipped thresholds split the pair and
+        # trace the leaves under the split.
         a, b = churned_lines(1800, 0.1, seed=11)
         shared = set(a) & set(b)
         kept_a = sum(u in shared for u in a)

@@ -34,6 +34,7 @@ from satpatch.reconstruct import (
     apply_file,
     apply_package,
     replace_directory,
+    restore_directory,
 )
 from treegen import random_pair
 
@@ -415,6 +416,21 @@ class TestReplaceDirectory:
         replace_directory(new, target)
         assert load_tree(target) == new
         assert [p for p in tmp_path.rglob("*") if "satpatch" in p.name] == []
+
+    def test_restore_after_a_cut(self, tmp_path):
+        old = FileTree.from_dict("app", {"f.txt": b"old\n"})
+        target = tmp_path / "app"
+        from satpatch.fstree import materialize
+
+        materialize(old, tmp_path / "app.satpatch-old")
+        restore_directory(target)
+        assert load_tree(target) == old
+        assert not (tmp_path / "app.satpatch-old").exists()
+        # with the tree in place, a leftover sibling is not moved
+        materialize(old, tmp_path / "app.satpatch-old")
+        restore_directory(target)
+        assert load_tree(target) == old
+        assert (tmp_path / "app.satpatch-old").is_dir()
 
     def test_missing_target(self, tmp_path):
         from satpatch.errors import TreeError

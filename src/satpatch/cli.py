@@ -18,6 +18,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,11 @@ def _cmd_apply(args) -> int:
             raise CliError(
                 EXIT_INPUT, f"cannot restore {args.orig!r}: {exc.strerror}"
             ) from exc
+        # after the restore: a cut swap leaves the directory absent
+        if not Path(args.orig).is_dir():
+            raise CliError(
+                EXIT_USAGE, "in-place apply needs a directory tree; use -o"
+            )
     orig = _load(args.orig)
     blob = _read_bytes(args.package)
     watch.lap("load")
@@ -210,10 +216,6 @@ def _cmd_apply(args) -> int:
     watch.lap("apply")
     out = args.output
     if out is None:
-        if not Path(args.orig).is_dir():
-            raise CliError(
-                EXIT_USAGE, "in-place apply needs a directory tree; use -o"
-            )
         try:
             replace_directory(new_tree, args.orig)
         except OSError as exc:
@@ -230,13 +232,7 @@ def _cmd_apply(args) -> int:
         f"(digest {report.target_digest.hex()[:12]})",
         {
             "output": out,
-            "files_added": report.files_added,
-            "files_deleted": report.files_deleted,
-            "files_patched": report.files_patched,
-            "dirs_added": report.dirs_added,
-            "dirs_deleted": report.dirs_deleted,
-            "bytes_received": report.bytes_received,
-            "bytes_written": report.bytes_written,
+            **asdict(report),
             "target_digest": report.target_digest.hex(),
             **_cost(watch),
         },
@@ -264,7 +260,8 @@ def _parse_windows(path: str) -> list[tuple[Fraction, Fraction]]:
         raise CliError(EXIT_INPUT, f"cannot read {path!r}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise CliError(
-            EXIT_INPUT, f"windows file must be a JSON list of [start, end]: {exc}"
+            EXIT_INPUT,
+            f"windows file must be a JSON list of [start, duration]: {exc}",
         ) from exc
 
 
@@ -378,10 +375,7 @@ def _open_store(args) -> layerstore.LayerStore:
 def _cmd_commit(args) -> int:
     store = _open_store(args)
     tree = _load(args.tree)
-    try:
-        store.commit(tree, args.tag)
-    except (LayerStoreError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    store.commit(tree, args.tag)
     digest = tree_digest(tree).hex()
     _emit(
         args,
@@ -407,9 +401,9 @@ def _cmd_rollback(args) -> int:
     store = _open_store(args)
     try:
         event = layerstore.FailureEvent(_PHASES[args.phase], args.exit_code)
-        record = store.on_failure(event)
-    except (LayerStoreError, ValueError) as exc:
+    except ValueError as exc:  # exit code 0
         raise CliError(EXIT_INPUT, str(exc)) from exc
+    record = store.on_failure(event)
     payload = {
         "rolled_back": not record.noop,
         "from": record.from_tag,
@@ -490,7 +484,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", parents=[common], help="size and uplink latency")
     p.add_argument("package")
     p.add_argument("--bandwidth-kbps", type=int, default=200)
-    p.add_argument("--windows", help="JSON file of [start, end] contact windows (s)")
+    p.add_argument(
+        "--windows", help="JSON file of [start, duration] contact windows (s)"
+    )
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser(

@@ -23,7 +23,7 @@ from .diffgen import (
     WINDOW, ChangeKind, FileChange, chunk_diff, chunk_lengths, retained_bytes, split_lines
 )
 from .errors import VariantError
-from .fstree import FileTree, under_prefix
+from .fstree import FileTree, classify_textual, under_prefix
 from .linksim import modification_ratio
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
@@ -158,7 +158,7 @@ def generate_variant(
     for path, entry in orig.files():
         if not in_scope(path):
             continue
-        if entry.textual:
+        if classify_textual(entry.content):
             text_files[path] = _TextFile(entry.content)
         else:
             binary_files[path] = entry.content

@@ -27,7 +27,8 @@ through its local old content without re-chunking anything. A chunk
 insert run travels delta-coded: a raw deflate stream whose preset
 dictionary is the old content just before the run's old offset (see
 :func:`delta_dictionary`), so bytes the run replaces cost back-references
-instead of literals.
+instead of literals. :func:`delta_encode` codes a run on the ground and
+:func:`delta_decode` inflates it onboard, so the rule has one owner.
 
 A :class:`FileChange` checks its own structure when it is built, so every
 change the differ or the decoder returns is well formed, and
@@ -39,16 +40,17 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import io
 import zlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EditScriptError, SegmentCountError, TreeError
-from .fstree import FileTree, tree_digest
+from .errors import DeltaRunError, EditScriptError, SegmentCountError, TreeError
+from .fstree import FileTree, classify_textual, tree_digest
 
 RETAIN = "R"
 DELETE = "D"
@@ -67,19 +69,13 @@ MIN_SIZE = 256
 MAX_SIZE = 16384
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One run-length edit: retain/delete/insert ``count`` units, where a
-    unit is a line in text scripts and a byte in chunk scripts."""
+    unit is a line in text scripts and a byte in chunk scripts. Plain
+    data: a package's ops are checked once, when its manifest is parsed."""
 
     kind: str
     count: int
-
-    def __post_init__(self):
-        if self.kind not in (RETAIN, DELETE, INSERT):
-            raise ValueError(f"unknown op kind {self.kind!r}")
-        if self.count < 1:
-            raise ValueError("op count must be positive")
 
 
 class ChangeKind(Enum):
@@ -185,26 +181,35 @@ def delta_encode(run: bytes, old: bytes, pos: int) -> bytes:
     return coder.compress(run) + coder.flush()
 
 
+def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
+    """Inflate a run :func:`delta_encode` coded at old offset ``pos``;
+    never yields more than ``span`` bytes, and raises DeltaRunError (naming
+    ``path``) unless it is one whole stream of exactly ``span`` bytes."""
+    inflater = zlib.decompressobj(-15, zdict=delta_dictionary(old, pos))
+    try:
+        run = inflater.decompress(segment, span)
+    except zlib.error as exc:
+        raise DeltaRunError(f"{path!r}: insert run at byte {pos} is damaged: {exc}") from exc
+    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} does not end after {span} bytes"
+        )
+    if len(run) != span:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} inflates to {len(run)} bytes, "
+            f"op spans {span}"
+        )
+    return run
+
+
 # -- unit splitting ----------------------------------------------------------
 
 
 def split_lines(data: bytes) -> list[bytes]:
-    """Split into lines, each keeping its 0x0A terminator.
-
-    An unterminated tail is its own line, so the concatenation of the
-    result always reproduces the input exactly.
-    """
-    out = []
-    start = 0
-    while True:
-        idx = data.find(b"\n", start)
-        if idx < 0:
-            break
-        out.append(data[start : idx + 1])
-        start = idx + 1
-    if start < len(data):
-        out.append(data[start:])
-    return out
+    """Split into lines, each keeping its 0x0A terminator. Binary
+    ``readlines`` breaks at 0x0A only and keeps an unterminated tail as
+    its own line, so the concatenation of the result is the input."""
+    return io.BytesIO(data).readlines()
 
 
 def unit_edges(content: bytes, kind: ChangeKind) -> Sequence[int]:
@@ -651,7 +656,7 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
             delete(path, o)
             insert(path, n)
         elif o.is_file and o.content_hash != n.content_hash:
-            if o.textual and n.textual:
+            if classify_textual(o.content) and classify_textual(n.content):
                 kind, differ = ChangeKind.TEXT_PATCH, line_diff
             else:
                 kind, differ = ChangeKind.CHUNK_PATCH, chunk_diff

@@ -1,10 +1,11 @@
 """In-memory model of an unpacked containerized application.
 
 A :class:`FileTree` maps normalized relative paths to directory or file
-entries. Files carry their raw bytes, a SHA-256 content hash, and a
-textual/binary classification. An :class:`Entry` computes its hash and
-class once, when it is built, and no caller can supply them, so a tree
-never holds a stale hash and never hashes a file twice. Trees are
+entries. Files carry their raw bytes and a SHA-256 content hash, nothing
+else. An :class:`Entry` computes its hash once, when it is built, and no
+caller can supply it, so a tree never holds a stale hash and never hashes
+a file twice. Only the ground differ and the variant generator classify
+content as text or binary (:func:`classify_textual`). Trees are
 immutable once built and iterate in lexicographic path order, which
 makes hashing, diffing, and packaging deterministic.
 
@@ -104,21 +105,19 @@ def under_prefix(prefix: str) -> Callable[[str], bool]:
 
 @dataclass(frozen=True)
 class Entry:
-    """One tree entry: a directory, or a file with content and metadata.
+    """One tree entry: a directory, or a file with content and its hash.
 
-    ``content_hash`` and ``textual`` are derived from ``content`` here and
-    cannot be passed in; a directory has an empty hash and is not textual.
+    ``content_hash`` is derived from ``content`` here and cannot be passed
+    in; a directory has an empty hash.
     """
 
     kind: EntryKind
     content: bytes = b""
     content_hash: bytes = field(init=False, default=b"")
-    textual: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.kind is EntryKind.FILE:
             object.__setattr__(self, "content_hash", hash_content(self.content))
-            object.__setattr__(self, "textual", classify_textual(self.content))
 
     @property
     def is_file(self) -> bool:

@@ -27,9 +27,10 @@ an inserted file are raw bytes. A chunk insert run is delta-coded: a raw
 deflate stream (``zlib`` wbits -15, level 9) whose preset dictionary is
 ``old[max(0, p - 32768):p]``, where ``p`` is the old-content offset the
 script has reached at the run, after any delete before it. It must
-inflate to exactly the run's I count; the receiver checks that when it
-replays the patch against its old content (``reconstruct``). The rule
-depends only on the change kind, so no flag travels with a run.
+inflate to exactly the run's I count. ``diffgen.delta_encode`` codes a
+run and ``diffgen.delta_decode`` inflates and checks it, when
+``reconstruct.apply_file`` replays the patch against its old content. The
+rule depends only on the change kind, so no flag travels with a run.
 
 Decoding inflates the container only as far as the fields read so far
 need, checks each record against the manifest before reading its bytes,
@@ -95,6 +96,7 @@ def _format_ops(ops: tuple[EditOp, ...]) -> str:
 
 
 def _parse_ops(text: str, line_no: int, path: str) -> tuple[EditOp, ...]:
+    """The one check of ops from outside: R, D or I and a positive count."""
     ops = []
     for token in text.split(" "):
         if not token or token[0] not in "RDI":

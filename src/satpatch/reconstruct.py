@@ -11,14 +11,14 @@ checked when the FileChange was built, at decode for a package. One loop
 replays both patch kinds through the old content's unit edges (lines of
 a text patch, bytes of a chunk patch), so the receiver never re-chunks
 its local content; each chunk insert run inflates against the old bytes
-before it (see :mod:`satpatch.package` for the wire rule).
+before it through :func:`satpatch.diffgen.delta_decode`, which owns the
+delta-run rule with its encoder.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,12 +30,11 @@ from .diffgen import (
     INSERT,
     PATCH_KINDS,
     RETAIN,
-    delta_dictionary,
+    delta_decode,
     unit_edges,
 )
 from .errors import (
     BaseVersionMismatchError,
-    DeltaRunError,
     DigestMismatchError,
     EditScriptError,
     TreeError,
@@ -72,27 +71,6 @@ class ApplyReport:
         )
 
 
-def _inflate_run(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
-    """Inflate a delta-coded insert run; never yields more than ``span``
-    bytes, and fails closed unless it is exactly one whole stream of
-    exactly ``span`` bytes."""
-    inflater = zlib.decompressobj(-15, zdict=delta_dictionary(old, pos))
-    try:
-        run = inflater.decompress(segment, span)
-    except zlib.error as exc:
-        raise DeltaRunError(f"{path!r}: insert run at byte {pos} is damaged: {exc}") from exc
-    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
-        raise DeltaRunError(
-            f"{path!r}: insert run at byte {pos} does not end after {span} bytes"
-        )
-    if len(run) != span:
-        raise DeltaRunError(
-            f"{path!r}: insert run at byte {pos} inflates to {len(run)} bytes, "
-            f"op spans {span}"
-        )
-    return run
-
-
 def apply_file(old: bytes, change: FileChange) -> bytes:
     """Replay a single patch of either kind against old file content: a
     retain copies the old bytes between two unit edges, and a chunk insert
@@ -110,7 +88,7 @@ def apply_file(old: bytes, change: FileChange) -> bytes:
         if op.kind == INSERT:
             run = next(seg)
             if chunked:
-                run = _inflate_run(run, old, edges[pos], op.count, change.path)
+                run = delta_decode(run, old, edges[pos], op.count, change.path)
             out.append(run)
             continue
         end = pos + op.count

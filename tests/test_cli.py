@@ -4,7 +4,7 @@ import pytest
 
 from satpatch.cli import main
 from satpatch.corpusgen import sample_app_tree
-from satpatch.fstree import FileTree, load_tree, materialize, tree_digest
+from satpatch.fstree import FileTree, load_tree, materialize, tree_digest, write_tar
 
 
 @pytest.fixture
@@ -137,6 +137,42 @@ class TestPipeline:
                 assert value >= 0
             assert doc["peak_rss_kib"] > 0
 
+    def test_in_place_apply_refuses_a_tar_before_reading_the_package(
+        self, trees, capsys
+    ):
+        tmp, orig, _ = trees
+        tar = tmp / "orig.tar"
+        tar.write_bytes(write_tar(orig))
+        code, _, err = run(capsys, "apply", tar, tmp / "missing.satpkg")
+        assert code == 1
+        assert "in-place apply needs a directory tree" in err
+        assert tar.read_bytes() == write_tar(orig)
+
+    def test_json_apply_record_keys(self, trees, capsys):
+        tmp, _, upd = trees
+        pkg = tmp / "up.satpkg"
+        run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)
+        code, out, _ = run(capsys, "apply", tmp / "orig", pkg, "-o", tmp / "out", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {
+            "schema",
+            "command",
+            "output",
+            "files_added",
+            "files_deleted",
+            "files_patched",
+            "dirs_added",
+            "dirs_deleted",
+            "bytes_received",
+            "bytes_written",
+            "target_digest",
+            "timings",
+            "peak_rss_kib",
+        }
+        assert doc["target_digest"] == tree_digest(upd).hex()
+        assert (doc["files_added"], doc["files_patched"]) == (1, 1)
+
     def test_existing_output_refused(self, trees, capsys):
         tmp, *_ = trees
         pkg = tmp / "up.satpkg"
@@ -182,6 +218,18 @@ class TestEstimate:
         doc = json.loads(out)
         assert code == 0
         assert doc["schedule"]["passes"] == 1
+
+    def test_windows_are_start_and_duration(self, trees, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        assert "[start, duration]" in capsys.readouterr().out
+        tmp, *_ = trees
+        pkg = tmp / "up.satpkg"
+        run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)
+        win = tmp / "win.json"
+        win.write_text("[[100]]")
+        code, _, err = run(capsys, "estimate", pkg, "--windows", win)
+        assert code == 2 and "[start, duration]" in err
 
     def test_undeliverable_reported_not_fatal(self, trees, capsys):
         tmp, *_ = trees
@@ -324,6 +372,28 @@ class TestLayerCommands:
         run(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
         code, _, _ = run(capsys, "rollback", "--store", store, "--exit-code", "1")
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("commit", "orig", "--tag", "v1"), "layer 'v1' already exists"),
+            (("rollback", "--exit-code", "1"), "no stable layer to roll back to"),
+            (("rollback", "--exit-code", "0"), "exit code 0 is not a failure"),
+        ],
+    )
+    def test_store_refusals_are_error_records(self, trees, capsys, argv, error):
+        tmp, *_ = trees
+        store = tmp / "store"
+        run(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
+        argv = [tmp / a if a == "orig" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--store", store, "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "schema": "satpatch-cli/1",
+            "command": argv[0],
+            "error": error,
+        }
 
 
 class TestGenVariant:

@@ -10,7 +10,7 @@ from satpatch.corpusgen import (
 )
 from satpatch.diffgen import compare_trees
 from satpatch.errors import VariantError
-from satpatch.fstree import FileTree, tree_digest
+from satpatch.fstree import FileTree, classify_textual, tree_digest
 from satpatch.linksim import modification_ratio
 from satpatch.package import decode_package, encode_package
 from satpatch.reconstruct import apply_changeset
@@ -59,7 +59,7 @@ class TestSampleAppTree:
 
     def test_shape(self):
         tree = sample_app_tree(0)
-        kinds = {p: e.textual for p, e in tree.files()}
+        kinds = {p: classify_textual(e.content) for p, e in tree.files()}
         assert kinds["app/main.py"] is True
         assert kinds["app/assets/calib.bin"] is False
         # the runtime blob sits outside the app prefix so prefix-scoped
@@ -112,14 +112,14 @@ class TestGenerateVariant:
         tree = sample_app_tree(0)
         var = generate_variant(tree, VariantSpec(0.4, seed=2), scope_prefix="app")
         for path, entry in tree.files():
-            if not entry.textual and path.startswith("app/"):
+            if not classify_textual(entry.content) and path.startswith("app/"):
                 assert len(var[path].content) == len(entry.content)
 
     def test_substantive_lines_keep_relative_order(self):
         tree = sample_app_tree(1)
         var = generate_variant(tree, VariantSpec(0.5, seed=6), scope_prefix="app")
         for path, entry in tree.files():
-            if not entry.textual:
+            if not classify_textual(entry.content):
                 continue
             orig_sub = [
                 line

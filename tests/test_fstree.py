@@ -112,7 +112,7 @@ class TestHashing:
 
     def test_entry_derives_its_hash(self):
         entry = Entry(EntryKind.FILE, b"abc")
-        assert entry.content_hash.hex() == ABC_SHA256 and entry.textual
+        assert entry.content_hash.hex() == ABC_SHA256
         with pytest.raises(TypeError):
             Entry(EntryKind.FILE, b"x", content_hash=hash_content(b"y"))
 
@@ -156,7 +156,7 @@ class TestFileTree:
     def test_entry_records_hash_and_class(self):
         tree = FileTree.from_dict("app", {"f": b"abc"})
         assert tree["f"].content_hash.hex() == ABC_SHA256
-        assert tree["f"].textual is True
+        assert classify_textual(tree["f"].content) is True
 
     def test_total_file_bytes(self):
         tree = FileTree.from_dict("app", {"a": b"xx", "b/c": b"yyy"})

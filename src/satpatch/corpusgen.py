@@ -19,12 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diffgen import (
-    WINDOW, ChangeKind, FileChange, chunk_diff, chunk_lengths, retained_bytes, split_lines
-)
+from .diffgen import chunk_diff, chunk_lengths
 from .errors import VariantError
 from .fstree import FileTree, classify_textual, under_prefix
-from .linksim import modification_ratio
+from .linksim import modification_ratio, retained_bytes
+from .package import WINDOW, ChangeKind, FileChange, split_lines
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
 #: Share of textual edits that insert lines; the rest delete a redundant

@@ -1,9 +1,11 @@
-"""Delta computation between two application trees.
+"""Ground-side search: the delta between two application trees.
 
-Changed files are diffed at unit granularity: textual files as lines,
-binary files as content-defined chunks. Both kinds of unit sequence go
-through one exact engine, so every script deletes and inserts the
-minimal number of units (:func:`diff_units`):
+This module holds the search only: :mod:`satpatch.package` defines the
+change set it finds, with its op units and delta-run codec. Changed files
+are diffed at unit granularity: textual files as lines, binary files as
+content-defined chunks. Both kinds of unit sequence go through one exact
+engine, so every script deletes and inserts the minimal number of units
+(:func:`diff_units`):
 
 1. units are interned, and units found on one side only are dropped,
    because no common subsequence can hold them;
@@ -17,22 +19,11 @@ minimal number of units (:func:`diff_units`):
 
 For N old and M new units this costs O(N·M/64) word operations (CPython
 computes in 30-bit digits) in O(N + M) space, plus one N-bit mask per
-repeated old unit and at most ``_LEAF_BITS`` of stored rows. Scripts are
-run-length encoded as R (retain), D (delete), I (insert) operations;
-inserted bytes ride alongside as one segment per I run.
+repeated old unit and at most ``_LEAF_BITS`` of stored rows.
 
-Line-mode ops count lines. Chunk-mode ops count bytes: the chunk
-boundaries only steer the search, and the receiver replays byte spans
-through its local old content without re-chunking anything. A chunk
-insert run travels delta-coded: a raw deflate stream whose preset
-dictionary is the old content just before the run's old offset (see
-:func:`delta_dictionary`), so bytes the run replaces cost back-references
-instead of literals. :func:`delta_encode` codes a run on the ground and
-:func:`delta_decode` inflates it onboard, so the rule has one owner.
-
-A :class:`FileChange` checks its own structure when it is built, so every
-change the differ or the decoder returns is well formed, and
-:func:`unit_edges` gives the byte offsets that scripts of both kinds walk.
+Chunk boundaries only steer the search: a chunk script's ops count bytes,
+and each of its insert runs is delta-coded with
+:func:`satpatch.package.delta_encode`.
 """
 
 from __future__ import annotations
@@ -40,185 +31,27 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import io
-import zlib
-from dataclasses import dataclass
-from enum import Enum
-from itertools import accumulate, compress
-from typing import NamedTuple, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DeltaRunError, EditScriptError, SegmentCountError, TreeError
 from .fstree import FileTree, classify_textual, tree_digest
-
-RETAIN = "R"
-DELETE = "D"
-INSERT = "I"
-
-
-# Chunker parameters: a boundary falls where the rolling hash of the
-# trailing WINDOW bytes has MASK_BITS low zero bits, and chunk lengths are
-# clamped to [MIN_SIZE, MAX_SIZE]. They are fixed design constants, as in
-# LBFS, which uses the same 48-byte window: only the ground chunks (the
-# receiver replays byte spans), and no caller needs other values. The
-# package header carries them and decode requires them.
-WINDOW = 48
-MASK_BITS = 11
-MIN_SIZE = 256
-MAX_SIZE = 16384
-
-
-class EditOp(NamedTuple):
-    """One run-length edit: retain/delete/insert ``count`` units, where a
-    unit is a line in text scripts and a byte in chunk scripts. Plain
-    data: a package's ops are checked once, when its manifest is parsed."""
-
-    kind: str
-    count: int
-
-
-class ChangeKind(Enum):
-    DIR_INSERT = "D+"
-    DIR_DELETE = "D-"
-    FILE_INSERT = "F+"
-    FILE_DELETE = "F-"
-    TEXT_PATCH = "T~"
-    CHUNK_PATCH = "B~"
-
-
-PATCH_KINDS = frozenset({ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH})
-#: Kinds that leave new file content at their path.
-CONTENT_KINDS = PATCH_KINDS | {ChangeKind.FILE_INSERT}
-
-
-@dataclass(frozen=True)
-class FileChange:
-    """One manifest entry: what happened to one path.
-
-    Patches carry an edit script plus the inserted-byte segments, in I-op
-    order (delta-coded for chunk patches). A file insert is a single
-    segment holding the whole content.
-
-    A FileChange checks the structure that needs no old content when it is
-    built: one segment per insert run, and each text insert run exactly as
-    many lines as its op counts. Chunk insert runs are checked when they
-    inflate against the old content. Raises SegmentCountError or
-    EditScriptError.
-    """
-
-    path: str
-    kind: ChangeKind
-    ops: tuple[EditOp, ...] = ()
-    segments: tuple[bytes, ...] = ()
-
-    def __post_init__(self):
-        needed = insert_runs(self.kind, self.ops)
-        if len(self.segments) != needed:
-            raise SegmentCountError(
-                f"{self.path!r}: {needed} insert runs but "
-                f"{len(self.segments)} segments"
-            )
-        if self.kind is not ChangeKind.TEXT_PATCH:
-            return
-        runs = [op for op in self.ops if op.kind == INSERT]
-        for run, (op, segment) in enumerate(zip(runs, self.segments)):
-            lines = len(split_lines(segment))
-            if lines != op.count:
-                raise EditScriptError(
-                    f"{self.path!r}: insert run {run} splits into {lines} "
-                    f"lines, op covers {op.count}"
-                )
-
-
-@dataclass(frozen=True)
-class ChangeSet:
-    """Complete delta between two tree versions, in apply order.
-
-    Apply order is: file deletes, directory deletes (children first),
-    directory inserts (parents first), file inserts, patches. Source and
-    target digests pin the exact versions the delta connects.
-    """
-
-    source_digest: bytes
-    target_digest: bytes
-    changes: tuple[FileChange, ...]
-
-    def segment_bytes(self) -> int:
-        return sum(len(s) for c in self.changes for s in c.segments)
-
-
-def insert_runs(kind: ChangeKind, ops: tuple[EditOp, ...]) -> int:
-    """How many segments a change of ``kind`` with ``ops`` must carry."""
-    if kind is ChangeKind.FILE_INSERT:
-        return 1
-    if kind in PATCH_KINDS:
-        return sum(1 for op in ops if op.kind == INSERT)
-    return 0
-
-
-# -- delta-coded chunk insert runs --------------------------------------------
-
-#: Deflate's window: a preset dictionary longer than this is not used.
-DELTA_WINDOW = 32768
-
-
-def delta_dictionary(old: bytes, pos: int) -> bytes:
-    """Preset dictionary of a chunk insert run at old offset ``pos``.
-
-    ``pos`` is taken after any delete that precedes the run, so the
-    dictionary holds the bytes the run replaces and the retained bytes
-    before them.
-    """
-    return old[max(0, pos - DELTA_WINDOW) : pos]
-
-
-def delta_encode(run: bytes, old: bytes, pos: int) -> bytes:
-    """Raw deflate of an insert run against :func:`delta_dictionary`."""
-    coder = zlib.compressobj(
-        9, zlib.DEFLATED, -15, zdict=delta_dictionary(old, pos)
-    )
-    return coder.compress(run) + coder.flush()
-
-
-def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
-    """Inflate a run :func:`delta_encode` coded at old offset ``pos``;
-    never yields more than ``span`` bytes, and raises DeltaRunError (naming
-    ``path``) unless it is one whole stream of exactly ``span`` bytes."""
-    inflater = zlib.decompressobj(-15, zdict=delta_dictionary(old, pos))
-    try:
-        run = inflater.decompress(segment, span)
-    except zlib.error as exc:
-        raise DeltaRunError(f"{path!r}: insert run at byte {pos} is damaged: {exc}") from exc
-    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
-        raise DeltaRunError(
-            f"{path!r}: insert run at byte {pos} does not end after {span} bytes"
-        )
-    if len(run) != span:
-        raise DeltaRunError(
-            f"{path!r}: insert run at byte {pos} inflates to {len(run)} bytes, "
-            f"op spans {span}"
-        )
-    return run
-
-
-# -- unit splitting ----------------------------------------------------------
-
-
-def split_lines(data: bytes) -> list[bytes]:
-    """Split into lines, each keeping its 0x0A terminator. Binary
-    ``readlines`` breaks at 0x0A only and keeps an unterminated tail as
-    its own line, so the concatenation of the result is the input."""
-    return io.BytesIO(data).readlines()
-
-
-def unit_edges(content: bytes, kind: ChangeKind) -> Sequence[int]:
-    """Byte offsets of the op units of ``content`` in a patch of ``kind``:
-    unit k is ``content[edges[k]:edges[k + 1]]``. A text unit is a line
-    (as :func:`split_lines` cuts it), a chunk unit a byte."""
-    if kind is ChangeKind.TEXT_PATCH:
-        return list(accumulate(map(len, split_lines(content)), initial=0))
-    return range(len(content) + 1)
+from .package import (
+    DELETE,
+    INSERT,
+    MASK_BITS,
+    MAX_SIZE,
+    MIN_SIZE,
+    RETAIN,
+    WINDOW,
+    ChangeKind,
+    ChangeSet,
+    EditOp,
+    FileChange,
+    delta_encode,
+    split_lines,
+)
 
 
 # Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
@@ -665,21 +498,3 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
     changes = tuple(file_del + dir_del + dir_ins + file_ins + patches)
     return ChangeSet(tree_digest(old), tree_digest(new), changes)
 
-
-def retained_bytes(change: FileChange, new_content: bytes) -> int:
-    """Bytes of the new file content that the script retains from the old.
-
-    Used for modification-ratio accounting. The retain runs are measured
-    on the new content's units (:func:`unit_edges`), so one walk serves
-    line and chunk scripts.
-    """
-    if change.kind not in PATCH_KINDS:
-        raise TreeError(f"not a patch change: {change.kind}")
-    edges = unit_edges(new_content, change.kind)
-    total = j = 0
-    for op in change.ops:
-        if op.kind == RETAIN:
-            total += edges[j + op.count] - edges[j]
-        if op.kind != DELETE:
-            j += op.count
-    return total

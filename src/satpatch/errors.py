@@ -65,7 +65,8 @@ class ManifestError(PackageError):
 
 
 class PackageInconsistencyError(PackageError):
-    """Manifest and segment store disagree (missing/extra/orphan payloads)."""
+    """Manifest and segment store disagree (missing/extra/orphan payloads),
+    or a change's segments do not fit its ops."""
 
     def __init__(self, message, path=None):
         super().__init__(message if path is None else f"{message} (path {path!r})")
@@ -85,10 +86,6 @@ class BaseVersionMismatchError(ApplyError):
 
 class EditScriptError(ApplyError):
     """Edit operations do not line up with the original unit sequence."""
-
-
-class SegmentCountError(ApplyError):
-    """Fewer or more inserted segments than insert runs require."""
 
 
 class DeltaRunError(ApplyError):

@@ -322,13 +322,19 @@ def materialize(tree: FileTree, dest: str | Path) -> Path:
 
     The tree is built in a hidden sibling (its name starts with ``.``,
     so it never equals a layer tag) and renamed into place, so ``dest``
-    is either absent or whole. On any failure the sibling is removed.
+    is either absent or whole. On any failure the sibling is removed, and
+    a sibling that a cut write left behind is removed by the next call
+    for the same ``dest``.
     """
     root = Path(dest)
     if root.exists():
         raise TreeError(f"destination already exists: {root}")
     root.parent.mkdir(parents=True, exist_ok=True)
-    staging = root.parent / f".{root.name}.satpatch-{os.urandom(4).hex()}"
+    prefix = f".{root.name}.satpatch-"
+    for sibling in root.parent.iterdir():
+        if sibling.name.startswith(prefix):
+            shutil.rmtree(sibling, ignore_errors=True)
+    staging = root.parent / f"{prefix}{os.urandom(4).hex()}"
     staging.mkdir()
     try:
         for path, entry in tree.items():

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .diffgen import CONTENT_KINDS, compare_trees
+from .diffgen import compare_trees
 from .errors import (
     DuplicateTagError,
     LayerStoreError,
@@ -34,7 +34,7 @@ from .errors import (
     UnrecoverableStateError,
 )
 from .fstree import FileTree, load_tree, materialize, tree_digest
-from .package import encode_package
+from .package import CONTENT_KINDS, encode_package
 
 _TAG_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -193,7 +193,6 @@ def recovery_cost(
     prior: FileTree,
     active: FileTree,
     strategy: RecoveryStrategy,
-    tag: str = "stable",
 ) -> RecoveryCost:
     """Cost of protecting ``prior`` as the rollback target of ``active``.
 
@@ -206,7 +205,7 @@ def recovery_cost(
         size = prior.total_file_bytes()
         return RecoveryCost(strategy, size, len(prior), len(prior))
     if strategy is RecoveryStrategy.LAYER:
-        record = f"{tag}\t{tree_digest(prior).hex()}\tS-\n"
+        record = f"stable\t{tree_digest(prior).hex()}\tS-\n"
         return RecoveryCost(strategy, len(record.encode()), 1, 1)
     reverse = compare_trees(active, prior)
     if strategy is RecoveryStrategy.FILE:

@@ -14,17 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffgen import (
+from .diffgen import compare_trees
+from .errors import LinkError, PrefixMatchError, TreeError
+from .fstree import FileTree, under_prefix, write_tar
+from .package import (
     CONTENT_KINDS,
+    DELETE,
     PATCH_KINDS,
+    RETAIN,
     ChangeKind,
     ChangeSet,
-    compare_trees,
-    retained_bytes,
+    FileChange,
+    gzip_bytes,
+    unit_edges,
 )
-from .errors import LinkError, PrefixMatchError
-from .fstree import FileTree, under_prefix, write_tar
-from .package import gzip_bytes
 
 KIB = 1024
 DEFAULT_UPLINK_BPS = 200_000
@@ -169,6 +172,24 @@ def modification_ratio(orig: FileTree, upd: FileTree) -> ModRatioReport:
     for path, entry in upd.files():
         preserved += touched.get(path, len(entry.content))
     return ModRatioReport(preserved, s_upd, 1 - Fraction(preserved, s_upd))
+
+
+def retained_bytes(change: FileChange, new_content: bytes) -> int:
+    """Bytes of the new file content that the script retains from the old:
+    the S_preserved share of one patched file. The retain runs are measured
+    on the new content's units (:func:`unit_edges`), so one walk serves
+    line and chunk scripts.
+    """
+    if change.kind not in PATCH_KINDS:
+        raise TreeError(f"not a patch change: {change.kind}")
+    edges = unit_edges(new_content, change.kind)
+    total = j = 0
+    for op in change.ops:
+        if op.kind == RETAIN:
+            total += edges[j + op.count] - edges[j]
+        if op.kind != DELETE:
+            j += op.count
+    return total
 
 
 # -- contact-window scheduling --------------------------------------------

@@ -1,4 +1,21 @@
-"""Serialization of a ChangeSet to the .satpkg wire format, version 2.
+"""The update package: the change-set model and its .satpkg wire format.
+
+This module is the one owner of what an update package is: the
+:class:`ChangeSet` model, the units its ops count, the delta-run codec and
+the version 2 bytes. The ground differ (:mod:`satpatch.diffgen`) builds
+change sets and the onboard replay (:mod:`satpatch.reconstruct`) consumes
+them; neither defines them.
+
+A patch carries a run-length script of R (retain), D (delete) and I
+(insert) ops and one segment per I run. Ops count lines (as
+:func:`split_lines` cuts them) in a text patch and bytes in a chunk patch,
+so the receiver replays byte spans and never chunks. A text insert run is
+raw. A chunk insert run is delta-coded (:func:`delta_encode`,
+:func:`delta_decode`): a raw deflate stream (``zlib`` wbits -15, level 9)
+whose preset dictionary is ``old[max(0, p - 32768):p]``, where ``p`` is
+the old-content offset the script has reached at the run, after any
+delete before it, and it must inflate to exactly the run's I count. The
+rule depends only on the change kind, so no flag travels with a run.
 
 The container (all integers big-endian) is gzip'd as a whole at level 9
 with a zeroed timestamp, so identical change sets encode to identical
@@ -11,33 +28,17 @@ bytes:
     u32 record count
     per record: u16 path length | path | u32 run index | u64 length | bytes
 
-The four u32 words are the ground chunker's fixed constants
-(``diffgen.WINDOW``, ``MASK_BITS``, ``MIN_SIZE``, ``MAX_SIZE``). The
-receiver never chunks; decode requires exactly these values.
-
-Manifest lines are tab-separated: change code, percent-encoded path, and
-for patches an op string such as ``R5 D2 I3``. One grammar serves both
-patch kinds: a token is R (retain), D (delete) or I (insert) and a
-positive count, of lines in a text patch (``T~``) and of bytes in a chunk
-patch (``B~``).
-
-Records are keyed by (path, insert-run index) and stored sorted: one per
-I run of a patch and one, run 0, per inserted file. A text insert run and
-an inserted file are raw bytes. A chunk insert run is delta-coded: a raw
-deflate stream (``zlib`` wbits -15, level 9) whose preset dictionary is
-``old[max(0, p - 32768):p]``, where ``p`` is the old-content offset the
-script has reached at the run, after any delete before it. It must
-inflate to exactly the run's I count. ``diffgen.delta_encode`` codes a
-run and ``diffgen.delta_decode`` inflates and checks it, when
-``reconstruct.apply_file`` replays the patch against its old content. The
-rule depends only on the change kind, so no flag travels with a run.
+The four u32 words are the ground chunker's fixed constants; decode
+requires exactly these values. Manifest lines are tab-separated: change
+code, percent-encoded path, and for patches an op string such as
+``R5 D2 I3``. Records are keyed by (path, insert-run index) and stored
+sorted: one per I run of a patch and one, run 0, per inserted file.
 
 Decoding inflates the container only as far as the fields read so far
 need, checks each record against the manifest before reading its bytes,
-and builds each FileChange once, which checks its own structure (a
-failure becomes PackageInconsistencyError); what needs the old content is
-left to the replay. Every failure is a typed PackageError subclass, and
-decode never touches the filesystem.
+and builds each FileChange once, which checks its own structure; what
+needs the old content is left to the replay. Every failure is a typed
+PackageError subclass, and decode never touches the filesystem.
 """
 
 from __future__ import annotations
@@ -47,24 +48,15 @@ import io
 import struct
 import urllib.parse
 import zlib
+from dataclasses import dataclass
+from enum import Enum
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
-from .diffgen import (
-    PATCH_KINDS,
-    ChangeKind,
-    ChangeSet,
-    EditOp,
-    FileChange,
-    INSERT,
-    MASK_BITS,
-    MAX_SIZE,
-    MIN_SIZE,
-    WINDOW,
-    insert_runs,
-)
 from .errors import (
-    ApplyError,
     BadMagicError,
     CorruptPackageError,
+    DeltaRunError,
     ManifestError,
     PackageInconsistencyError,
     PathError,
@@ -72,6 +64,176 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .fstree import normalize_path
+
+RETAIN = "R"
+DELETE = "D"
+INSERT = "I"
+
+
+# Chunker parameters: a boundary falls where the rolling hash of the
+# trailing WINDOW bytes has MASK_BITS low zero bits, and chunk lengths are
+# clamped to [MIN_SIZE, MAX_SIZE]. They are fixed design constants, as in
+# LBFS, which uses the same 48-byte window, and only the ground chunks.
+# They sit here, not in diffgen, because the v2 header carries them and
+# decode requires them; they return to diffgen when the header drops them
+# (wire format v3, ROADMAP.md).
+WINDOW = 48
+MASK_BITS = 11
+MIN_SIZE = 256
+MAX_SIZE = 16384
+
+
+# -- the change-set model -----------------------------------------------------
+
+
+class EditOp(NamedTuple):
+    """One run-length edit: retain/delete/insert ``count`` units, where a
+    unit is a line in text scripts and a byte in chunk scripts. Plain
+    data: a package's ops are checked once, when its manifest is parsed."""
+
+    kind: str
+    count: int
+
+
+class ChangeKind(Enum):
+    DIR_INSERT = "D+"
+    DIR_DELETE = "D-"
+    FILE_INSERT = "F+"
+    FILE_DELETE = "F-"
+    TEXT_PATCH = "T~"
+    CHUNK_PATCH = "B~"
+
+
+PATCH_KINDS = frozenset({ChangeKind.TEXT_PATCH, ChangeKind.CHUNK_PATCH})
+#: Kinds that leave new file content at their path.
+CONTENT_KINDS = PATCH_KINDS | {ChangeKind.FILE_INSERT}
+
+
+@dataclass(frozen=True)
+class FileChange:
+    """One manifest entry: what happened to one path.
+
+    Patches carry an edit script plus the inserted-byte segments, in I-op
+    order (delta-coded for chunk patches). A file insert is a single
+    segment holding the whole content.
+
+    A FileChange checks the structure that needs no old content when it is
+    built: one segment per insert run, and each text insert run exactly as
+    many lines as its op counts. Chunk insert runs are checked when they
+    inflate against the old content. Raises PackageInconsistencyError.
+    """
+
+    path: str
+    kind: ChangeKind
+    ops: tuple[EditOp, ...] = ()
+    segments: tuple[bytes, ...] = ()
+
+    def __post_init__(self):
+        needed = insert_runs(self.kind, self.ops)
+        if len(self.segments) != needed:
+            raise PackageInconsistencyError(
+                f"{needed} insert runs but {len(self.segments)} segments", self.path
+            )
+        if self.kind is not ChangeKind.TEXT_PATCH:
+            return
+        runs = [op for op in self.ops if op.kind == INSERT]
+        for run, (op, segment) in enumerate(zip(runs, self.segments)):
+            lines = len(split_lines(segment))
+            if lines != op.count:
+                raise PackageInconsistencyError(
+                    f"insert run {run} splits into {lines} lines, op covers {op.count}",
+                    self.path,
+                )
+
+
+@dataclass(frozen=True)
+class ChangeSet:
+    """Complete delta between two tree versions, in apply order.
+
+    Apply order is: file deletes, directory deletes (children first),
+    directory inserts (parents first), file inserts, patches. Source and
+    target digests pin the exact versions the delta connects.
+    """
+
+    source_digest: bytes
+    target_digest: bytes
+    changes: tuple[FileChange, ...]
+
+    def segment_bytes(self) -> int:
+        return sum(len(s) for c in self.changes for s in c.segments)
+
+
+def insert_runs(kind: ChangeKind, ops: tuple[EditOp, ...]) -> int:
+    """How many segments a change of ``kind`` with ``ops`` must carry."""
+    if kind is ChangeKind.FILE_INSERT:
+        return 1
+    if kind in PATCH_KINDS:
+        return sum(1 for op in ops if op.kind == INSERT)
+    return 0
+
+
+def split_lines(data: bytes) -> list[bytes]:
+    """Split into lines, each keeping its 0x0A terminator. Binary
+    ``readlines`` breaks at 0x0A only and keeps an unterminated tail as
+    its own line, so the concatenation of the result is the input."""
+    return io.BytesIO(data).readlines()
+
+
+def unit_edges(content: bytes, kind: ChangeKind) -> Sequence[int]:
+    """Byte offsets of the op units of ``content`` in a patch of ``kind``:
+    unit k is ``content[edges[k]:edges[k + 1]]``. A text unit is a line
+    (as :func:`split_lines` cuts it), a chunk unit a byte."""
+    if kind is ChangeKind.TEXT_PATCH:
+        return list(accumulate(map(len, split_lines(content)), initial=0))
+    return range(len(content) + 1)
+
+
+# -- delta-coded chunk insert runs ---------------------------------------------
+
+#: Deflate's window: a preset dictionary longer than this is not used.
+DELTA_WINDOW = 32768
+
+
+def delta_dictionary(old: bytes, pos: int) -> bytes:
+    """Preset dictionary of a chunk insert run at old offset ``pos``.
+
+    ``pos`` is taken after any delete that precedes the run, so the
+    dictionary holds the bytes the run replaces and the retained bytes
+    before them.
+    """
+    return old[max(0, pos - DELTA_WINDOW) : pos]
+
+
+def delta_encode(run: bytes, old: bytes, pos: int) -> bytes:
+    """Raw deflate of an insert run against :func:`delta_dictionary`."""
+    coder = zlib.compressobj(
+        9, zlib.DEFLATED, -15, zdict=delta_dictionary(old, pos)
+    )
+    return coder.compress(run) + coder.flush()
+
+
+def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> bytes:
+    """Inflate a run :func:`delta_encode` coded at old offset ``pos``;
+    never yields more than ``span`` bytes, and raises DeltaRunError (naming
+    ``path``) unless it is one whole stream of exactly ``span`` bytes."""
+    inflater = zlib.decompressobj(-15, zdict=delta_dictionary(old, pos))
+    try:
+        run = inflater.decompress(segment, span)
+    except zlib.error as exc:
+        raise DeltaRunError(f"{path!r}: insert run at byte {pos} is damaged: {exc}") from exc
+    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} does not end after {span} bytes"
+        )
+    if len(run) != span:
+        raise DeltaRunError(
+            f"{path!r}: insert run at byte {pos} inflates to {len(run)} bytes, "
+            f"op spans {span}"
+        )
+    return run
+
+
+# -- wire format ----------------------------------------------------------------
 
 MAGIC = b"SATL"
 PACKAGE_VERSION = 2
@@ -298,10 +460,7 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
         if None in segments:
             run = segments.index(None)
             raise PackageInconsistencyError(f"missing segment for insert run {run}", path)
-        try:
-            changes.append(FileChange(path, kind, ops, segments))
-        except ApplyError as exc:
-            raise PackageInconsistencyError(str(exc), path) from exc
+        changes.append(FileChange(path, kind, ops, segments))
     return ChangeSet(source_digest, target_digest, tuple(changes)), manifest_len
 
 

@@ -11,8 +11,9 @@ checked when the FileChange was built, at decode for a package. One loop
 replays both patch kinds through the old content's unit edges (lines of
 a text patch, bytes of a chunk patch), so the receiver never re-chunks
 its local content; each chunk insert run inflates against the old bytes
-before it through :func:`satpatch.diffgen.delta_decode`, which owns the
-delta-run rule with its encoder.
+before it through :func:`satpatch.package.delta_decode`. The model and
+its rules come from :mod:`satpatch.package` alone, so this module never
+imports the ground differ.
 """
 
 from __future__ import annotations
@@ -23,16 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diffgen import (
-    ChangeKind,
-    ChangeSet,
-    FileChange,
-    INSERT,
-    PATCH_KINDS,
-    RETAIN,
-    delta_decode,
-    unit_edges,
-)
 from .errors import (
     BaseVersionMismatchError,
     DigestMismatchError,
@@ -40,7 +31,17 @@ from .errors import (
     TreeError,
 )
 from .fstree import Entry, EntryKind, FileTree, materialize, tree_digest
-from .package import decode_package
+from .package import (
+    INSERT,
+    PATCH_KINDS,
+    RETAIN,
+    ChangeKind,
+    ChangeSet,
+    FileChange,
+    decode_package,
+    delta_decode,
+    unit_edges,
+)
 
 
 @dataclass(frozen=True)

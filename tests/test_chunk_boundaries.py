@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpatch import diffgen
-from satpatch.diffgen import MASK_BITS, WINDOW, chunk_lengths
+from satpatch.diffgen import chunk_lengths
+from satpatch.package import MASK_BITS, WINDOW
 
 #: SHA-256 of ",".join(map(str, chunk_lengths(data))), recorded from the
 #: uint64 chunker this one replaced. The inputs (see ``pinned_input``) are

@@ -18,22 +18,25 @@ from satpatch.diffgen import (
     _BLOCK,
     _LEAF_BITS,
     _ROW_HEADER_BITS,
-    MASK_BITS,
-    MAX_SIZE,
-    MIN_SIZE,
-    WINDOW,
-    ChangeKind,
-    EditOp,
     chunk_diff,
     chunk_lengths,
     chunkify,
     compare_trees,
     diff_units,
     line_diff,
-    retained_bytes,
-    split_lines,
 )
 from satpatch.fstree import FileTree, tree_digest
+from satpatch.linksim import retained_bytes
+from satpatch.package import (
+    MASK_BITS,
+    MAX_SIZE,
+    MIN_SIZE,
+    WINDOW,
+    ChangeKind,
+    EditOp,
+    FileChange,
+    split_lines,
+)
 
 
 def lcs_length(a, b):
@@ -490,8 +493,6 @@ class TestRetainedBytes:
         new = b"keep1\nchanged\nkeep2\n"
         ops, segments = line_diff(old, new)
         change_kind = ChangeKind.TEXT_PATCH
-        from satpatch.diffgen import FileChange
-
         change = FileChange("f", change_kind, ops, segments)
         assert retained_bytes(change, new) == len(b"keep1\n") + len(b"keep2\n")
 
@@ -500,8 +501,6 @@ class TestRetainedBytes:
         old = rng.randbytes(30_000)
         new = old[:20_000] + rng.randbytes(100) + old[20_000:]
         ops, segments = chunk_diff(old, new)
-        from satpatch.diffgen import FileChange
-
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
         retained = retained_bytes(change, new)
         inserted = sum(op.count for op in ops if op.kind == "I")
@@ -509,7 +508,5 @@ class TestRetainedBytes:
 
     def test_full_replacement_retains_nothing(self):
         ops, segments = line_diff(b"a\n", b"zz\n")
-        from satpatch.diffgen import FileChange
-
         change = FileChange("f", ChangeKind.TEXT_PATCH, ops, segments)
         assert retained_bytes(change, b"zz\n") == 0

@@ -209,6 +209,17 @@ class TestRoundTrips:
         mode = (tmp_path / "out").stat().st_mode & 0o777
         assert mode == (tmp_path / "ref").stat().st_mode & 0o777
 
+    def test_materialize_removes_a_cut_writes_staging(self, tmp_path):
+        stale = tmp_path / ".out.satpatch-deadbeef"
+        (stale / "lib").mkdir(parents=True)
+        (stale / "lib" / "half.bin").write_bytes(b"\x00")
+        other = tmp_path / ".outer.satpatch-deadbeef"
+        other.mkdir()
+        tree = FileTree.from_dict("a", {"f": b"x\n"})
+        materialize(tree, tmp_path / "out")
+        assert load_tree(tmp_path / "out") == tree
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".outer.satpatch-deadbeef", "out"]
+
     def test_materialize_crash_points(self, tmp_path, crash_points):
         tree = FileTree.from_dict(
             "app",

@@ -222,7 +222,7 @@ class TestRecoveryCost:
             FileTree.from_dict("a", {"f": b"y" * 1024}),
             RecoveryStrategy.LAYER,
         )
-        big = recovery_cost(prior, active, RecoveryStrategy.LAYER, tag="stable")
+        big = recovery_cost(prior, active, RecoveryStrategy.LAYER)
         assert small.backup_ops == big.backup_ops == 1
         assert small.restore_ops == big.restore_ops == 1
         assert small.storage_bytes == big.storage_bytes

@@ -9,13 +9,7 @@ import zlib
 
 import pytest
 
-from satpatch.diffgen import (
-    ChangeKind,
-    ChangeSet,
-    EditOp,
-    FileChange,
-    compare_trees,
-)
+from satpatch.diffgen import compare_trees
 from satpatch.errors import (
     BadMagicError,
     DeltaRunError,
@@ -28,8 +22,8 @@ from satpatch.errors import (
 )
 from satpatch.fstree import FileTree
 from satpatch.package import (
-    MAGIC,
     PACKAGE_VERSION,
+    ChangeSet,
     decode_package,
     encode_package,
     wire_layout,

@@ -8,27 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satpatch.diffgen import (
-    DELTA_WINDOW,
-    MAX_SIZE,
-    ChangeKind,
-    ChangeSet,
-    EditOp,
-    FileChange,
-    chunk_diff,
-    compare_trees,
-    line_diff,
-)
+from satpatch.diffgen import chunk_diff, compare_trees, line_diff
 from satpatch.errors import (
     ApplyError,
     BaseVersionMismatchError,
     DeltaRunError,
     DigestMismatchError,
     EditScriptError,
-    SegmentCountError,
+    PackageInconsistencyError,
 )
 from satpatch.fstree import FileTree, load_tree, tree_digest
-from satpatch.package import decode_package, encode_package
+from satpatch.package import (
+    DELTA_WINDOW,
+    MAX_SIZE,
+    ChangeKind,
+    ChangeSet,
+    EditOp,
+    FileChange,
+    encode_package,
+)
 from satpatch.reconstruct import (
     apply_changeset,
     apply_file,
@@ -81,11 +79,11 @@ class TestApplyFile:
     # The structure that needs no old content is checked when the change
     # is built, so a malformed patch never reaches apply_file.
     def test_segment_count_mismatch(self):
-        with pytest.raises(SegmentCountError):
+        with pytest.raises(PackageInconsistencyError):
             FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("I", 1),), segments=())
 
     def test_insert_line_count_mismatch(self):
-        with pytest.raises(EditScriptError):
+        with pytest.raises(PackageInconsistencyError):
             FileChange("f", ChangeKind.TEXT_PATCH, (EditOp("I", 2),), segments=(b"one\n",))
 
     @TWO_UNITS

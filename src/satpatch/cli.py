@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 bad input or state, 3 apply or verify
-failure, 4 rollback performed. Machine consumers pass ``--json`` after
-any subcommand and get one object on stdout with a versioned ``schema``
-field. File outputs are written to a temp sibling and moved into place
-only if nothing exists there, so an interrupted run never leaves a
-half-written artifact and an existing output is never replaced.
-``diff`` and ``apply`` also report where their time went (``timings``, in
-seconds per phase) and the process's peak resident set (``peak_rss_kib``).
+failure, 4 rollback performed. Handlers call the library directly and
+:func:`main` alone maps a failure to its exit code: an ``ApplyError``
+exits 3, and a ``PackageError``, any other ``SatpatchError`` or an
+``OSError`` (a file that cannot be read or written, a store that cannot
+be updated) exits 2. Machine consumers pass ``--json`` after any
+subcommand and get one object on stdout with a versioned ``schema``
+field; on any failure it is one ``error`` record. File outputs are
+written to a temp sibling and moved into place only if nothing exists
+there, so an interrupted run never leaves a half-written artifact and an
+existing output is never replaced. ``diff`` and ``apply`` also report
+where their time went (``timings``, in seconds per phase) and the
+process's peak resident set (``peak_rss_kib``).
 """
 
 from __future__ import annotations
@@ -24,16 +29,7 @@ from pathlib import Path
 
 from . import corpusgen, layerstore, linksim
 from .diffgen import compare_trees
-from .errors import (
-    ApplyError,
-    LayerStoreError,
-    LinkError,
-    PackageError,
-    PathError,
-    SatpatchError,
-    TreeError,
-    VariantError,
-)
+from .errors import ApplyError, PackageError, SatpatchError
 from .fstree import FileTree, load_tree, materialize, tree_digest, write_tar
 from .package import decode_package, encode_package, wire_layout
 from .reconstruct import apply_changeset, replace_directory, restore_directory
@@ -48,10 +44,11 @@ EXIT_ROLLED_BACK = 4
 
 
 class CliError(Exception):
+    """A failure the library cannot type, with the exit code it takes."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,22 +57,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _load(path: str) -> FileTree:
-    try:
-        return load_tree(path)
-    except (TreeError, PathError) as exc:
-        raise CliError(EXIT_INPUT, f"cannot load tree {path!r}: {exc}") from exc
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path!r}: {exc}") from exc
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path!r}: {exc}") from exc
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -88,8 +69,6 @@ def _write_bytes(path: str, data: bytes) -> None:
         os.link(tmp, target)
     except FileExistsError as exc:
         raise CliError(EXIT_INPUT, f"output path {path!r} already exists") from exc
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot write {path!r}: {exc.strerror}") from exc
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -98,21 +77,8 @@ def _write_bytes(path: str, data: bytes) -> None:
 def _write_tree(tree: FileTree, out: str) -> None:
     if out.endswith(".tar"):
         _write_bytes(out, write_tar(tree))
-        return
-    try:
+    else:
         materialize(tree, out)
-    except TreeError as exc:
-        raise CliError(EXIT_INPUT, f"output path {out!r} already exists") from exc
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot write {out!r}: {exc.strerror}") from exc
-
-
-def _unpack(read, blob: bytes):
-    """``read(blob)``, with a damaged package reported as bad input."""
-    try:
-        return read(blob)
-    except PackageError as exc:
-        raise CliError(EXIT_INPUT, f"bad package: {exc}") from exc
 
 
 def _emit(args, human: str, payload: dict) -> None:
@@ -150,7 +116,7 @@ def _link(args, windows=None) -> linksim.LinkModel:
             uplink_bandwidth_bps=args.bandwidth_kbps * 1000,
             contact_windows=windows,
         )
-    except (ValueError, LinkError) as exc:
+    except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
 
 
@@ -167,8 +133,8 @@ def _latency_str(nbytes: int, link: linksim.LinkModel) -> str:
 
 def _cmd_diff(args) -> int:
     watch = _Stopwatch()
-    orig = _load(args.orig)
-    upd = _load(args.upd)
+    orig = load_tree(args.orig)
+    upd = load_tree(args.upd)
     watch.lap("load")
     changeset = compare_trees(orig, upd)
     watch.lap("compare")
@@ -193,35 +159,22 @@ def _cmd_diff(args) -> int:
 def _cmd_apply(args) -> int:
     watch = _Stopwatch()
     if args.output is None:
-        try:
-            restore_directory(args.orig)
-        except OSError as exc:
-            raise CliError(
-                EXIT_INPUT, f"cannot restore {args.orig!r}: {exc.strerror}"
-            ) from exc
+        restore_directory(args.orig)
         # after the restore: a cut swap leaves the directory absent
         if not Path(args.orig).is_dir():
             raise CliError(
                 EXIT_USAGE, "in-place apply needs a directory tree; use -o"
             )
-    orig = _load(args.orig)
-    blob = _read_bytes(args.package)
+    orig = load_tree(args.orig)
+    blob = Path(args.package).read_bytes()
     watch.lap("load")
-    changeset = _unpack(decode_package, blob)
+    changeset = decode_package(blob)
     watch.lap("decode")
-    try:
-        new_tree, report = apply_changeset(orig, changeset)
-    except ApplyError as exc:
-        raise CliError(EXIT_APPLY, f"apply failed, tree untouched: {exc}") from exc
+    new_tree, report = apply_changeset(orig, changeset)
     watch.lap("apply")
     out = args.output
     if out is None:
-        try:
-            replace_directory(new_tree, args.orig)
-        except OSError as exc:
-            raise CliError(
-                EXIT_INPUT, f"cannot replace {args.orig!r}: {exc.strerror}"
-            ) from exc
+        replace_directory(new_tree, args.orig)
         out = args.orig
     else:
         _write_tree(new_tree, out)
@@ -241,7 +194,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    digest = tree_digest(_load(args.tree)).hex()
+    digest = tree_digest(load_tree(args.tree)).hex()
     expected = args.digest.lower() if args.digest else None
     match = None if expected is None else digest == expected
     _emit(
@@ -256,8 +209,6 @@ def _parse_windows(path: str) -> list[tuple[Fraction, Fraction]]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return [(Fraction(str(a)), Fraction(str(b))) for a, b in raw]
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path!r}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise CliError(
             EXIT_INPUT,
@@ -266,8 +217,8 @@ def _parse_windows(path: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _cmd_estimate(args) -> int:
-    blob = _read_bytes(args.package)
-    _unpack(decode_package, blob)  # integrity gate before quoting numbers
+    blob = Path(args.package).read_bytes()
+    decode_package(blob)  # integrity gate before quoting numbers
     windows = _parse_windows(args.windows) if args.windows else None
     link = _link(args, windows)
     size = len(blob)
@@ -305,8 +256,8 @@ _TOP_PATHS = 10
 
 
 def _cmd_inspect(args) -> int:
-    blob = _read_bytes(args.package)
-    layout = _unpack(wire_layout, blob)
+    blob = Path(args.package).read_bytes()
+    layout = wire_layout(blob)
     layout["paths"] = layout["paths"][:_TOP_PATHS]
     lines = [
         f"package: {len(blob)} B compressed",
@@ -329,8 +280,8 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_bench(args) -> int:
     link = _link(args)
-    orig = _load(args.orig)
-    upd = _load(args.upd)
+    orig = load_tree(args.orig)
+    upd = load_tree(args.upd)
     changeset = compare_trees(orig, upd)
     blob = encode_package(changeset)
     base = linksim.baseline_sizes(orig, upd, changeset, args.app_prefix)
@@ -365,16 +316,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _open_store(args) -> layerstore.LayerStore:
-    try:
-        return layerstore.LayerStore(args.store)
-    except (LayerStoreError, OSError) as exc:
-        raise CliError(EXIT_INPUT, f"cannot open store {args.store!r}: {exc}") from exc
-
-
 def _cmd_commit(args) -> int:
-    store = _open_store(args)
-    tree = _load(args.tree)
+    store = layerstore.LayerStore(args.store)
+    tree = load_tree(args.tree)
     store.commit(tree, args.tag)
     digest = tree_digest(tree).hex()
     _emit(
@@ -386,7 +330,7 @@ def _cmd_commit(args) -> int:
 
 
 def _cmd_mark_stable(args) -> int:
-    _open_store(args).mark_stable(args.tag)
+    layerstore.LayerStore(args.store).mark_stable(args.tag)
     _emit(args, f"marked {args.tag} stable", {"tag": args.tag, "stable": True})
     return EXIT_OK
 
@@ -398,7 +342,7 @@ _PHASES = {
 
 
 def _cmd_rollback(args) -> int:
-    store = _open_store(args)
+    store = layerstore.LayerStore(args.store)
     try:
         event = layerstore.FailureEvent(_PHASES[args.phase], args.exit_code)
     except ValueError as exc:  # exit code 0
@@ -423,21 +367,12 @@ def _cmd_rollback(args) -> int:
 
 
 def _cmd_gen_variant(args) -> int:
-    orig = _load(args.orig)
+    orig = load_tree(args.orig)
     try:
         vspec = corpusgen.VariantSpec(args.ratio, seed=args.seed)
-        variant = corpusgen.generate_variant(
-            orig, vspec, scope_prefix=args.scope
-        )
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    except VariantError as exc:
-        detail = (
-            f" (achieved {exc.achieved_ratio:.4f})"
-            if exc.achieved_ratio is not None
-            else ""
-        )
-        raise CliError(EXIT_INPUT, f"variant generation failed: {exc}{detail}") from exc
+    variant = corpusgen.generate_variant(orig, vspec, scope_prefix=args.scope)
     achieved = float(linksim.modification_ratio(orig, variant).ratio)
     _write_tree(variant, args.output)
     _emit(
@@ -541,8 +476,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CliError as exc:
-        code, message = exc.code, exc.message
-    except SatpatchError as exc:  # anything a handler did not translate
+        code, message = exc.code, str(exc)
+    except ApplyError as exc:
+        code, message = EXIT_APPLY, f"apply failed, tree untouched: {exc}"
+    except PackageError as exc:
+        code, message = EXIT_INPUT, f"bad package: {exc}"
+    except (SatpatchError, OSError) as exc:
         code, message = EXIT_INPUT, str(exc)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "command": args.command, "error": message}))

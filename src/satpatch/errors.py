@@ -22,8 +22,6 @@ class PathError(TreeError):
 
     def __init__(self, path, reason):
         super().__init__(f"invalid path {path!r}: {reason}")
-        self.path = path
-        self.reason = reason
 
 
 # --- update package wire format ----------------------------------------
@@ -60,8 +58,6 @@ class ManifestError(PackageError):
             loc.append(f"path {path!r}")
         suffix = f" ({', '.join(loc)})" if loc else ""
         super().__init__(message + suffix)
-        self.line_no = line_no
-        self.path = path
 
 
 class PackageInconsistencyError(PackageError):
@@ -70,7 +66,6 @@ class PackageInconsistencyError(PackageError):
 
     def __init__(self, message, path=None):
         super().__init__(message if path is None else f"{message} (path {path!r})")
-        self.path = path
 
 
 # --- onboard reconstruction --------------------------------------------
@@ -100,8 +95,6 @@ class DigestMismatchError(ApplyError):
         super().__init__(
             f"reconstructed tree digest {actual_hex} != packaged target {expected_hex}"
         )
-        self.expected_hex = expected_hex
-        self.actual_hex = actual_hex
 
 
 # --- layer store --------------------------------------------------------
@@ -142,8 +135,9 @@ class PrefixMatchError(LinkError):
 
 
 class VariantError(SatpatchError):
-    """Target modification ratio could not be reached."""
+    """Target modification ratio could not be reached; the message ends
+    with the ratio that was achieved."""
 
-    def __init__(self, message, achieved_ratio=None):
-        super().__init__(message)
+    def __init__(self, message, achieved_ratio):
+        super().__init__(f"{message} (achieved {achieved_ratio:.4f})")
         self.achieved_ratio = achieved_ratio

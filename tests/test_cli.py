@@ -1,10 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from satpatch.cli import main
 from satpatch.corpusgen import sample_app_tree
 from satpatch.fstree import FileTree, load_tree, materialize, tree_digest, write_tar
+from satpatch.layerstore import LayerStore
 
 
 @pytest.fixture
@@ -492,6 +494,39 @@ class TestEnvironmentErrors:
         error = self.check(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
         assert str(store) in error
         assert store.read_bytes() == b"not a directory\n"
+
+    def updated_store(self, capsys, tmp):
+        """A store with v1.0 stable and v1.1 active but not yet stable."""
+        store = tmp / "store"
+        for argv in (
+            ("commit", tmp / "orig", "--tag", "v1.0"),
+            ("mark-stable", "--tag", "v1.0"),
+            ("commit", tmp / "upd", "--tag", "v1.1"),
+        ):
+            assert run(capsys, *argv, "--store", store)[0] == 0
+        return store
+
+    def active(self, store):
+        layer = LayerStore(store).stack.active_layer
+        return layer.tag, layer.stable
+
+    def test_commit_store_trees_is_a_regular_file(self, trees, capsys):
+        tmp, *_ = trees
+        store = self.updated_store(capsys, tmp)
+        shutil.rmtree(store / "trees")
+        (store / "trees").write_bytes(b"not a directory\n")
+        self.check(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1.2")
+        assert self.active(store) == ("v1.1", False)
+
+    @pytest.mark.parametrize(
+        "argv", [("mark-stable", "--tag", "v1.1"), ("rollback", "--exit-code", "1")]
+    )
+    def test_store_index_cannot_be_written(self, trees, capsys, argv):
+        tmp, *_ = trees
+        store = self.updated_store(capsys, tmp)
+        (store / "layers.idx.tmp").mkdir()
+        self.check(capsys, *argv, "--store", store)
+        assert self.active(store) == ("v1.1", False)
 
 
 class TestExistingFileOutput:

@@ -99,6 +99,7 @@ class TestGenerateVariant:
             generate_variant(tree, VariantSpec(0.3, seed=0))
         assert exc.value.achieved_ratio is not None
         assert exc.value.achieved_ratio > 0.3
+        assert str(exc.value).endswith(f"(achieved {exc.value.achieved_ratio:.4f})")
 
     def test_scope_prefix_confines_edits(self):
         tree = sample_app_tree(2)

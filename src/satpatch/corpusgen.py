@@ -235,9 +235,7 @@ def generate_variant(
     def build() -> FileTree:
         mapping: dict[str, bytes | None] = {}
         for path, entry in orig.items():
-            if entry.is_dir:
-                mapping[path] = None
-            elif path in text_files:
+            if path in text_files:
                 mapping[path] = text_files[path].content()
             elif path in binary_files:
                 mapping[path] = binary_files[path]

@@ -476,16 +476,14 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
                 FileChange(path, ChangeKind.FILE_INSERT, segments=(entry.content,))
             )
 
-    for path in sorted(
-        set(old.paths()) | set(new.paths()), key=lambda p: p.encode("utf-8")
-    ):
+    for path in sorted(set(old.paths()) | set(new.paths())):
         o = old.get(path)
         n = new.get(path)
         if o is None and n is not None:
             insert(path, n)
         elif o is not None and n is None:
             delete(path, o)
-        elif o.kind is not n.kind:
+        elif o.is_dir is not n.is_dir:
             delete(path, o)
             insert(path, n)
         elif o.is_file and o.content_hash != n.content_hash:

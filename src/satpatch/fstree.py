@@ -1,13 +1,13 @@
 """In-memory model of an unpacked containerized application.
 
-A :class:`FileTree` maps normalized relative paths to directory or file
-entries. Files carry their raw bytes and a SHA-256 content hash, nothing
-else. An :class:`Entry` computes its hash once, when it is built, and no
-caller can supply it, so a tree never holds a stale hash and never hashes
+A :class:`FileTree` maps normalized relative paths, which must be valid
+UTF-8, to entries. An :class:`Entry` is a file's content or, with none, a
+directory; it hashes the content once, when it is built, and no caller
+can supply the hash, so a tree never holds a stale hash and never hashes
 a file twice. Only the ground differ and the variant generator classify
 content as text or binary (:func:`classify_textual`). Trees are
-immutable once built and iterate in lexicographic path order, which
-makes hashing, diffing, and packaging deterministic.
+immutable once built and iterate in code-point order, which is UTF-8
+byte order; that makes hashing, diffing, and packaging deterministic.
 
 Sources can be a plain directory on disk or an uncompressed tar archive.
 Only entry kind and content are modeled; permissions, ownership,
@@ -23,7 +23,6 @@ import os
 import shutil
 import tarfile
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -31,11 +30,6 @@ from .errors import PathError, TreeError
 
 #: Number of leading bytes inspected by :func:`classify_textual`.
 TEXT_SCAN_LIMIT = 8192
-
-
-class EntryKind(Enum):
-    DIRECTORY = "dir"
-    FILE = "file"
 
 
 def hash_content(content: bytes) -> bytes:
@@ -67,12 +61,17 @@ def normalize_path(raw: str) -> str:
     """Normalize a relative path to canonical ``a/b/c`` form.
 
     Accepts ``\\`` or ``/`` separators and a leading ``./``. Rejects empty
-    paths, absolute paths, ``.``/``..`` segments, and NUL bytes.
+    paths, absolute paths, ``.``/``..`` segments, NUL bytes, and paths that
+    are not valid UTF-8 (``os.walk`` and ``tarfile`` surrogate-escape them).
     """
     if not isinstance(raw, str) or raw == "":
         raise PathError(raw, "empty path")
     if "\x00" in raw:
         raise PathError(raw, "NUL byte in path")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise PathError(raw, "not valid UTF-8") from None
     candidate = raw.replace("\\", "/")
     if candidate.startswith("/"):
         raise PathError(raw, "absolute path")
@@ -105,44 +104,43 @@ def under_prefix(prefix: str) -> Callable[[str], bool]:
 
 @dataclass(frozen=True)
 class Entry:
-    """One tree entry: a directory, or a file with content and its hash.
+    """One tree entry: a file's content or, with none, a directory.
 
     ``content_hash`` is derived from ``content`` here and cannot be passed
     in; a directory has an empty hash.
     """
 
-    kind: EntryKind
-    content: bytes = b""
+    content: bytes | None = None
     content_hash: bytes = field(init=False, default=b"")
 
     def __post_init__(self):
-        if self.kind is EntryKind.FILE:
+        if self.content is not None:
             object.__setattr__(self, "content_hash", hash_content(self.content))
 
     @property
     def is_file(self) -> bool:
-        return self.kind is EntryKind.FILE
+        return self.content is not None
 
     @property
     def is_dir(self) -> bool:
-        return self.kind is EntryKind.DIRECTORY
+        return self.content is None
 
 
 class FileTree:
     """Immutable ordered map of normalized paths to entries.
 
-    Iteration order is lexicographic by UTF-8 path bytes. Equality
-    compares entry maps only; ``root_label`` is a display name.
+    Keys are normalized first, so paths are valid UTF-8 and iterate in
+    code-point order, which is UTF-8 byte order. Equality compares entry
+    maps only; ``root_label`` is a display name.
     """
 
     __slots__ = ("root_label", "_entries")
 
     def __init__(self, root_label: str, entries: Mapping[str, Entry]):
-        ordered: dict[str, Entry] = {}
-        for path in sorted(entries, key=lambda p: p.encode("utf-8")):
-            ordered[normalize_path(path)] = entries[path]
-        if len(ordered) != len(entries):
+        normalized = {normalize_path(p): e for p, e in entries.items()}
+        if len(normalized) != len(entries):
             raise TreeError("duplicate entry paths after normalization")
+        ordered = dict(sorted(normalized.items()))
         for path, entry in ordered.items():
             parent = parent_path(path)
             if parent is not None:
@@ -162,10 +160,7 @@ class FileTree:
         entries: dict[str, Entry] = {}
         for raw_path, value in mapping.items():
             path = normalize_path(raw_path)
-            if value is None:
-                entry = Entry(EntryKind.DIRECTORY)
-            else:
-                entry = Entry(EntryKind.FILE, value)
+            entry = Entry(value)
             existing = entries.get(path)
             if existing is not None and existing != entry:
                 raise TreeError(f"conflicting entries for {path!r}")
@@ -203,9 +198,6 @@ class FileTree:
         if not isinstance(other, FileTree):
             return NotImplemented
         return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(tuple(self._entries))
 
     def __repr__(self) -> str:
         return f"FileTree({self.root_label!r}, {len(self._entries)} entries)"
@@ -254,18 +246,17 @@ def load_tree(source: str | Path | BinaryIO) -> FileTree:
 def _load_directory(root: Path) -> FileTree:
     entries: dict[str, Entry] = {}
     for current, dirnames, filenames in os.walk(root):
-        dirnames.sort()
         base = Path(current)
         for name in dirnames:
             full = base / name
             if full.is_symlink():
                 raise TreeError(f"symlinks are not modeled: {full}")
-            entries[_rel(root, full)] = Entry(EntryKind.DIRECTORY)
-        for name in sorted(filenames):
+            entries[_rel(root, full)] = Entry()
+        for name in filenames:
             full = base / name
             if full.is_symlink() or not full.is_file():
                 raise TreeError(f"only regular files are modeled: {full}")
-            entries[_rel(root, full)] = Entry(EntryKind.FILE, full.read_bytes())
+            entries[_rel(root, full)] = Entry(full.read_bytes())
     return FileTree(root.name, entries)
 
 
@@ -283,12 +274,12 @@ def _load_tar_stream(fileobj: BinaryIO, root_label: str) -> FileTree:
         for member in tar:
             path = normalize_path(member.name)
             if member.isdir():
-                entry = Entry(EntryKind.DIRECTORY)
+                entry = Entry()
             elif member.isfile():
                 extracted = tar.extractfile(member)
                 if extracted is None:
                     raise TreeError(f"unreadable archive member: {member.name!r}")
-                entry = Entry(EntryKind.FILE, extracted.read())
+                entry = Entry(extracted.read())
             else:
                 raise TreeError(
                     f"unsupported archive member type for {member.name!r}"
@@ -307,7 +298,7 @@ def _add_parents(entries: dict[str, Entry]) -> None:
     for path in list(entries):
         parent = parent_path(path)
         while parent is not None and parent not in entries:
-            entries[parent] = Entry(EntryKind.DIRECTORY)
+            entries[parent] = Entry()
             parent = parent_path(parent)
         if parent is not None and not entries[parent].is_dir:
             raise TreeError(f"file {parent!r} used as a directory")

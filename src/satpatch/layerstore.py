@@ -244,15 +244,17 @@ class LayerStore:
             self.root.mkdir(parents=True, exist_ok=True)
             self.trees_dir.mkdir(exist_ok=True)
             self.stack = LayerStack(app_id)
-            self._write_index()
+            self._write_index(self.stack)
 
     # index format: "app\t<id>", "active\t<tag-or-->", then
     # "layer\t<tag>\t<digest hex>\t<S|->\t<F|->" in deployment order.
-    def _write_index(self) -> None:
-        lines = [f"app\t{self.stack.app_id}"]
-        active = self.stack.active_layer
+    # Callers adopt a stack only once it is written, so the object and the
+    # disk agree after a failed write.
+    def _write_index(self, stack: LayerStack) -> None:
+        lines = [f"app\t{stack.app_id}"]
+        active = stack.active_layer
         lines.append(f"active\t{active.tag if active else '-'}")
-        for layer in self.stack.layers:
+        for layer in stack.layers:
             lines.append(
                 "layer\t{}\t{}\t{}\t{}".format(
                     layer.tag,
@@ -324,18 +326,20 @@ class LayerStore:
         # a crash can leave trees/<tag> or a hidden staging sibling behind
         self._prune()
         materialize(tree, self.trees_dir / tag)
+        self._write_index(new_stack)
         self.stack = new_stack
-        self._write_index()
         self._prune()
 
     def mark_stable(self, tag: str) -> None:
-        self.stack = mark_stable(self.stack, tag)
-        self._write_index()
+        stack = mark_stable(self.stack, tag)
+        self._write_index(stack)
+        self.stack = stack
         self._prune()
 
     def on_failure(self, event: FailureEvent) -> RollbackRecord:
-        self.stack, record = on_failure(self.stack, event)
-        self._write_index()
+        stack, record = on_failure(self.stack, event)
+        self._write_index(stack)
+        self.stack = stack
         self._prune()
         return record
 

@@ -30,7 +30,7 @@ from .errors import (
     EditScriptError,
     TreeError,
 )
-from .fstree import Entry, EntryKind, FileTree, materialize, tree_digest
+from .fstree import Entry, FileTree, materialize, tree_digest
 from .package import (
     INSERT,
     PATCH_KINDS,
@@ -135,17 +135,17 @@ def apply_changeset(tree: FileTree, changeset: ChangeSet) -> tuple[FileTree, App
         elif kind is ChangeKind.DIR_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
-            entries[path] = Entry(EntryKind.DIRECTORY)
+            entries[path] = Entry()
         elif kind is ChangeKind.FILE_INSERT:
             if entry is not None:
                 raise EditScriptError(f"{path!r}: insert over existing entry")
-            entries[path] = Entry(EntryKind.FILE, change.segments[0])
+            entries[path] = Entry(change.segments[0])
             written += len(change.segments[0])
         else:
             if entry is None or not entry.is_file:
                 raise EditScriptError(f"{path!r}: no such file to patch")
             content = apply_file(entry.content, change)
-            entries[path] = Entry(EntryKind.FILE, content)
+            entries[path] = Entry(content)
             written += len(content)
     # A directory deleted under its children leaves them without a parent,
     # which FileTree refuses; the target digest decides everything else.

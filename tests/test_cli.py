@@ -1,5 +1,7 @@
+import io
 import json
 import shutil
+import tarfile
 
 import pytest
 
@@ -494,6 +496,15 @@ class TestEnvironmentErrors:
         error = self.check(capsys, "commit", tmp / "orig", "--store", store, "--tag", "v1")
         assert str(store) in error
         assert store.read_bytes() == b"not a directory\n"
+
+    def test_verify_tar_with_non_utf8_member(self, tmp_path, capsys):
+        tar = tmp_path / "bad.tar"
+        with tarfile.open(tar, mode="w") as archive:
+            info = tarfile.TarInfo(name="bad\udcff.txt")  # the byte b"\xff"
+            info.size = 1
+            archive.addfile(info, io.BytesIO(b"x"))
+        error = self.check(capsys, "verify", tar)
+        assert "not valid UTF-8" in error
 
     def updated_store(self, capsys, tmp):
         """A store with v1.0 stable and v1.1 active but not yet stable."""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from satpatch.errors import PathError, TreeError
 from satpatch.fstree import (
     Entry,
-    EntryKind,
     FileTree,
     classify_textual,
     hash_content,
@@ -26,6 +25,9 @@ from satpatch.fstree import (
 # Known SHA-256 digests (FIPS 180-4 test vectors, verifiable with sha256sum).
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+# How os.walk and tarfile spell the undecodable name byte b"\xff".
+NON_UTF8_NAME = "bad\udcff.txt"
 
 
 class TestNormalizePath:
@@ -52,6 +54,15 @@ class TestNormalizePath:
     def test_dot_only_is_rejected(self):
         with pytest.raises(PathError):
             normalize_path("./.")
+
+    def test_rejects_non_utf8(self):
+        with pytest.raises(PathError, match="not valid UTF-8"):
+            normalize_path("a\udcffb")
+
+    @given(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",)))))
+    def test_code_point_order_is_utf8_byte_order(self, paths):
+        # FileTree orders paths with a plain sort because of this
+        assert sorted(paths) == sorted(paths, key=lambda p: p.encode("utf-8"))
 
 
 class TestUnderPrefix:
@@ -111,10 +122,19 @@ class TestHashing:
         assert hash_content(blob) == hashlib.sha256(blob).digest()
 
     def test_entry_derives_its_hash(self):
-        entry = Entry(EntryKind.FILE, b"abc")
+        entry = Entry(b"abc")
         assert entry.content_hash.hex() == ABC_SHA256
         with pytest.raises(TypeError):
-            Entry(EntryKind.FILE, b"x", content_hash=hash_content(b"y"))
+            Entry(b"x", content_hash=hash_content(b"y"))
+
+    def test_entry_without_content_is_a_directory(self):
+        directory, empty = Entry(), Entry(b"")
+        assert directory.is_dir and not directory.is_file
+        assert directory.content_hash == b""
+        assert empty.is_file and not empty.is_dir
+        assert empty.content_hash.hex() == EMPTY_SHA256
+        assert directory != empty
+        assert FileTree.from_dict("x", {"d": None})["d"] == directory
 
     def test_load_hashes_each_file_once(self, tmp_path, hashed_sizes):
         tree = FileTree.from_dict("app", {"a.txt": b"x" * 10, "d/b.bin": b"\0" * 300, "e": None})
@@ -135,9 +155,16 @@ class TestFileTree:
         tree = FileTree.from_dict("app", {"b.txt": b"", "a.txt": b"", "c": None})
         assert list(tree.paths()) == ["a.txt", "b.txt", "c"]
 
+    def test_keys_are_normalized_before_ordering(self):
+        f = Entry(b"x")
+        dotted = FileTree("x", {"./b": f, "a": f})
+        plain = FileTree("x", {"a": f, "b": f})
+        assert list(dotted) == ["a", "b"]
+        assert tree_digest(dotted) == tree_digest(plain)
+
     def test_missing_parent_rejected(self):
         with pytest.raises(TreeError):
-            FileTree("app", {"a/b.txt": Entry(EntryKind.FILE, b"x")})
+            FileTree("app", {"a/b.txt": Entry(b"x")})
 
     def test_file_used_as_directory_rejected(self):
         with pytest.raises(TreeError):
@@ -260,7 +287,7 @@ class TestRoundTrips:
             tar.addfile(info, io.BytesIO(b"abc"))
         loaded = load_tree(io.BytesIO(buf.getvalue()))
         assert list(loaded.paths()) == ["deep", "deep/nested", "deep/nested/f.txt"]
-        assert loaded["deep"].kind is EntryKind.DIRECTORY
+        assert loaded["deep"].is_dir
 
     def test_tar_escape_rejected(self):
         buf = io.BytesIO()
@@ -270,6 +297,25 @@ class TestRoundTrips:
             tar.addfile(info, io.BytesIO(b"x"))
         with pytest.raises(PathError):
             load_tree(io.BytesIO(buf.getvalue()))
+
+    def test_non_utf8_member_rejected(self):
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tar:
+            info = tarfile.TarInfo(name=NON_UTF8_NAME)
+            info.size = 1
+            tar.addfile(info, io.BytesIO(b"x"))
+        with pytest.raises(PathError, match="not valid UTF-8"):
+            load_tree(io.BytesIO(buf.getvalue()))
+
+    def test_non_utf8_file_name_rejected(self, tmp_path):
+        root = tmp_path / "tree"
+        root.mkdir()
+        try:
+            (root / NON_UTF8_NAME).write_bytes(b"x")
+        except OSError:
+            pytest.skip("the file system refuses names that are not UTF-8")
+        with pytest.raises(PathError, match="not valid UTF-8"):
+            load_tree(root)
 
     def test_symlink_member_rejected(self):
         buf = io.BytesIO()

@@ -311,6 +311,18 @@ class TestLayerStore:
         assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.2"]
         assert LayerStore(root).active_tree() == V12
 
+    def test_failed_index_write_keeps_the_stack(self, tmp_path):
+        root = tmp_path / "s"
+        store = self._stocked(root)
+        (root / "layers.idx.tmp").mkdir()
+        with pytest.raises(OSError):
+            store.mark_stable("V1.1")
+        assert store.stack == LayerStore(root).stack
+        with pytest.raises(OSError):
+            store.on_failure(FAIL_137)
+        assert store.stack == LayerStore(root).stack
+        assert store.stack.active_layer.tag == "V1.1"
+
     def test_digest_verified_on_load(self, tmp_path):
         store = LayerStore(tmp_path / "s")
         store.commit(V10, "V1.0")

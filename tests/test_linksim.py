@@ -149,7 +149,7 @@ class TestBaselineSizes:
     def test_single_added_file_is_whole_b3(self):
         orig, _ = _fixture_trees()
         upd = FileTree.from_dict(
-            "app", {p: (None if e.is_dir else e.content) for p, e in orig.items()}
+            "app", {p: e.content for p, e in orig.items()}
             | {"app/new.py": b"print()\n"}
         )
         sizes = baseline_sizes(orig, upd, compare_trees(orig, upd), "app")

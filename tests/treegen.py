@@ -97,9 +97,7 @@ def edit_binary(rng: random.Random, content: bytes) -> bytes:
 
 
 def mutate_tree(rng: random.Random, tree: FileTree) -> FileTree:
-    mapping: dict[str, bytes | None] = {
-        p: (None if e.is_dir else e.content) for p, e in tree.items()
-    }
+    mapping: dict[str, bytes | None] = {p: e.content for p, e in tree.items()}
     paths = list(mapping)
     for path in paths:
         content = mapping.get(path)

@@ -317,9 +317,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_commit(args) -> int:
-    store = layerstore.LayerStore(args.store)
     tree = load_tree(args.tree)
-    store.commit(tree, args.tag)
+    layerstore.LayerStore(args.store).commit(tree, args.tag)
     digest = tree_digest(tree).hex()
     _emit(
         args,
@@ -342,12 +341,11 @@ _PHASES = {
 
 
 def _cmd_rollback(args) -> int:
-    store = layerstore.LayerStore(args.store)
     try:
         event = layerstore.FailureEvent(_PHASES[args.phase], args.exit_code)
     except ValueError as exc:  # exit code 0
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    record = store.on_failure(event)
+    record = layerstore.LayerStore(args.store).on_failure(event)
     payload = {
         "rolled_back": not record.noop,
         "from": record.from_tag,

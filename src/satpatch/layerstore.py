@@ -225,6 +225,7 @@ def recovery_cost(
 class LayerStore:
     """Directory-backed layer stack for one application.
 
+    Opening a store writes nothing; its first commit creates it.
     Layout: ``layers.idx`` (app id, active tag, one line per layer) and
     ``trees/<tag>/`` for the materialized layers. Index updates are
     write-temp-then-rename; the tree for a new commit is staged in a
@@ -238,18 +239,10 @@ class LayerStore:
         self.root = Path(root)
         self.index = self.root / "layers.idx"
         self.trees_dir = self.root / "trees"
-        if self.index.exists():
-            self.stack = self._read_index()
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.trees_dir.mkdir(exist_ok=True)
-            self.stack = LayerStack(app_id)
-            self._write_index(self.stack)
+        self.stack = self._read_index() if self.index.exists() else LayerStack(app_id)
 
     # index format: "app\t<id>", "active\t<tag-or-->", then
     # "layer\t<tag>\t<digest hex>\t<S|->\t<F|->" in deployment order.
-    # Callers adopt a stack only once it is written, so the object and the
-    # disk agree after a failed write.
     def _write_index(self, stack: LayerStack) -> None:
         lines = [f"app\t{stack.app_id}"]
         active = stack.active_layer
@@ -270,33 +263,23 @@ class LayerStore:
     def _read_index(self) -> LayerStack:
         # A power cut can leave the index empty or cut short; reading that
         # as an empty store would let _prune delete every rollback target.
+        text = self.index.read_text(encoding="utf-8")
+        rows = [raw.split("\t") for raw in text.splitlines()]
+        layout = [("app", 2), ("active", 2)] + [("layer", 5)] * (len(rows) - 2)
+        if [(r[0], len(r)) for r in rows] != layout:
+            raise LayerStoreError("index lines are not app, active, then layers")
+        (_, app_id), (_, active_tag), *layer_rows = rows
         layers = []
-        app_ids, active_tags = [], []
-        for raw in self.index.read_text(encoding="utf-8").splitlines():
-            fields = raw.split("\t")
-            if fields[0] == "app" and len(fields) == 2:
-                app_ids.append(fields[1])
-            elif fields[0] == "active" and len(fields) == 2:
-                active_tags.append(fields[1])
-            elif fields[0] == "layer" and len(fields) == 5:
-                tag, digest_hex, s, f = fields[1:]
-                try:
-                    digest = bytes.fromhex(digest_hex)
-                except ValueError as exc:
-                    raise LayerStoreError(f"bad digest in index: {exc}") from exc
-                layers.append(Layer(check_tag(tag), digest, s == "S", f == "F"))
-            else:
-                raise LayerStoreError(f"unreadable index line: {raw!r}")
-        if len(app_ids) != 1 or len(active_tags) != 1:
-            raise LayerStoreError("index needs exactly one app and one active line")
-        (app_id,), (active_tag,) = app_ids, active_tags
-        active = -1
-        if active_tag != "-":
-            active = next(
-                (i for i, l in enumerate(layers) if l.tag == active_tag), None
-            )
-            if active is None:
-                raise LayerStoreError(f"active tag {active_tag!r} not in index")
+        for _, tag, digest_hex, s, f in layer_rows:
+            try:
+                digest = bytes.fromhex(digest_hex)
+            except ValueError as exc:
+                raise LayerStoreError(f"bad digest in index: {exc}") from exc
+            layers.append(Layer(check_tag(tag), digest, s == "S", f == "F"))
+        tags = [layer.tag for layer in layers]
+        if active_tag not in tags + ["-"]:  # "-" is never a valid tag
+            raise LayerStoreError(f"active tag {active_tag!r} not in index")
+        active = tags.index(active_tag) if active_tag in tags else -1
         return LayerStack(app_id, tuple(layers), active)
 
     # -- queries -----------------------------------------------------------
@@ -322,26 +305,27 @@ class LayerStore:
     # -- mutations -----------------------------------------------------------
 
     def commit(self, tree: FileTree, tag: str) -> None:
-        new_stack = commit_layer(self.stack, tree, tag)
+        stack = commit_layer(self.stack, tree, tag)
         # a crash can leave trees/<tag> or a hidden staging sibling behind
         self._prune()
         materialize(tree, self.trees_dir / tag)
-        self._write_index(new_stack)
-        self.stack = new_stack
-        self._prune()
+        self._adopt(stack)
 
     def mark_stable(self, tag: str) -> None:
-        stack = mark_stable(self.stack, tag)
-        self._write_index(stack)
-        self.stack = stack
-        self._prune()
+        self._adopt(mark_stable(self.stack, tag))
 
     def on_failure(self, event: FailureEvent) -> RollbackRecord:
         stack, record = on_failure(self.stack, event)
+        self._adopt(stack)
+        return record
+
+    def _adopt(self, stack: LayerStack) -> None:
+        """Make ``stack`` the store's state: write its index, take it, and
+        prune. The stack is taken only once its index write returns, so
+        the object and the disk agree after a failed write."""
         self._write_index(stack)
         self.stack = stack
         self._prune()
-        return record
 
     def _prune(self) -> None:
         """Enforce retention: materialized trees only for the active layer

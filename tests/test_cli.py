@@ -377,6 +377,36 @@ class TestLayerCommands:
         code, _, _ = run(capsys, "rollback", "--store", store, "--exit-code", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("mark-stable", "--tag", "v1"), "no layer tagged 'v1'"),
+            (("rollback", "--exit-code", "1"), "no layers deployed"),
+            (("rollback", "--exit-code", "0"), "exit code 0 is not a failure"),
+            (
+                ("commit", "bad", "--tag", "v1"),
+                "invalid path 'bad\\udcff.txt': not valid UTF-8",
+            ),
+        ],
+        ids=["mark-stable", "rollback", "rollback-exit-0", "commit-bad-tree"],
+    )
+    def test_failed_command_creates_no_store(self, tmp_path, capsys, argv, error):
+        if "bad" in argv:
+            (tmp_path / "bad").mkdir()
+            try:
+                (tmp_path / "bad" / "bad\udcff.txt").write_bytes(b"x")  # b"\xff"
+            except OSError:
+                pytest.skip("the file system refuses names that are not UTF-8")
+        argv = [tmp_path / a if a == "bad" else a for a in argv]
+        store = tmp_path / "store"
+        code, out, err = run(capsys, *argv, "--store", store, "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "schema": "satpatch-cli/1",
+            "command": argv[0],
+            "error": error,
+        }
+        assert not store.exists()
 
     @pytest.mark.parametrize(
         "argv, error",

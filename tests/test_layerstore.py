@@ -229,6 +229,27 @@ class TestRecoveryCost:
 
 
 class TestLayerStore:
+    def test_open_writes_nothing(self, tmp_path):
+        store = LayerStore(tmp_path / "new")
+        assert store.stack == LayerStack("app")
+        assert not (tmp_path / "new").exists()
+
+    def test_index_bytes(self, tmp_path):
+        store = LayerStore(tmp_path / "s")
+        store.commit(V10, "V1.0")
+        store.mark_stable("V1.0")
+        store.commit(V11, "V1.1")
+        store.on_failure(FAIL_137)
+        assert (tmp_path / "s" / "layers.idx").read_bytes() == (
+            b"app\tapp\n"
+            b"active\tV1.0\n"
+            b"layer\tV1.0\t"
+            b"23fa98c164c2f78f7e0a5eafc8eb7badf009af701f9d2aa56e42530a70d6be41\tS\t-\n"
+            b"layer\tV1.1\t"
+            b"de16f135d9f2f262534ef8d98c6fade20028c6fc98978567d66ec68d092836a5\t-\tF\n"
+        )
+        assert [p.name for p in (tmp_path / "s" / "trees").iterdir()] == ["V1.0"]
+
     def test_commit_and_reload(self, tmp_path):
         store = LayerStore(tmp_path / "store", app_id="cam")
         store.commit(V10, "V1.0")
@@ -298,6 +319,24 @@ class TestLayerStore:
             assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.2"]
             assert LayerStore(root).active_tree() == V12
 
+    def test_first_commit_crash_points(self, tmp_path, crash_points):
+        # a cut first commit can leave the store directory or trees/ with no index
+        first = commit_layer(LayerStack("app"), V10, "V1.0")
+        clean = LayerStore(tmp_path / "clean")
+        calls = crash_points(0, lambda: clean.commit(V10, "V1.0"))
+        for k in range(1, calls + 1):
+            root = tmp_path / f"crash-{k}"
+            store = LayerStore(root)
+            with pytest.raises(OSError, match="injected crash"):
+                crash_points(k, lambda: store.commit(V10, "V1.0"))
+            reopened = LayerStore(root)
+            assert reopened.stack in (LayerStack("app"), first)
+            if not reopened.stack.layers:
+                reopened.commit(V10, "V1.0")
+            assert [p.name for p in (root / "trees").iterdir()] == ["V1.0"]
+            assert LayerStore(root).stack == first
+            assert LayerStore(root).active_tree() == V10
+
     def test_commit_clears_a_power_cut_commit(self, tmp_path):
         # what a power cut mid-commit leaves: no in-process cleanup ran
         root = tmp_path / "s"
@@ -332,12 +371,18 @@ class TestLayerStore:
 
     @pytest.mark.parametrize(
         "index",
-        ["nonsense line\n", "", "app\tapp\n"],
-        ids=["garbage", "empty", "no-active-line"],
+        [
+            "nonsense line\n",
+            "",
+            "app\tapp\n",
+            f"app\tapp\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t-\nactive\tV1.0\n",
+            "active\t-\napp\tapp\n",
+        ],
+        ids=["garbage", "empty", "no-active-line", "active-after-layer", "app-not-first"],
     )
     def test_corrupt_index(self, tmp_path, index):
         store_dir = tmp_path / "s"
-        LayerStore(store_dir)
+        store_dir.mkdir()
         (store_dir / "layers.idx").write_text(index)
         with pytest.raises(LayerStoreError):
             LayerStore(store_dir)

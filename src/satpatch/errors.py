@@ -61,8 +61,8 @@ class ManifestError(PackageError):
 
 
 class PackageInconsistencyError(PackageError):
-    """Manifest and segment store disagree (missing/extra/orphan payloads),
-    or a change's segments do not fit its ops."""
+    """Manifest and segment records disagree (a missing, extra, repeated or
+    misplaced record), or a change's segments do not fit its ops."""
 
     def __init__(self, message, path=None):
         super().__init__(message if path is None else f"{message} (path {path!r})")

@@ -60,9 +60,10 @@ def classify_textual(content: bytes) -> bool:
 def normalize_path(raw: str) -> str:
     """Normalize a relative path to canonical ``a/b/c`` form.
 
-    Accepts ``\\`` or ``/`` separators and a leading ``./``. Rejects empty
-    paths, absolute paths, ``.``/``..`` segments, NUL bytes, and paths that
-    are not valid UTF-8 (``os.walk`` and ``tarfile`` surrogate-escape them).
+    The separator is ``/``; ``\\`` is an ordinary name character, as it is
+    on POSIX. Accepts a leading ``./``. Rejects empty paths, absolute
+    paths, ``.``/``..`` segments, NUL bytes, and paths that are not valid
+    UTF-8 (``os.walk`` and ``tarfile`` surrogate-escape them).
     """
     if not isinstance(raw, str) or raw == "":
         raise PathError(raw, "empty path")
@@ -72,11 +73,10 @@ def normalize_path(raw: str) -> str:
         raw.encode("utf-8")
     except UnicodeEncodeError:
         raise PathError(raw, "not valid UTF-8") from None
-    candidate = raw.replace("\\", "/")
-    if candidate.startswith("/"):
+    if raw.startswith("/"):
         raise PathError(raw, "absolute path")
     segments = []
-    for seg in candidate.split("/"):
+    for seg in raw.split("/"):
         if seg == "" or seg == ".":
             continue  # collapse // and ./
         if seg == "..":

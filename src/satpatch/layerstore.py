@@ -275,6 +275,10 @@ class LayerStore:
                 digest = bytes.fromhex(digest_hex)
             except ValueError as exc:
                 raise LayerStoreError(f"bad digest in index: {exc}") from exc
+            if len(digest) != 32 or s not in ("S", "-") or f not in ("F", "-"):
+                raise LayerStoreError(
+                    f"index layer {tag!r}: {len(digest)}-byte digest, flags {s!r} {f!r}"
+                )
             layers.append(Layer(check_tag(tag), digest, s == "S", f == "F"))
         tags = [layer.tag for layer in layers]
         if active_tag not in tags + ["-"]:  # "-" is never a valid tag

@@ -31,14 +31,15 @@ bytes:
 The four u32 words are the ground chunker's fixed constants; decode
 requires exactly these values. Manifest lines are tab-separated: change
 code, percent-encoded path, and for patches an op string such as
-``R5 D2 I3``. Records are keyed by (path, insert-run index) and stored
-sorted: one per I run of a patch and one, run 0, per inserted file.
+``R5 D2 I3``. Records are keyed by (UTF-8 path bytes, insert-run index),
+one per I run of a patch and one, run 0, per inserted file. Encode writes
+them in key order, and decode requires exactly these records in it.
 
 Decoding inflates the container only as far as the fields read so far
-need, checks each record against the manifest before reading its bytes,
-and builds each FileChange once, which checks its own structure; what
-needs the old content is left to the replay. Every failure is a typed
-PackageError subclass, and decode never touches the filesystem.
+need, refuses a record whose header is not the next key before reading
+its bytes, and builds each FileChange once, which checks its own
+structure; what needs the old content is left to the replay. Every
+failure is a typed PackageError subclass; decode never touches files.
 """
 
 from __future__ import annotations
@@ -429,39 +430,34 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
     entries = _decode_manifest(cur.take(manifest_len, "manifest"))
-    claims: dict[tuple[str, int], bytes | None] = {}
-    for path, kind, ops in entries:
-        for run in range(insert_runs(kind, ops)):
-            if (path, run) in claims:
-                raise PackageInconsistencyError(f"segment run {run} claimed twice", path)
-            claims[(path, run)] = None
+    # One key per insert run the manifest declares, in the one order
+    # encode_package writes the records, each with the entry it belongs to.
+    keys = sorted(
+        (path.encode("utf-8"), run, at)
+        for at, (path, kind, ops) in enumerate(entries)
+        for run in range(insert_runs(kind, ops))
+    )
+    if len({key[:2] for key in keys}) != len(keys):
+        raise PackageInconsistencyError("manifest lists a path's insert runs twice")
     (record_count,) = cur.unpack(">I", "segment count")
-    for _ in range(record_count):
+    if record_count != len(keys):
+        raise PackageInconsistencyError(f"{record_count} records, {len(keys)} insert runs")
+    segments: list[list[bytes]] = [[] for _ in entries]
+    for want_path, want_run, at in keys:
         (path_len,) = cur.unpack(">H", "segment path length")
-        try:
-            path = cur.take(path_len, "segment path").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptPackageError(f"segment path not UTF-8: {exc}") from exc
+        path = cur.take(path_len, "segment path")
         run, seg_len = cur.unpack(">IQ", "segment header")
-        key = (path, run)
-        if key not in claims:
+        if (path, run) != (want_path, want_run):
             raise PackageInconsistencyError(
-                f"segment run {run} matches no manifest insert", path
+                f"record {path!r} run {run} where {want_path!r} run {want_run} is next"
             )
-        if claims[key] is not None:
-            raise PackageInconsistencyError(
-                f"duplicate segment record run {run}", path
-            )
-        claims[key] = cur.take(seg_len, "segment data")
+        segments[at].append(cur.take(seg_len, "segment data"))
     cur.finish()
-    changes = []
-    for path, kind, ops in entries:
-        segments = tuple(claims[(path, run)] for run in range(insert_runs(kind, ops)))
-        if None in segments:
-            run = segments.index(None)
-            raise PackageInconsistencyError(f"missing segment for insert run {run}", path)
-        changes.append(FileChange(path, kind, ops, segments))
-    return ChangeSet(source_digest, target_digest, tuple(changes)), manifest_len
+    changes = tuple(
+        FileChange(path, kind, ops, tuple(runs))
+        for (path, kind, ops), runs in zip(entries, segments)
+    )
+    return ChangeSet(source_digest, target_digest, changes), manifest_len
 
 
 def wire_layout(blob: bytes) -> dict:

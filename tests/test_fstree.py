@@ -38,7 +38,9 @@ class TestNormalizePath:
         assert normalize_path("./app/main.py") == "app/main.py"
 
     def test_backslashes(self):
-        assert normalize_path("app\\sub\\x.cfg") == "app/sub/x.cfg"
+        # "\\" is a name character on POSIX, not a separator.
+        assert normalize_path("a\\b") == "a\\b"
+        assert normalize_path("app\\sub/x.cfg") == "app\\sub/x.cfg"
 
     def test_collapses_doubled_separators(self):
         assert normalize_path("a//b") == "a/b"

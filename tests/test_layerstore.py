@@ -377,8 +377,21 @@ class TestLayerStore:
             "app\tapp\n",
             f"app\tapp\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t-\nactive\tV1.0\n",
             "active\t-\napp\tapp\n",
+            "app\tapp\nactive\tV1\nlayer\tV1\t\tS\t-\n",
+            "app\tapp\nactive\tV1\nlayer\tV1\tab\tyes\tno\n",
+            # a power cut inside the last flag: "S\tF" lost its "F"
+            f"app\tapp\nactive\tV1.0\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t",
         ],
-        ids=["garbage", "empty", "no-active-line", "active-after-layer", "app-not-first"],
+        ids=[
+            "garbage",
+            "empty",
+            "no-active-line",
+            "active-after-layer",
+            "app-not-first",
+            "empty-digest",
+            "word-flags",
+            "cut-in-last-flag",
+        ],
     )
     def test_corrupt_index(self, tmp_path, index):
         store_dir = tmp_path / "s"

@@ -9,6 +9,7 @@ import zlib
 
 import pytest
 
+from satpatch.cli import main
 from satpatch.diffgen import compare_trees
 from satpatch.errors import (
     BadMagicError,
@@ -20,7 +21,7 @@ from satpatch.errors import (
     TruncatedPackageError,
     UnsupportedVersionError,
 )
-from satpatch.fstree import FileTree
+from satpatch.fstree import FileTree, materialize
 from satpatch.package import (
     PACKAGE_VERSION,
     ChangeSet,
@@ -250,7 +251,8 @@ class TestManifestValidation:
 class TestSegmentValidation:
     def craft(self, mutate):
         """Encode the sample, mutate its (path, run) -> bytes segment map,
-        and rebuild the container around the same manifest."""
+        and rebuild the container around the same manifest, with the
+        records in the map's order (as read, unless ``mutate`` reorders)."""
         cs = sample_changeset()
         container = container_of(encode_package(cs))
         head_end = 4 + 1 + 16 + 32 + 32
@@ -272,7 +274,7 @@ class TestSegmentValidation:
         out = io.BytesIO()
         out.write(container[:body_end])
         out.write(struct.pack(">I", len(records)))
-        for (path, run), data in sorted(records.items()):
+        for (path, run), data in records.items():
             pb = path.encode()
             out.write(struct.pack(">H", len(pb)) + pb)
             out.write(struct.pack(">IQ", run, len(data)) + data)
@@ -291,6 +293,30 @@ class TestSegmentValidation:
 
         with pytest.raises(PackageInconsistencyError):
             decode_package(self.craft(add_orphan))
+
+    def test_records_out_of_order(self, tmp_path, capsys):
+        # The same records, but not in the (path bytes, run) order that
+        # encode writes them.
+        def reverse(records):
+            swapped = list(records.items())[::-1]
+            records.clear()
+            records.update(swapped)
+
+        blob = self.craft(reverse)
+        with pytest.raises(PackageInconsistencyError, match="is next"):
+            decode_package(blob)
+        materialize(sample_trees()[0], tmp_path / "old")
+        (tmp_path / "up.satpkg").write_bytes(blob)
+        argv = ["apply", tmp_path / "old", tmp_path / "up.satpkg", "-o", tmp_path / "new"]
+        assert main([str(a) for a in argv]) == 2
+        assert "bad package" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_patch_listed_twice(self):
+        # Each listing claims the same records; encode never writes this.
+        line = b"T~\tmain.py\tR1 D1 I1 R1\n"
+        with pytest.raises(PackageInconsistencyError, match="twice"):
+            decode_package(tamper_manifest(line, line + line))
 
     def test_chunk_segment_size_mismatch(self):
         # A delta run's size is known only once it inflates against the

@@ -17,7 +17,7 @@ from satpatch.errors import (
     EditScriptError,
     PackageInconsistencyError,
 )
-from satpatch.fstree import FileTree, load_tree, tree_digest
+from satpatch.fstree import FileTree, load_tree, materialize, tree_digest
 from satpatch.package import (
     DELTA_WINDOW,
     MAX_SIZE,
@@ -383,6 +383,20 @@ class TestEndToEnd:
         rng = random.Random(seed)
         old, new = random_pair(rng, max_files=12, max_file_size=8 * 1024)
         assert round_trip(old, new) == new
+
+    def test_backslash_is_part_of_a_name(self, tmp_path):
+        # On POSIX "a\\b" is one file name beside the directory "a", not "a/b".
+        trees = {}
+        for label, body in (("old", b"1\n"), ("new", b"2\n")):
+            (tmp_path / label / "a").mkdir(parents=True)
+            (tmp_path / label / "a" / "b").write_bytes(b"dir " + body)
+            (tmp_path / label / "a\\b").write_bytes(b"name " + body)
+            trees[label] = load_tree(tmp_path / label)
+        assert sorted(trees["new"].paths()) == ["a", "a/b", "a\\b"]
+        materialize(round_trip(trees["old"], trees["new"]), tmp_path / "out")
+        assert (tmp_path / "out" / "a" / "b").read_bytes() == b"dir 2\n"
+        assert (tmp_path / "out" / "a\\b").read_bytes() == b"name 2\n"
+        assert load_tree(tmp_path / "out") == trees["new"]
 
 
 class TestReplaceDirectory:

@@ -103,11 +103,27 @@ class _Stopwatch:
         self._last = now
 
 
+def _peak_rss_kib() -> int:
+    """Peak resident set of this process since it was exec'd, in KiB.
+
+    ``VmHWM`` belongs to this address space. Linux carries ``ru_maxrss``
+    over ``execve``, so it can report the peak of a larger process that
+    started this one; it is read only where ``/proc`` cannot be.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _cost(watch: _Stopwatch) -> dict:
     """The ``timings`` and ``peak_rss_kib`` fields of a JSON record."""
-    # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"timings": watch.timings, "peak_rss_kib": peak}
+    return {"timings": watch.timings, "peak_rss_kib": _peak_rss_kib()}
 
 
 def _link(args, windows=None) -> linksim.LinkModel:

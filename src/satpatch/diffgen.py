@@ -24,6 +24,10 @@ repeated old unit and at most ``_LEAF_BITS`` of stored rows.
 Chunk boundaries only steer the search: a chunk script's ops count bytes,
 and each of its insert runs is delta-coded with
 :func:`satpatch.package.delta_encode`.
+
+The chunker and the Hirschberg split compute on numpy arrays. numpy is
+loaded on first use, by the first chunk or split a process runs, so the
+onboard modules that import this one never load it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import functools
 import hashlib
 from itertools import compress
 from typing import Sequence
-
-import numpy as np
 
 from .fstree import FileTree, classify_textual, tree_digest
 from .package import (
@@ -61,27 +63,32 @@ from .package import (
 # bits of a uint64 sum or product depend only on the low 32 bits of its
 # operands, so the chunker computes in uint32 with the weights' low halves.
 _HASH_MULT = 1000000007
-_BYTE_WEIGHTS = np.array(
-    [
-        int.from_bytes(hashlib.sha256(bytes([v])).digest()[4:8], "big")
-        for v in range(256)
-    ],
-    dtype=np.uint32,
-)
 #: Bytes hashed per pass of the chunker; consecutive blocks share
 #: ``WINDOW - 1`` bytes.
 _BLOCK = 1 << 18
 
 
 @functools.cache
-def _inverse_powers() -> np.ndarray:
-    """mult**-k mod 2**32 for k < ``_BLOCK``, read-only. Built on first
-    use: a process that never chunks (the onboard apply) never holds it."""
-    out = np.full(_BLOCK, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
-    out[0] = 1
-    np.cumprod(out, dtype=np.uint32, out=out)
-    out.flags.writeable = False
-    return out
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """(byte weights, mult**-k mod 2**32 for k < ``_BLOCK``), read-only.
+
+    Built, and numpy loaded, on first use: a process that never chunks
+    (the onboard apply) never holds either table or numpy.
+    """
+    import numpy as np
+
+    weights = np.array(
+        [
+            int.from_bytes(hashlib.sha256(bytes([v])).digest()[4:8], "big")
+            for v in range(256)
+        ],
+        dtype=np.uint32,
+    )
+    inv_pows = np.full(_BLOCK, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
+    inv_pows[0] = 1
+    np.cumprod(inv_pows, dtype=np.uint32, out=inv_pows)
+    weights.flags.writeable = inv_pows.flags.writeable = False
+    return weights, inv_pows
 
 
 def _boundary_candidates(data: bytes) -> np.ndarray:
@@ -109,10 +116,12 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
 
     Memory is three block-sized work buffers plus the result.
     """
+    import numpy as np
+
     n = len(data)
     if n < WINDOW:
         return np.empty(0, dtype=np.int64)
-    inv_pows = _inverse_powers()
+    weights, inv_pows = _tables()
     mask = np.uint32((1 << MASK_BITS) - 1)
     view = np.frombuffer(data, dtype=np.uint8)
     sums = np.empty(min(_BLOCK, n), dtype=np.uint32)
@@ -127,7 +136,7 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
         part = sums[:size]
         # byte indices are always in range; "clip" lets take write to
         # ``out`` directly instead of through a checked buffer
-        np.take(_BYTE_WEIGHTS, view[start:stop], out=part, mode="clip")
+        np.take(weights, view[start:stop], out=part, mode="clip")
         np.multiply(part, inv_pows[:size], out=part)
         np.cumsum(part, dtype=np.uint32, out=part)
         diffs[0] = part[WINDOW - 1]
@@ -263,6 +272,8 @@ def _row(masks, a0, a1, units, reverse=False, rows=None, local=None):
 
 def _zero_counts(v: int, width: int) -> np.ndarray:
     """out[x] = number of zero bits of ``v`` below bit x, for x <= width."""
+    import numpy as np
+
     raw = np.frombuffer(v.to_bytes((width + 7) // 8, "little"), np.uint8)
     zeros = 1 - np.unpackbits(raw, bitorder="little")[:width].astype(np.int64)
     out = np.zeros(width + 1, np.int64)
@@ -296,7 +307,7 @@ def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b):
     fwd = _zero_counts(_row(masks, a0, a1, b[b0:mid]), la)
     rev = _zero_counts(_row(masks, a0, a1, b[mid:b1][::-1], True), la)
     score = fwd + rev[::-1]
-    i = int(np.argmax(score))
+    i = int(score.argmax())
     if score[i]:
         _match(masks, a, b, a0, a0 + i, b0, mid, hit_a, hit_b)
         _match(masks, a, b, a0 + i, a1, mid, b1, hit_a, hit_b)

@@ -1,10 +1,15 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tarfile
+from pathlib import Path
 
 import pytest
 
+import satpatch
 from satpatch.cli import main
 from satpatch.corpusgen import sample_app_tree
 from satpatch.fstree import FileTree, load_tree, materialize, tree_digest, write_tar
@@ -140,6 +145,26 @@ class TestPipeline:
                 assert isinstance(value, (int, float)) and not isinstance(value, bool)
                 assert value >= 0
             assert doc["peak_rss_kib"] > 0
+
+    def test_peak_rss_is_not_the_launchers(self, trees, capsys):
+        # Linux carries ru_maxrss over execve, so an apply started by a
+        # process holding 200 MiB read at least that much as its own peak
+        tmp, *_ = trees
+        pkg = tmp / "up.satpkg"
+        assert run(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)[0] == 0
+        launcher = (
+            "import subprocess, sys\n"
+            "held = b'x' * (200 << 20)\n"
+            "cmd = [sys.executable, '-m', 'satpatch.cli', *sys.argv[1:]]\n"
+            "sys.exit(subprocess.run(cmd).returncode)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(satpatch.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher,
+             "apply", str(tmp / "orig"), str(pkg), "-o", str(tmp / "out"), "--json"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(proc.stdout)["peak_rss_kib"] < 100 * 1024
 
     def test_in_place_apply_refuses_a_tar_before_reading_the_package(
         self, trees, capsys

@@ -137,7 +137,7 @@ def _link(args, windows=None) -> linksim.LinkModel:
 
 
 def _kb(nbytes: int) -> str:
-    return linksim.format_quantity(Fraction(nbytes, 1024))
+    return linksim.format_quantity(Fraction(nbytes, linksim.KIB))
 
 
 def _latency_str(nbytes: int, link: linksim.LinkModel) -> str:
@@ -251,7 +251,7 @@ def _cmd_estimate(args) -> int:
     ]
     if windows is not None:
         sched = linksim.schedule_upload(size, link)
-        if sched.undeliverable:
+        if sched.completion_time_s is None:
             payload["schedule"] = {"undeliverable": True}
             lines.append("undeliverable: exceeds total contact window capacity")
         else:
@@ -383,10 +383,9 @@ def _cmd_rollback(args) -> int:
 def _cmd_gen_variant(args) -> int:
     orig = load_tree(args.orig)
     try:
-        vspec = corpusgen.VariantSpec(args.ratio, seed=args.seed)
-    except ValueError as exc:
+        variant = corpusgen.generate_variant(orig, args.ratio, args.seed, args.scope)
+    except ValueError as exc:  # a ratio outside [0, 1)
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    variant = corpusgen.generate_variant(orig, vspec, scope_prefix=args.scope)
     achieved = float(linksim.modification_ratio(orig, variant).ratio)
     _write_tree(variant, args.output)
     _emit(

@@ -17,7 +17,6 @@ confirm the final tree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .diffgen import chunk_diff, chunk_lengths
 from .errors import VariantError
@@ -36,18 +35,6 @@ _WORDS = (
     "telemetry frame sensor gain offset buffer cache probe flight orbit "
     "attitude thermal payload packet filter window margin clock sync state"
 ).split()
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """Recipe for one variant: the target ratio and the seed."""
-
-    target_ratio: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.target_ratio < 1:
-            raise ValueError("target_ratio must be in [0, 1)")
 
 
 class _TextFile:
@@ -135,21 +122,25 @@ def _flip_chunk_bytes(content: bytes, rng: random.Random) -> bytes:
 
 def generate_variant(
     orig: FileTree,
-    spec: VariantSpec,
+    target_ratio: float,
+    seed: int,
     scope_prefix: str | None = None,
 ) -> FileTree:
     """Build a variant of ``orig`` whose modification ratio lands within
-    0.05 of ``spec.target_ratio``. Deterministic per (tree, spec).
+    0.05 of ``target_ratio``, which must be in [0, 1) (ValueError
+    otherwise). Deterministic per (tree, target_ratio, seed, scope_prefix).
 
     ``scope_prefix`` confines edits to one subtree (the application
     directory in fixtures; see :func:`under_prefix`); the ratio is still
     measured over the whole tree. Raises VariantError when the target
     cannot be reached, with the achieved ratio attached.
     """
+    if not 0 <= target_ratio < 1:
+        raise ValueError("target_ratio must be in [0, 1)")
     in_scope = (lambda path: True) if scope_prefix is None else under_prefix(scope_prefix)
-    if spec.target_ratio == 0:
+    if target_ratio == 0:
         return orig
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
 
     text_files: dict[str, _TextFile] = {}
     binary_files: dict[str, bytes] = {}
@@ -243,7 +234,7 @@ def generate_variant(
                 mapping[path] = entry.content
         return FileTree.from_dict(orig.root_label, mapping)
 
-    goal = spec.target_ratio
+    goal = target_ratio
     achieved = 0.0
     for _ in range(_MAX_ROUNDS):
         steps = 0
@@ -253,15 +244,15 @@ def generate_variant(
             steps += 1
         variant = build()
         achieved = float(modification_ratio(orig, variant).ratio)
-        if abs(achieved - spec.target_ratio) <= 0.05:
+        if abs(achieved - target_ratio) <= 0.05:
             return variant
-        if achieved > spec.target_ratio + 0.05:
+        if achieved > target_ratio + 0.05:
             break  # overshot: single edits are too coarse for this tree
         # Estimation fell short of the real metric; push the goal up by
         # the observed gap and keep editing the same state.
-        goal += spec.target_ratio - achieved
+        goal += target_ratio - achieved
     raise VariantError(
-        f"could not land within 0.05 of {spec.target_ratio}",
+        f"could not land within 0.05 of {target_ratio}",
         achieved_ratio=achieved,
     )
 

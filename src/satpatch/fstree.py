@@ -24,7 +24,7 @@ import shutil
 import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PathError, TreeError
 
@@ -228,18 +228,15 @@ def tree_digest(tree: FileTree) -> bytes:
 # -- loading ---------------------------------------------------------------
 
 
-def load_tree(source: str | Path | BinaryIO) -> FileTree:
-    """Load a FileTree from a directory, a tar archive path, or a binary
-    stream containing an uncompressed tar archive.
+def load_tree(source: str | Path) -> FileTree:
+    """Load a FileTree from a directory or an uncompressed tar archive
+    file; the tree's ``root_label`` is the source's name.
     """
-    if hasattr(source, "read"):
-        return _load_tar_stream(source, root_label="stream")
     src = Path(source)
     if src.is_dir():
         return _load_directory(src)
     if src.is_file():
-        with src.open("rb") as fh:
-            return _load_tar_stream(fh, root_label=src.name)
+        return _load_tar(src)
     raise TreeError(f"unreadable source: {src}")
 
 
@@ -264,10 +261,10 @@ def _rel(root: Path, full: Path) -> str:
     return normalize_path(full.relative_to(root).as_posix())
 
 
-def _load_tar_stream(fileobj: BinaryIO, root_label: str) -> FileTree:
+def _load_tar(archive: Path) -> FileTree:
     entries: dict[str, Entry] = {}
     try:
-        tar = tarfile.open(fileobj=fileobj, mode="r:")
+        tar = tarfile.open(archive, mode="r:")
     except tarfile.TarError as exc:
         raise TreeError(f"not a readable tar archive: {exc}") from exc
     with tar:
@@ -289,7 +286,7 @@ def _load_tar_stream(fileobj: BinaryIO, root_label: str) -> FileTree:
             entries[path] = entry
     # Archives routinely omit directory members; synthesize missing parents.
     _add_parents(entries)
-    return FileTree(root_label, entries)
+    return FileTree(archive.name, entries)
 
 
 def _add_parents(entries: dict[str, Entry]) -> None:

@@ -183,7 +183,6 @@ class RecoveryCost:
     strategy must store and how many units each phase touches instead.
     """
 
-    strategy: RecoveryStrategy
     storage_bytes: int
     backup_ops: int
     restore_ops: int
@@ -203,19 +202,19 @@ def recovery_cost(
     """
     if strategy is RecoveryStrategy.IMAGE:
         size = prior.total_file_bytes()
-        return RecoveryCost(strategy, size, len(prior), len(prior))
+        return RecoveryCost(size, len(prior), len(prior))
     if strategy is RecoveryStrategy.LAYER:
         record = f"stable\t{tree_digest(prior).hex()}\tS-\n"
-        return RecoveryCost(strategy, len(record.encode()), 1, 1)
+        return RecoveryCost(len(record.encode()), 1, 1)
     reverse = compare_trees(active, prior)
     if strategy is RecoveryStrategy.FILE:
         stored = [c.path for c in reverse.changes if c.kind in CONTENT_KINDS]
         size = sum(len(prior[p].content) for p in stored)
-        return RecoveryCost(strategy, size, len(stored), len(reverse.changes))
+        return RecoveryCost(size, len(stored), len(reverse.changes))
     if strategy is RecoveryStrategy.PATCH:
         size = len(encode_package(reverse))
         units = sum(max(1, len(c.ops)) for c in reverse.changes)
-        return RecoveryCost(strategy, size, units, units)
+        return RecoveryCost(size, units, units)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -72,10 +72,9 @@ class LinkModel:
             prev_end = start + duration
 
 
-def round_half_up(value: Fraction, decimals: int = 2) -> Fraction:
-    """Round to ``decimals`` places, ties away from zero toward +inf."""
-    scale = 10**decimals
-    return Fraction((value * scale + Fraction(1, 2)).__floor__(), scale)
+def round_half_up(value: Fraction) -> Fraction:
+    """Round to 2 decimal places, ties toward +inf."""
+    return Fraction((value * 100 + Fraction(1, 2)).__floor__(), 100)
 
 
 def format_quantity(value: Fraction) -> str:
@@ -142,12 +141,12 @@ def baseline_sizes(
 
 @dataclass(frozen=True)
 class ModRatioReport:
-    """How much of the new version is not retained from the old one."""
+    """How much of the new version is not retained from the old one. An
+    updated tree with no file bytes (``s_upd_bytes == 0``) has ratio 0."""
 
     s_preserved_bytes: int
     s_upd_bytes: int
     ratio: Fraction
-    degenerate: bool = False
 
 
 def modification_ratio(orig: FileTree, upd: FileTree) -> ModRatioReport:
@@ -160,7 +159,7 @@ def modification_ratio(orig: FileTree, upd: FileTree) -> ModRatioReport:
     """
     s_upd = upd.total_file_bytes()
     if s_upd == 0:
-        return ModRatioReport(0, 0, Fraction(0), degenerate=True)
+        return ModRatioReport(0, 0, Fraction(0))
     changeset = compare_trees(orig, upd)
     touched: dict[str, int] = {}
     for change in changeset.changes:
@@ -197,18 +196,18 @@ def retained_bytes(change: FileChange, new_content: bytes) -> int:
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Outcome of pushing a package through discrete contact windows."""
+    """Outcome of pushing a package through discrete contact windows.
+    ``completion_time_s`` is None when the package does not fit."""
 
     passes_used: int
     completion_time_s: Fraction | None
-    undeliverable: bool = False
 
 
 def schedule_upload(package_bytes: int, link: LinkModel) -> ScheduleReport:
     """Greedily fill contact windows in order at full bandwidth.
 
-    Returns the pass count and absolute completion time, or an
-    undeliverable report when the horizon's capacity is too small.
+    Returns the pass count and absolute completion time; the time is None
+    when the horizon's capacity is too small.
     """
     if not link.contact_windows:
         raise LinkError("link model has no contact windows")
@@ -223,4 +222,4 @@ def schedule_upload(package_bytes: int, link: LinkModel) -> ScheduleReport:
         if remaining_bits <= capacity:
             return ScheduleReport(passes, start + remaining_bits / bw)
         remaining_bits -= capacity
-    return ScheduleReport(len(link.contact_windows), None, undeliverable=True)
+    return ScheduleReport(len(link.contact_windows), None)

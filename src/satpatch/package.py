@@ -139,7 +139,9 @@ class FileChange:
             return
         runs = [op for op in self.ops if op.kind == INSERT]
         for run, (op, segment) in enumerate(zip(runs, self.segments)):
-            lines = len(split_lines(segment))
+            # the count of split_lines, without one bytes object per line:
+            # an unterminated tail is one more line
+            lines = segment.count(b"\n") + (segment[-1:] not in (b"", b"\n"))
             if lines != op.count:
                 raise PackageInconsistencyError(
                     f"insert run {run} splits into {lines} lines, op covers {op.count}",

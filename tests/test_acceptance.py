@@ -14,7 +14,7 @@ import pytest
 
 import treegen
 from conftest import record_verdict
-from satpatch.corpusgen import VariantSpec, generate_variant, sample_app_tree
+from satpatch.corpusgen import generate_variant, sample_app_tree
 from satpatch.diffgen import chunkify, compare_trees, line_diff
 from satpatch.errors import SatpatchError
 from satpatch.fstree import FileTree, tree_digest
@@ -113,7 +113,7 @@ def corpus_matrix():
     for ratio in (0.1, 0.2, 0.5):
         for seed in range(10):
             variants[(ratio, seed)] = generate_variant(
-                base, VariantSpec(ratio, seed=seed), scope_prefix="app"
+                base, ratio, seed=seed, scope_prefix="app"
             )
     return base, variants
 

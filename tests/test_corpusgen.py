@@ -3,7 +3,6 @@ import pytest
 from satpatch.corpusgen import (
     INSERT_SHARE,
     INSERTION_KINDS,
-    VariantSpec,
     _deletable,
     generate_variant,
     sample_app_tree,
@@ -27,16 +26,17 @@ def split_keepends(content: bytes) -> list[bytes]:
 
 
 class TestVariantSpec:
+    """A variant's recipe: the target ratio, the seed and the edit mix."""
+
     def test_defaults(self):
-        spec = VariantSpec(0.2, seed=1)
-        assert (spec.target_ratio, spec.seed) == (0.2, 1)
         assert INSERT_SHARE == 0.7
         assert "comments" in INSERTION_KINDS
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.0, 1.5])
     def test_ratio_out_of_range(self, ratio):
+        # refused before anything else: this tree has no text to edit
         with pytest.raises(ValueError):
-            VariantSpec(ratio, seed=0)
+            generate_variant(FileTree.from_dict("empty", {}), ratio, seed=0)
 
     def test_deletable_lines(self):
         # Redundant comments, imports and log lines, at any indent.
@@ -70,40 +70,40 @@ class TestSampleAppTree:
 class TestGenerateVariant:
     def test_target_zero_is_identity(self):
         tree = sample_app_tree(0)
-        assert generate_variant(tree, VariantSpec(0.0, seed=5)) == tree
+        assert generate_variant(tree, 0.0, seed=5) == tree
 
     def test_deterministic(self):
         tree = sample_app_tree(1)
-        a = generate_variant(tree, VariantSpec(0.2, seed=9), scope_prefix="app")
-        b = generate_variant(tree, VariantSpec(0.2, seed=9), scope_prefix="app")
+        a = generate_variant(tree, 0.2, seed=9, scope_prefix="app")
+        b = generate_variant(tree, 0.2, seed=9, scope_prefix="app")
         assert tree_digest(a) == tree_digest(b)
-        c = generate_variant(tree, VariantSpec(0.2, seed=10), scope_prefix="app")
+        c = generate_variant(tree, 0.2, seed=10, scope_prefix="app")
         assert tree_digest(a) != tree_digest(c)
 
     @pytest.mark.parametrize("target", [0.1, 0.5])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ratio_lands_in_band(self, target, seed):
         tree = sample_app_tree(0)
-        var = generate_variant(tree, VariantSpec(target, seed=seed), scope_prefix="app")
+        var = generate_variant(tree, target, seed=seed, scope_prefix="app")
         got = float(modification_ratio(tree, var).ratio)
         assert abs(got - target) <= 0.05
 
     def test_no_textual_files(self):
         tree = FileTree.from_dict("bin", {"blob.bin": b"\x00" * 4096})
         with pytest.raises(VariantError):
-            generate_variant(tree, VariantSpec(0.3, seed=0))
+            generate_variant(tree, 0.3, seed=0)
 
     def test_tiny_tree_overshoots_with_achieved_ratio(self):
         tree = FileTree.from_dict("tiny", {"a.txt": b"x\ny\n"})
         with pytest.raises(VariantError) as exc:
-            generate_variant(tree, VariantSpec(0.3, seed=0))
+            generate_variant(tree, 0.3, seed=0)
         assert exc.value.achieved_ratio is not None
         assert exc.value.achieved_ratio > 0.3
         assert str(exc.value).endswith(f"(achieved {exc.value.achieved_ratio:.4f})")
 
     def test_scope_prefix_confines_edits(self):
         tree = sample_app_tree(2)
-        var = generate_variant(tree, VariantSpec(0.3, seed=4), scope_prefix="app")
+        var = generate_variant(tree, 0.3, seed=4, scope_prefix="app")
         for path, entry in tree.files():
             if not path.startswith("app/"):
                 assert var[path].content == entry.content, path
@@ -111,14 +111,14 @@ class TestGenerateVariant:
     def test_binary_edits_preserve_length(self):
         # flips replace bytes in place, they never grow or shrink assets
         tree = sample_app_tree(0)
-        var = generate_variant(tree, VariantSpec(0.4, seed=2), scope_prefix="app")
+        var = generate_variant(tree, 0.4, seed=2, scope_prefix="app")
         for path, entry in tree.files():
             if not classify_textual(entry.content) and path.startswith("app/"):
                 assert len(var[path].content) == len(entry.content)
 
     def test_substantive_lines_keep_relative_order(self):
         tree = sample_app_tree(1)
-        var = generate_variant(tree, VariantSpec(0.5, seed=6), scope_prefix="app")
+        var = generate_variant(tree, 0.5, seed=6, scope_prefix="app")
         for path, entry in tree.files():
             if not classify_textual(entry.content):
                 continue
@@ -137,7 +137,7 @@ class TestGenerateVariant:
 
     def test_variant_round_trips_through_pipeline(self):
         tree = sample_app_tree(0)
-        var = generate_variant(tree, VariantSpec(0.2, seed=3), scope_prefix="app")
+        var = generate_variant(tree, 0.2, seed=3, scope_prefix="app")
         blob = encode_package(compare_trees(tree, var))
         rebuilt, _ = apply_changeset(tree, decode_package(blob))
         assert rebuilt == var

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import tarfile
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,13 @@ ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 # How os.walk and tarfile spell the undecodable name byte b"\xff".
 NON_UTF8_NAME = "bad\udcff.txt"
+
+
+def load_tar_bytes(blob: bytes, directory) -> FileTree:
+    """Write ``blob`` to a tar file in ``directory`` and load that path."""
+    path = Path(directory) / "tree.tar"
+    path.write_bytes(blob)
+    return load_tree(path)
 
 
 class TestNormalizePath:
@@ -265,49 +274,49 @@ class TestRoundTrips:
             assert not dest.exists() or load_tree(dest) == tree
         assert [p for p in tmp_path.rglob("*") if "satpatch" in p.name] == []
 
-    def test_tar_round_trip(self):
+    def test_tar_round_trip(self, tmp_path):
         tree = FileTree.from_dict("app", {"a/b.txt": b"hello", "c.bin": b"\xff\x00"})
         blob = write_tar(tree)
-        assert load_tree(io.BytesIO(blob)) == tree
+        assert load_tar_bytes(blob, tmp_path) == tree
 
     def test_tar_is_deterministic(self):
         t1 = FileTree.from_dict("one", {"a": b"x", "b/c": b"y"})
         t2 = FileTree.from_dict("two", {"b/c": b"y", "a": b"x"})
         assert write_tar(t1) == write_tar(t2)
 
-    def test_tar_subset(self):
+    def test_tar_subset(self, tmp_path):
         tree = FileTree.from_dict("app", {"keep": b"1", "drop": b"2"})
         blob = write_tar(tree, paths=["keep"])
-        loaded = load_tree(io.BytesIO(blob))
+        loaded = load_tar_bytes(blob, tmp_path)
         assert list(loaded.paths()) == ["keep"]
 
-    def test_tar_without_dir_members_synthesizes_parents(self):
+    def test_tar_without_dir_members_synthesizes_parents(self, tmp_path):
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w") as tar:
             info = tarfile.TarInfo(name="deep/nested/f.txt")
             info.size = 3
             tar.addfile(info, io.BytesIO(b"abc"))
-        loaded = load_tree(io.BytesIO(buf.getvalue()))
+        loaded = load_tar_bytes(buf.getvalue(), tmp_path)
         assert list(loaded.paths()) == ["deep", "deep/nested", "deep/nested/f.txt"]
         assert loaded["deep"].is_dir
 
-    def test_tar_escape_rejected(self):
+    def test_tar_escape_rejected(self, tmp_path):
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w") as tar:
             info = tarfile.TarInfo(name="../evil")
             info.size = 1
             tar.addfile(info, io.BytesIO(b"x"))
         with pytest.raises(PathError):
-            load_tree(io.BytesIO(buf.getvalue()))
+            load_tar_bytes(buf.getvalue(), tmp_path)
 
-    def test_non_utf8_member_rejected(self):
+    def test_non_utf8_member_rejected(self, tmp_path):
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w") as tar:
             info = tarfile.TarInfo(name=NON_UTF8_NAME)
             info.size = 1
             tar.addfile(info, io.BytesIO(b"x"))
         with pytest.raises(PathError, match="not valid UTF-8"):
-            load_tree(io.BytesIO(buf.getvalue()))
+            load_tar_bytes(buf.getvalue(), tmp_path)
 
     def test_non_utf8_file_name_rejected(self, tmp_path):
         root = tmp_path / "tree"
@@ -319,7 +328,7 @@ class TestRoundTrips:
         with pytest.raises(PathError, match="not valid UTF-8"):
             load_tree(root)
 
-    def test_symlink_member_rejected(self):
+    def test_symlink_member_rejected(self, tmp_path):
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w") as tar:
             info = tarfile.TarInfo(name="link")
@@ -327,11 +336,11 @@ class TestRoundTrips:
             info.linkname = "target"
             tar.addfile(info)
         with pytest.raises(TreeError):
-            load_tree(io.BytesIO(buf.getvalue()))
+            load_tar_bytes(buf.getvalue(), tmp_path)
 
-    def test_garbage_stream_rejected(self):
+    def test_garbage_stream_rejected(self, tmp_path):
         with pytest.raises(TreeError):
-            load_tree(io.BytesIO(b"this is not a tar archive"))
+            load_tar_bytes(b"this is not a tar archive", tmp_path)
 
     @given(
         st.dictionaries(
@@ -346,4 +355,6 @@ class TestRoundTrips:
     )
     def test_tar_round_trip_property(self, mapping):
         tree = FileTree.from_dict("app", mapping)
-        assert load_tree(io.BytesIO(write_tar(tree))) == tree
+        # hypothesis runs many examples per test call, so not tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            assert load_tar_bytes(write_tar(tree), tmp) == tree

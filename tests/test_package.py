@@ -24,7 +24,10 @@ from satpatch.errors import (
 from satpatch.fstree import FileTree, materialize
 from satpatch.package import (
     PACKAGE_VERSION,
+    ChangeKind,
     ChangeSet,
+    EditOp,
+    FileChange,
     decode_package,
     encode_package,
     wire_layout,
@@ -364,6 +367,27 @@ class TestSegmentValidation:
 
         with pytest.raises(PackageInconsistencyError):
             decode_package(self.craft(split_insert))
+
+    def test_text_run_lines_are_counted_not_split(self):
+        # 1.5 M lines in about 3 KB: the line check must not build a bytes
+        # object per line of a run it has not yet accepted.
+        lines = 1_500_000
+        change = FileChange(
+            "main.py",
+            ChangeKind.TEXT_PATCH,
+            (EditOp("R", 1), EditOp("I", lines)),
+            (b"a\n" * lines,),
+        )
+        blob = encode_package(ChangeSet(bytes(32), bytes(32), (change,)))
+        del change
+        tracemalloc.start()
+        try:
+            decoded = decode_package(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded.changes[0].ops[1] == ("I", lines)
+        assert peak < 16 << 20
 
 
 class TestFuzzedCorruption:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from satpatch.corpusgen import VariantSpec, generate_variant, sample_app_tree
+from satpatch.corpusgen import generate_variant, sample_app_tree
 from satpatch.diffgen import compare_trees
 from satpatch.fstree import FileTree, tree_digest
 from satpatch.package import encode_package
@@ -110,6 +110,6 @@ VARIANTS = {
 @pytest.mark.parametrize("ratio,seed", VARIANTS)
 def test_variant_trees_are_pinned(ratio, seed):
     variant = generate_variant(
-        sample_app_tree(0), VariantSpec(ratio, seed=seed), scope_prefix="app"
+        sample_app_tree(0), ratio, seed=seed, scope_prefix="app"
     )
     assert tree_digest(variant).hex() == VARIANTS[ratio, seed]

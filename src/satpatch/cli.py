@@ -197,7 +197,7 @@ def _cmd_apply(args) -> int:
     watch.lap("write")
     _emit(
         args,
-        f"applied {report.changes_applied} changes to {out} "
+        f"applied {len(changeset.changes)} changes to {out} "
         f"(digest {report.target_digest.hex()[:12]})",
         {
             "output": out,
@@ -409,6 +409,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
+    kbps = linksim.DEFAULT_UPLINK_BPS // 1000
 
     p = sub.add_parser("diff", parents=[common], help="build an update package")
     p.add_argument("orig", help="source tree (directory or tar)")
@@ -431,7 +432,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", parents=[common], help="size and uplink latency")
     p.add_argument("package")
-    p.add_argument("--bandwidth-kbps", type=int, default=200)
+    p.add_argument("--bandwidth-kbps", type=int, default=kbps)
     p.add_argument(
         "--windows", help="JSON file of [start, duration] contact windows (s)"
     )
@@ -449,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("orig")
     p.add_argument("upd")
     p.add_argument("--app-prefix", default="", help="subtree for the app-dir baseline")
-    p.add_argument("--bandwidth-kbps", type=int, default=200)
+    p.add_argument("--bandwidth-kbps", type=int, default=kbps)
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("commit", parents=[common], help="record a tree as a new layer")

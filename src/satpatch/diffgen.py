@@ -487,7 +487,7 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
                 FileChange(path, ChangeKind.FILE_INSERT, segments=(entry.content,))
             )
 
-    for path in sorted(set(old.paths()) | set(new.paths())):
+    for path in sorted(set(old) | set(new)):
         o = old.get(path)
         n = new.get(path)
         if o is None and n is not None:

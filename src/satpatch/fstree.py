@@ -188,9 +188,6 @@ class FileTree:
     def items(self) -> Iterable[tuple[str, Entry]]:
         return self._entries.items()
 
-    def paths(self) -> Iterable[str]:
-        return self._entries.keys()
-
     def files(self) -> Iterator[tuple[str, Entry]]:
         return ((p, e) for p, e in self._entries.items() if e.is_file)
 

@@ -77,7 +77,6 @@ class LayerStack:
     """Deployment history of one application. ``active`` indexes layers;
     -1 only while the stack is empty."""
 
-    app_id: str
     layers: tuple[Layer, ...] = ()
     active: int = -1
 
@@ -225,25 +224,27 @@ class LayerStore:
     """Directory-backed layer stack for one application.
 
     Opening a store writes nothing; its first commit creates it.
-    Layout: ``layers.idx`` (app id, active tag, one line per layer) and
-    ``trees/<tag>/`` for the materialized layers. Index updates are
-    write-temp-then-rename; the tree for a new commit is staged in a
-    hidden sibling and renamed to ``trees/<tag>`` before the index
-    references it. :meth:`_prune` is the one cleanup path: it drops every
-    tree the retention policy does not keep, and so any leftover of a
-    commit cut short.
+    Layout: ``layers.idx`` and ``trees/<tag>/`` for the materialized
+    layers. The index opens with the fixed line ``app<TAB>app`` (the
+    store's directory is what names its application), then the active
+    tag and one line per layer. Index updates are write-temp-then-rename;
+    the tree for a new commit is staged in a hidden sibling and renamed to
+    ``trees/<tag>`` before the index references it, and removed again if
+    the index write fails. :meth:`_prune` is the one cleanup path: it
+    drops every tree the retention policy does not keep, and so any
+    leftover of a commit cut short.
     """
 
-    def __init__(self, root: str | Path, app_id: str = "app"):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.index = self.root / "layers.idx"
         self.trees_dir = self.root / "trees"
-        self.stack = self._read_index() if self.index.exists() else LayerStack(app_id)
+        self.stack = self._read_index() if self.index.exists() else LayerStack()
 
-    # index format: "app\t<id>", "active\t<tag-or-->", then
+    # index format: "app\tapp", "active\t<tag-or-->", then
     # "layer\t<tag>\t<digest hex>\t<S|->\t<F|->" in deployment order.
     def _write_index(self, stack: LayerStack) -> None:
-        lines = [f"app\t{stack.app_id}"]
+        lines = ["app\tapp"]
         active = stack.active_layer
         lines.append(f"active\t{active.tag if active else '-'}")
         for layer in stack.layers:
@@ -265,9 +266,9 @@ class LayerStore:
         text = self.index.read_text(encoding="utf-8")
         rows = [raw.split("\t") for raw in text.splitlines()]
         layout = [("app", 2), ("active", 2)] + [("layer", 5)] * (len(rows) - 2)
-        if [(r[0], len(r)) for r in rows] != layout:
+        if [(r[0], len(r)) for r in rows] != layout or rows[0][1] != "app":
             raise LayerStoreError("index lines are not app, active, then layers")
-        (_, app_id), (_, active_tag), *layer_rows = rows
+        _, (_, active_tag), *layer_rows = rows
         layers = []
         for _, tag, digest_hex, s, f in layer_rows:
             try:
@@ -283,7 +284,7 @@ class LayerStore:
         if active_tag not in tags + ["-"]:  # "-" is never a valid tag
             raise LayerStoreError(f"active tag {active_tag!r} not in index")
         active = tags.index(active_tag) if active_tag in tags else -1
-        return LayerStack(app_id, tuple(layers), active)
+        return LayerStack(tuple(layers), active)
 
     # -- queries -----------------------------------------------------------
 
@@ -312,7 +313,11 @@ class LayerStore:
         # a crash can leave trees/<tag> or a hidden staging sibling behind
         self._prune()
         materialize(tree, self.trees_dir / tag)
-        self._adopt(stack)
+        try:
+            self._adopt(stack)
+        finally:
+            if self.stack is not stack:  # the index write failed
+                shutil.rmtree(self.trees_dir / tag, ignore_errors=True)
 
     def mark_stable(self, tag: str) -> None:
         self._adopt(mark_stable(self.stack, tag))

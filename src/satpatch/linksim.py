@@ -123,7 +123,7 @@ def baseline_sizes(
     """
     b1 = _gzip_size(write_tar(upd))
     if app_prefix:
-        under = list(filter(under_prefix(app_prefix), upd.paths()))
+        under = list(filter(under_prefix(app_prefix), upd))
         if not under:
             raise PrefixMatchError(
                 f"application prefix {app_prefix!r} matches no entries"

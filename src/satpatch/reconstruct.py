@@ -61,16 +61,6 @@ class ApplyReport:
     bytes_written: int = 0
     target_digest: bytes = b""
 
-    @property
-    def changes_applied(self) -> int:
-        return (
-            self.files_added
-            + self.files_deleted
-            + self.files_patched
-            + self.dirs_added
-            + self.dirs_deleted
-        )
-
 
 def apply_file(old: bytes, change: FileChange) -> bytes:
     """Replay a single patch of either kind against old file content: a

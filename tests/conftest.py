@@ -45,8 +45,9 @@ def hashed_sizes(monkeypatch) -> list[int]:
 @pytest.fixture
 def crash_points(monkeypatch):
     """``run(k, action)`` calls ``action()`` with the k-th call to
-    ``os.rename``, ``Path.mkdir`` or ``Path.write_bytes`` raising OSError
-    (none for k=0) and returns how many calls were made.
+    ``os.rename``, ``os.replace``, ``Path.mkdir``, ``Path.write_bytes`` or
+    ``Path.write_text`` raising OSError (none for k=0) and returns how many
+    calls were made.
 
     Enumerating k up to the call count of a clean run visits every crash
     point between two writes, after ALICE (Pillai et al., OSDI 2014); the
@@ -64,8 +65,10 @@ def crash_points(monkeypatch):
         return crashing
 
     monkeypatch.setattr(os, "rename", wrap(os.rename))
+    monkeypatch.setattr(os, "replace", wrap(os.replace))
     monkeypatch.setattr(Path, "mkdir", wrap(Path.mkdir))
     monkeypatch.setattr(Path, "write_bytes", wrap(Path.write_bytes))
+    monkeypatch.setattr(Path, "write_text", wrap(Path.write_text))
 
     def run(k: int, action) -> int:
         state.update(calls=0, crash_at=k)

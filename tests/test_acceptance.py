@@ -243,7 +243,7 @@ def test_c5_chunking_localizes_edits():
 
 def test_c6_failure_rolls_back_and_recovery_costs_order(tmp_path, corpus_matrix):
     with _gate("C6 rollback to stable and recovery cost model"):
-        store = LayerStore(tmp_path / "store", app_id="payload")
+        store = LayerStore(tmp_path / "store")
         v10 = FileTree.from_dict("payload", {"app/main.py": b"run()\n"})
         v11 = FileTree.from_dict("payload", {"app/main.py": b"run()\ncrash()\n"})
         store.commit(v10, "V1.0")

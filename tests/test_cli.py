@@ -234,6 +234,7 @@ class TestEstimate:
         assert doc["schema"] == "satpatch-cli/1"
         assert doc["command"] == "estimate"
         assert doc["bytes"] == pkg.stat().st_size
+        assert doc["bandwidth_bps"] == 200_000  # the default --bandwidth-kbps
         # 2-decimal strings, exact arithmetic behind them
         assert doc["kb"].count(".") == 1 and len(doc["kb"].split(".")[1]) == 2
 

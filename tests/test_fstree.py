@@ -158,13 +158,13 @@ class TestHashing:
 class TestFileTree:
     def test_from_dict_synthesizes_parents(self):
         tree = FileTree.from_dict("app", {"a/b/c.txt": b"x"})
-        assert list(tree.paths()) == ["a", "a/b", "a/b/c.txt"]
+        assert list(tree) == ["a", "a/b", "a/b/c.txt"]
         assert tree["a"].is_dir and tree["a/b"].is_dir
         assert tree["a/b/c.txt"].content == b"x"
 
     def test_lexicographic_order(self):
         tree = FileTree.from_dict("app", {"b.txt": b"", "a.txt": b"", "c": None})
-        assert list(tree.paths()) == ["a.txt", "b.txt", "c"]
+        assert list(tree) == ["a.txt", "b.txt", "c"]
 
     def test_keys_are_normalized_before_ordering(self):
         f = Entry(b"x")
@@ -288,7 +288,7 @@ class TestRoundTrips:
         tree = FileTree.from_dict("app", {"keep": b"1", "drop": b"2"})
         blob = write_tar(tree, paths=["keep"])
         loaded = load_tar_bytes(blob, tmp_path)
-        assert list(loaded.paths()) == ["keep"]
+        assert list(loaded) == ["keep"]
 
     def test_tar_without_dir_members_synthesizes_parents(self, tmp_path):
         buf = io.BytesIO()
@@ -297,7 +297,7 @@ class TestRoundTrips:
             info.size = 3
             tar.addfile(info, io.BytesIO(b"abc"))
         loaded = load_tar_bytes(buf.getvalue(), tmp_path)
-        assert list(loaded.paths()) == ["deep", "deep/nested", "deep/nested/f.txt"]
+        assert list(loaded) == ["deep", "deep/nested", "deep/nested/f.txt"]
         assert loaded["deep"].is_dir
 
     def test_tar_escape_rejected(self, tmp_path):

@@ -33,7 +33,7 @@ FAIL_137 = FailureEvent(FailurePhase.POST_UPDATE_EXECUTION, 137)
 
 
 def deployed_stack() -> LayerStack:
-    stack = commit_layer(LayerStack("app"), V10, "V1.0")
+    stack = commit_layer(LayerStack(), V10, "V1.0")
     return mark_stable(stack, "V1.0")
 
 
@@ -48,7 +48,7 @@ class TestFailureEvent:
 
 class TestCommit:
     def test_first_commit(self):
-        stack = commit_layer(LayerStack("app"), V10, "V1.0")
+        stack = commit_layer(LayerStack(), V10, "V1.0")
         assert len(stack.layers) == 1
         assert stack.active_layer.tag == "V1.0"
         assert not stack.active_layer.stable
@@ -70,7 +70,7 @@ class TestCommit:
 
     def test_bad_tag(self):
         with pytest.raises(LayerStoreError):
-            commit_layer(LayerStack("app"), V10, "../evil")
+            commit_layer(LayerStack(), V10, "../evil")
 
 
 class TestMarkStable:
@@ -126,13 +126,13 @@ class TestOnFailure:
         assert record.from_tag == "V1.2"
 
     def test_unrecoverable_without_stable(self):
-        stack = commit_layer(LayerStack("app"), V10, "V1.0")
+        stack = commit_layer(LayerStack(), V10, "V1.0")
         with pytest.raises(UnrecoverableStateError):
             on_failure(stack, FAIL_137)
 
     def test_unrecoverable_when_empty(self):
         with pytest.raises(UnrecoverableStateError):
-            on_failure(LayerStack("app"), FAIL_137)
+            on_failure(LayerStack(), FAIL_137)
 
     def test_active_digest_invariant(self):
         # Active is always the newest commit or the latest stable layer.
@@ -163,15 +163,15 @@ class TestOnFailure:
 class TestStackValidation:
     def test_duplicate_tags_rejected(self):
         with pytest.raises(LayerStoreError):
-            LayerStack("a", (Layer("x", b"1"), Layer("x", b"2")), 0)
+            LayerStack((Layer("x", b"1"), Layer("x", b"2")), 0)
 
     def test_active_range(self):
         with pytest.raises(LayerStoreError):
-            LayerStack("a", (Layer("x", b"1"),), 5)
+            LayerStack((Layer("x", b"1"),), 5)
 
     def test_empty_active(self):
         with pytest.raises(LayerStoreError):
-            LayerStack("a", (), 0)
+            LayerStack((), 0)
 
 
 class TestRecoveryCost:
@@ -231,7 +231,7 @@ class TestRecoveryCost:
 class TestLayerStore:
     def test_open_writes_nothing(self, tmp_path):
         store = LayerStore(tmp_path / "new")
-        assert store.stack == LayerStack("app")
+        assert store.stack == LayerStack()
         assert not (tmp_path / "new").exists()
 
     def test_index_bytes(self, tmp_path):
@@ -251,13 +251,12 @@ class TestLayerStore:
         assert [p.name for p in (tmp_path / "s" / "trees").iterdir()] == ["V1.0"]
 
     def test_commit_and_reload(self, tmp_path):
-        store = LayerStore(tmp_path / "store", app_id="cam")
+        store = LayerStore(tmp_path / "store")
         store.commit(V10, "V1.0")
         store.mark_stable("V1.0")
         store.commit(V11, "V1.1")
         reopened = LayerStore(tmp_path / "store")
         assert reopened.stack == store.stack
-        assert reopened.stack.app_id == "cam"
         assert reopened.active_tree() == V11
 
     def test_rollback_flow(self, tmp_path):
@@ -319,9 +318,35 @@ class TestLayerStore:
             assert sorted(p.name for p in (root / "trees").iterdir()) == ["V1.0", "V1.2"]
             assert LayerStore(root).active_tree() == V12
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda store: store.mark_stable("V1.1"),
+            lambda store: store.commit(V12, "V1.2"),
+            lambda store: store.on_failure(FAIL_137),
+        ],
+        ids=["mark_stable", "commit", "on_failure"],
+    )
+    def test_step_crash_points(self, tmp_path, crash_points, step):
+        # a cut step leaves the store as it was before the step or after it
+        clean = self._stocked(tmp_path / "clean")
+        before = clean.stack
+        calls = crash_points(0, lambda: step(clean))
+        after = clean.stack
+        assert before != after
+        for k in range(1, calls + 1):
+            store = self._stocked(tmp_path / f"crash-{k}")
+            with pytest.raises(OSError, match="injected crash"):
+                crash_points(k, lambda: step(store))
+            reopened = LayerStore(store.root)
+            assert reopened.stack in (before, after)
+            assert reopened.stack == store.stack
+            trees = {"V1.0": V10, "V1.1": V11, "V1.2": V12}
+            assert reopened.active_tree() == trees[reopened.stack.active_layer.tag]
+
     def test_first_commit_crash_points(self, tmp_path, crash_points):
         # a cut first commit can leave the store directory or trees/ with no index
-        first = commit_layer(LayerStack("app"), V10, "V1.0")
+        first = commit_layer(LayerStack(), V10, "V1.0")
         clean = LayerStore(tmp_path / "clean")
         calls = crash_points(0, lambda: clean.commit(V10, "V1.0"))
         for k in range(1, calls + 1):
@@ -330,7 +355,7 @@ class TestLayerStore:
             with pytest.raises(OSError, match="injected crash"):
                 crash_points(k, lambda: store.commit(V10, "V1.0"))
             reopened = LayerStore(root)
-            assert reopened.stack in (LayerStack("app"), first)
+            assert reopened.stack in (LayerStack(), first)
             if not reopened.stack.layers:
                 reopened.commit(V10, "V1.0")
             assert [p.name for p in (root / "trees").iterdir()] == ["V1.0"]
@@ -370,17 +395,29 @@ class TestLayerStore:
             store.active_tree()
 
     @pytest.mark.parametrize(
-        "index",
+        "index,match",
         [
-            "nonsense line\n",
-            "",
-            "app\tapp\n",
-            f"app\tapp\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t-\nactive\tV1.0\n",
-            "active\t-\napp\tapp\n",
-            "app\tapp\nactive\tV1\nlayer\tV1\t\tS\t-\n",
-            "app\tapp\nactive\tV1\nlayer\tV1\tab\tyes\tno\n",
+            ("nonsense line\n", "index lines are not"),
+            ("", "index lines are not"),
+            ("app\tapp\n", "index lines are not"),
+            (
+                f"app\tapp\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t-\nactive\tV1.0\n",
+                "index lines are not",
+            ),
+            ("active\t-\napp\tapp\n", "index lines are not"),
+            ("app\tapp\nactive\tV1\nlayer\tV1\t\tS\t-\n", "0-byte digest"),
+            ("app\tapp\nactive\tV1\nlayer\tV1\tab\tyes\tno\n", "flags 'yes' 'no'"),
             # a power cut inside the last flag: "S\tF" lost its "F"
-            f"app\tapp\nactive\tV1.0\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t",
+            (
+                f"app\tapp\nactive\tV1.0\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t",
+                "flags 'S' ''",
+            ),
+            ("app\tapp\nactive\tV1\nlayer\tV1\t" + "zz" * 32 + "\tS\t-\n", "bad digest"),
+            (
+                f"app\tapp\nactive\tV9\nlayer\tV1.0\t{tree_digest(V10).hex()}\tS\t-\n",
+                "active tag 'V9' not in index",
+            ),
+            ("app\tcam\nactive\t-\n", "index lines are not"),
         ],
         ids=[
             "garbage",
@@ -391,11 +428,14 @@ class TestLayerStore:
             "empty-digest",
             "word-flags",
             "cut-in-last-flag",
+            "non-hex-digest",
+            "active-in-no-layer",
+            "other-app-line",
         ],
     )
-    def test_corrupt_index(self, tmp_path, index):
+    def test_corrupt_index(self, tmp_path, index, match):
         store_dir = tmp_path / "s"
         store_dir.mkdir()
         (store_dir / "layers.idx").write_text(index)
-        with pytest.raises(LayerStoreError):
+        with pytest.raises(LayerStoreError, match=match):
             LayerStore(store_dir)

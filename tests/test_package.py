@@ -30,6 +30,7 @@ from satpatch.package import (
     FileChange,
     decode_package,
     encode_package,
+    gzip_bytes,
     wire_layout,
 )
 from satpatch.reconstruct import apply_changeset
@@ -140,6 +141,16 @@ class TestDecodeErrors:
         with pytest.raises(CorruptPackageError):
             decode_package(recompress(container + b"\x00"))
 
+    @pytest.mark.parametrize(
+        "tail", [b"\x00", gzip_bytes(b"more")], ids=["one-byte", "second-member"]
+    )
+    def test_data_after_the_stream(self, tail):
+        blob = encode_package(sample_changeset())
+        with pytest.raises(
+            CorruptPackageError, match="data after the end of the compressed stream"
+        ):
+            decode_package(blob + tail)
+
     def test_empty_input(self):
         with pytest.raises(PackageError):
             decode_package(b"")
@@ -214,8 +225,10 @@ class TestManifestValidation:
             decode_package(tamper_manifest(b"F-\t", b"Z!\t"))
 
     def test_bad_op_token(self):
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="bad op count in 'Rx'"):
             decode_package(tamper_manifest(b"R1", b"Rx"))
+        with pytest.raises(ManifestError, match="bad op token 'X1'"):
+            decode_package(tamper_manifest(b"R1", b"X1"))
 
     def test_zero_count(self):
         with pytest.raises(ManifestError):
@@ -244,6 +257,20 @@ class TestManifestValidation:
             blob = tamper_manifest(old, new)
             assert decode_package(blob) == sample_changeset()
             assert wire_layout(blob)["manifest_bytes"] == canonical + len(new) - len(old)
+
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            (b"main.py", b"main\xff.py", "manifest is not valid UTF-8"),
+            (b"D+\tadded\n", b"D+added\n", "too few fields"),
+            (b"D+\tadded\n", b"D+\tadded\tR1\n", "unexpected extra fields"),
+            (b"I1 R1\n", b"I1 R1", "manifest not newline-terminated"),
+        ],
+        ids=["not-utf8", "too-few-fields", "extra-fields", "no-final-newline"],
+    )
+    def test_line_refused(self, old, new, match):
+        with pytest.raises(ManifestError, match=match):
+            decode_package(tamper_manifest(old, new))
 
     @pytest.mark.parametrize("count", ["\u00b2", "9" * 19, "9" * 5000, "-1", ""])
     def test_op_count_must_be_plain_digits(self, count):

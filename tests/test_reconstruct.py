@@ -272,7 +272,7 @@ class TestApplyChangeset:
         assert report.files_deleted == 1
         assert report.files_added == 1
         assert report.dirs_added == 1
-        assert report.changes_applied == 4
+        assert len(cs.changes) == 4
         assert report.bytes_received == cs.segment_bytes()
 
     def test_empty_to_empty(self):
@@ -346,6 +346,24 @@ class TestApplyChangeset:
         with pytest.raises(EditScriptError):
             apply_changeset(base, cs)
 
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (FileChange("f", ChangeKind.DIR_DELETE), "no such directory to delete"),
+            (FileChange("f", ChangeKind.DIR_INSERT), "insert over existing entry"),
+            (
+                FileChange("ghost", ChangeKind.TEXT_PATCH, (EditOp("I", 1),), (b"y\n",)),
+                "no such file to patch",
+            ),
+        ],
+        ids=["dir-delete-of-a-file", "dir-insert-over-a-file", "patch-missing-file"],
+    )
+    def test_change_refused(self, change, match):
+        base = FileTree.from_dict("a", {"f": b"x"})
+        cs = ChangeSet(tree_digest(base), b"\x00" * 32, (change,))
+        with pytest.raises(EditScriptError, match=match):
+            apply_changeset(base, cs)
+
     def test_digest_mismatch_on_tampered_target(self):
         old = FileTree.from_dict("a", {"f": b"1\n"})
         new = FileTree.from_dict("a", {"f": b"2\n"})
@@ -392,7 +410,7 @@ class TestEndToEnd:
             (tmp_path / label / "a" / "b").write_bytes(b"dir " + body)
             (tmp_path / label / "a\\b").write_bytes(b"name " + body)
             trees[label] = load_tree(tmp_path / label)
-        assert sorted(trees["new"].paths()) == ["a", "a/b", "a\\b"]
+        assert sorted(trees["new"]) == ["a", "a/b", "a\\b"]
         materialize(round_trip(trees["old"], trees["new"]), tmp_path / "out")
         assert (tmp_path / "out" / "a" / "b").read_bytes() == b"dir 2\n"
         assert (tmp_path / "out" / "a\\b").read_bytes() == b"name 2\n"

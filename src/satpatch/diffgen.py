@@ -21,9 +21,14 @@ For N old and M new units this costs O(N·M/64) word operations (CPython
 computes in 30-bit digits) in O(N + M) space, plus one N-bit mask per
 repeated old unit and at most ``_LEAF_BITS`` of stored rows.
 
-Chunk boundaries only steer the search: a chunk script's ops count bytes,
-and each of its insert runs is delta-coded with
-:func:`satpatch.package.delta_encode`.
+A binary file's chunks end where the rolling hash of the ``WINDOW`` bytes
+ending there has its low ``MASK_BITS`` bits zero (LBFS), at least
+``MIN_SIZE`` and at most ``MAX_SIZE`` bytes apart. The boundary scan
+(:func:`_boundary_candidates`) sums each window's hash terms by doubling,
+with shifted vector adds in 16-bit arithmetic over 64 KiB blocks, and
+finds the same boundaries as a 64-bit rolling hash. Chunk boundaries only
+steer the search: a chunk script's ops count bytes, and each of its insert
+runs is delta-coded with :func:`satpatch.package.delta_encode`.
 
 The chunker and the Hirschberg split compute on numpy arrays. numpy is
 loaded on first use, by the first chunk or split a process runs, so the
@@ -59,18 +64,18 @@ from .package import (
 # Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
 # over its bytes, newest first (j = 0), with 64-bit byte weights drawn from
 # SHA-256 so every input byte disturbs every hash bit. A boundary needs only
-# the low ``MASK_BITS <= 32`` bits of that hash to be zero, and the low 32
-# bits of a uint64 sum or product depend only on the low 32 bits of its
-# operands, so the chunker computes in uint32 with the weights' low halves.
+# the low ``MASK_BITS <= 16`` bits of that hash to be zero, and the low 16
+# bits of a uint64 sum or product depend only on the low 16 bits of its
+# operands, so the chunker computes in uint16 with the weights' low 16 bits.
 _HASH_MULT = 1000000007
 #: Bytes hashed per pass of the chunker; consecutive blocks share
-#: ``WINDOW - 1`` bytes.
-_BLOCK = 1 << 18
+#: ``WINDOW - 1`` bytes. Its three uint16 work buffers fit in L2 cache.
+_BLOCK = 1 << 16
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """(byte weights, mult**-k mod 2**32 for k < ``_BLOCK``), read-only.
+    """(byte weights, mult**-k mod 2**16 for k < ``_BLOCK``), read-only.
 
     Built, and numpy loaded, on first use: a process that never chunks
     (the onboard apply) never holds either table or numpy.
@@ -79,14 +84,14 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 
     weights = np.array(
         [
-            int.from_bytes(hashlib.sha256(bytes([v])).digest()[4:8], "big")
+            int.from_bytes(hashlib.sha256(bytes([v])).digest()[6:8], "big")
             for v in range(256)
         ],
-        dtype=np.uint32,
+        dtype=np.uint16,
     )
-    inv_pows = np.full(_BLOCK, pow(_HASH_MULT, -1, 2**32), dtype=np.uint32)
+    inv_pows = np.full(_BLOCK, pow(_HASH_MULT, -1, 2**16), dtype=np.uint16)
     inv_pows[0] = 1
-    np.cumprod(inv_pows, dtype=np.uint32, out=inv_pows)
+    np.cumprod(inv_pows, dtype=np.uint16, out=inv_pows)
     weights.flags.writeable = inv_pows.flags.writeable = False
     return weights, inv_pows
 
@@ -98,23 +103,29 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
     H(pos) = sum(w64[data[pos-j]] * mult**j for j < WINDOW) mod 2**64, a
     pure function of window content, so candidates are stable under
     shifts of the surrounding data. Three facts let the test run on small
-    blocks in 32-bit arithmetic without moving any candidate:
+    blocks in 16-bit arithmetic without moving any candidate:
 
-    1. With prefix sums C(i) = sum(w64[data[k]] * mult**-k for k <= i),
-       H(pos) = mult**pos * (C(pos) - C(pos - WINDOW)). ``mult`` is odd,
-       so mult**pos is a unit mod 2**64 and the low ``MASK_BITS`` bits of
-       H(pos) are zero iff those of the difference are: no final multiply.
-    2. ``MASK_BITS <= 32``, and the low 32 bits of uint64 sums and
-       products depend only on the low 32 bits of the operands, so every
-       step runs in uint32 with the weights' low 32 bits.
-    3. Prefix sums restarted at a block start ``s`` are
-       mult**s * (C(i) - C(s - 1)), so inside the block a window's
-       difference is the global one times mult**s, another odd factor.
-       Each block thus decides every window that lies inside it, blocks
+    1. ``MASK_BITS <= 16``, and the low 16 bits of uint64 sums and
+       products depend only on the low 16 bits of the operands, so every
+       step runs in uint16 with the weights' low 16 bits.
+    2. With terms t(k) = w64[data[k]] * mult**-k, H(pos) = mult**pos *
+       sum(t(k) for pos - WINDOW < k <= pos). ``mult`` is odd, so
+       mult**pos is a unit mod 2**64 and the low ``MASK_BITS`` bits of
+       H(pos) are zero iff those of the windowed sum are: no final
+       multiply. The windowed sum is built by doubling, not from a
+       sequential prefix sum: sums of 2, 4, 8, ... consecutive terms are
+       each one shifted vector add of the previous, and the sums whose
+       lengths are the set bits of ``WINDOW`` add up to the window
+       (48 = 16 + 32).
+    3. Terms restarted at a block start ``s``, t(k) * mult**s, scale every
+       window sum inside the block by mult**s, another odd factor. Each
+       block thus decides every window that lies inside it, 64 KiB blocks
        that overlap by ``WINDOW - 1`` bytes decide every window once, and
        one table of inverse powers serves every block.
 
-    Memory is three block-sized work buffers plus the result.
+    Memory is three block-sized uint16 work buffers, a block of flags,
+    the block of intp indices that ``np.take`` casts the bytes to, and the
+    result.
     """
     import numpy as np
 
@@ -122,27 +133,44 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
     if n < WINDOW:
         return np.empty(0, dtype=np.int64)
     weights, inv_pows = _tables()
-    mask = np.uint32((1 << MASK_BITS) - 1)
+    mask = np.uint16((1 << MASK_BITS) - 1)
     view = np.frombuffer(data, dtype=np.uint8)
-    sums = np.empty(min(_BLOCK, n), dtype=np.uint32)
-    diffs = np.empty(sums.size - WINDOW + 1, dtype=np.uint32)
-    hits = np.empty(diffs.size, dtype=bool)
+    bufs = [np.empty(min(_BLOCK, n), dtype=np.uint16) for _ in range(3)]
+    hits = np.empty(bufs[0].size - WINDOW + 1, dtype=bool)
     found = []
     start = 0
     while True:
         stop = min(start + _BLOCK, n)
         size = stop - start
         count = size - WINDOW + 1
-        part = sums[:size]
+        terms = bufs[0][:size]
         # byte indices are always in range; "clip" lets take write to
         # ``out`` directly instead of through a checked buffer
-        np.take(weights, view[start:stop], out=part, mode="clip")
-        np.multiply(part, inv_pows[:size], out=part)
-        np.cumsum(part, dtype=np.uint32, out=part)
-        diffs[0] = part[WINDOW - 1]
-        np.subtract(part[WINDOW:], part[: size - WINDOW], out=diffs[1:count])
-        np.bitwise_and(diffs[:count], mask, out=diffs[:count])
-        np.equal(diffs[:count], 0, out=hits[:count])
+        np.take(weights, view[start:stop], out=terms, mode="clip")
+        np.multiply(terms, inv_pows[:size], out=terms)
+        # run holds the sums of ``span`` consecutive terms, acc the sums of
+        # ``covered`` terms: the set bits of WINDOW below ``span``
+        run, free, acc = terms, bufs[1:], None
+        span, covered = 1, 0
+        while True:
+            if WINDOW & span:
+                if covered:
+                    m = size - covered - span + 1
+                    np.add(acc[:m], run[covered : covered + m], out=acc[:m])
+                else:
+                    acc = run
+                covered += span
+            if covered == WINDOW:
+                break
+            m = size - 2 * span + 1
+            out = free.pop()
+            np.add(run[:m], run[span : span + m], out=out[:m])
+            if run is not acc:
+                free.append(run)
+            run = out
+            span *= 2
+        np.bitwise_and(acc[:count], mask, out=acc[:count])
+        np.equal(acc[:count], 0, out=hits[:count])
         found.append(np.flatnonzero(hits[:count]) + (start + WINDOW - 1))
         if stop == n:
             return np.concatenate(found)

@@ -1,10 +1,14 @@
-"""Chunk boundaries: pinned digests, a definition oracle and a memory bound.
+"""Chunk boundaries: pinned digests, two plain-Python oracles and memory bounds.
 
 Chunk boundaries decide which byte spans a package retains, so moving
 one changes package bytes and can break the C5 localisation gate, even
-though the receiver never chunks. The digests below were recorded from the
-original uint64 chunker, before the blocked uint32 one replaced it. The
-oracle test keeps the 64-bit definition of a boundary in plain Python.
+though the receiver never chunks. The digests below were recorded from
+earlier chunkers: the original uint64 one, and the blocked uint32 one
+with prefix sums, for the inputs around today's 64 KiB block edge. The
+chunker now sums each window by doubling in uint16 blocks. The oracle
+tests keep the 64-bit definition of a boundary in plain Python, once
+window by window and once as an O(n) rolling hash over inputs that span
+several blocks.
 """
 
 import hashlib
@@ -19,16 +23,22 @@ from satpatch import diffgen
 from satpatch.diffgen import chunk_lengths
 from satpatch.package import MASK_BITS, WINDOW
 
-#: SHA-256 of ",".join(map(str, chunk_lengths(data))), recorded from the
-#: uint64 chunker this one replaced. The inputs (see ``pinned_input``) are
-#: random bytes of lengths 0, 1, 47-49, around the 2**18-byte block edge,
-#: 600,000 and 3 MiB, and zero bytes.
+#: SHA-256 of ",".join(map(str, chunk_lengths(data))). The inputs (see
+#: ``pinned_input``) are random bytes of lengths 0, 1, 47-49, around the
+#: 2**18-byte block edge of the uint32 chunker, 600,000 and 3 MiB, and
+#: zero bytes, recorded from the uint64 chunker; and random bytes around
+#: the 2**16-byte block edge of the uint16 chunker, recorded from the
+#: uint32 one before the uint16 one replaced it.
 PINNED = {
     "random-0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "random-1": "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
     "random-47": "31489056e0916d59fe3add79e63f095af3ffb81604691f21cad442a85c7be617",
     "random-48": "98010bd9270f9b100b6214a21754fd33bdc8d41b2bc9f9dd16ff54d3c34ffd71",
     "random-49": "0e17daca5f3e175f448bacace3bc0da47d0655a74c8dd0dc497a3afbdad95f1f",
+    "random-65535": "cfa2b667c6aa1203fe286d3f93953ac06206999957914a1fdebc71c74b91fb0c",
+    "random-65536": "e7e69a9dac8abd4ce89c489fea2bc59fe75cb3eac28fd010a74a75d407d5d727",
+    "random-65583": "364773e3425f9dd1c7b6e65053bf2d17a2fcb4e82671ba1db167275774e8f446",
+    "random-65584": "b69d54624bb91f8badd5a510e73e2a45f0bc571a0b42ffebd780ead77c628b97",
     "random-262143": "3eb70bb6bc2b0e641303b2c571b50f8dfa9b58a125e5be73d44c5aa8c03ae94d",
     "random-262144": "05f4d393496547f4ed9c6d38ee46fb1667a02138bb270ff67576d2bd7b4e924a",
     "random-262191": "c57b10caa9156c47648f5e4517a85f2d567e48210280418b604955f9a19779c0",
@@ -65,6 +75,32 @@ def is_boundary(data: bytes, pos: int) -> bool:
 
 def definition_candidates(data: bytes, lo: int = WINDOW - 1) -> list[int]:
     return [pos for pos in range(lo, len(data)) if is_boundary(data, pos)]
+
+
+def rolling_candidates(data: bytes) -> list[int]:
+    """The same candidates in O(n): a 64-bit rolling hash, one byte a step.
+
+    Appending a byte multiplies the hash by ``MULT`` and adds the byte's
+    weight; the byte that leaves the window then carries ``MULT**WINDOW``.
+    """
+    mask = (1 << MASK_BITS) - 1
+    wrap = 2**64 - 1
+    leave = MULT**WINDOW % 2**64
+    found = []
+    h = 0
+    for pos, b in enumerate(data):
+        h = (h * MULT + W64[b]) & wrap
+        if pos >= WINDOW:
+            h = (h - W64[data[pos - WINDOW]] * leave) & wrap
+        if pos >= WINDOW - 1 and h & mask == 0:
+            found.append(pos)
+    return found
+
+
+def test_rolling_oracle_follows_the_definition():
+    data = random.Random(5).randbytes(8192)
+    want = definition_candidates(data)
+    assert want and rolling_candidates(data) == want
 
 
 def _first_candidate_window() -> bytes:
@@ -116,6 +152,46 @@ def test_candidates_follow_the_definition_across_a_block_edge(offset):
     want = definition_candidates(data, lo)
     got = [p for p in diffgen._boundary_candidates(data).tolist() if p >= lo]
     assert end in want and got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, diffgen._BLOCK + WINDOW),
+    alphabet=st.sampled_from([b"", b"\x00", b"\x00\x01\xff", b"ab \n"]),
+    offset=st.sampled_from([-1, 0, 1, WINDOW]),
+)
+def test_candidates_follow_the_rolling_hash_across_blocks(seed, extra, alphabet, offset):
+    # At least 2 * _BLOCK + 1 bytes, so the input spans three or more
+    # blocks, each starting WINDOW - 1 bytes before the previous one ends.
+    # A planted window ends ``offset`` bytes past each block's last
+    # window: just before it, on it, on the first window that only the
+    # next block decides, or a full window past it.
+    data = random.Random(seed).randbytes(2 * diffgen._BLOCK + 1 + extra)
+    if alphabet:  # low-entropy content; one byte value makes every window equal
+        data = data.translate(bytes(alphabet[b % len(alphabet)] for b in range(256)))
+    step = diffgen._BLOCK - (WINDOW - 1)
+    ends = range(diffgen._BLOCK - 1 + offset, len(data), step)
+    for end in ends:
+        data = plant(data, end)
+    want = rolling_candidates(data)
+    assert set(ends) <= set(want)
+    assert diffgen._boundary_candidates(data).tolist() == want
+
+
+def test_boundary_candidates_memory_is_bounded():
+    # Three 128 KiB work buffers, a block of flags, the block of intp
+    # indices np.take casts the bytes to, and the candidates: about
+    # 0.96 MiB on 4 MiB, and no buffer grows with the input.
+    data = random.Random(7).randbytes(4 << 20)
+    diffgen._tables()
+    tracemalloc.start()
+    try:
+        diffgen._boundary_candidates(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"_boundary_candidates peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_chunk_lengths_memory_is_bounded():

@@ -354,11 +354,11 @@ class TestChunking:
         assert a[-3:] == b[-3:]
 
     def test_spec_validation(self):
-        # The checks the chunker's constants must pass: the uint32 scan
-        # needs MASK_BITS <= 32, and blocks that overlap by WINDOW - 1
+        # The checks the chunker's constants must pass: the uint16 scan
+        # needs MASK_BITS <= 16, and blocks that overlap by WINDOW - 1
         # bytes need the window to fit well inside one block.
         assert 1 <= WINDOW <= _BLOCK // 2
-        assert 0 <= MASK_BITS <= 32
+        assert 0 <= MASK_BITS <= 16
         assert 0 < MIN_SIZE <= MAX_SIZE
 
 

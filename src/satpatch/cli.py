@@ -366,7 +366,7 @@ def _cmd_rollback(args) -> int:
         "rolled_back": not record.noop,
         "from": record.from_tag,
         "to": record.to_tag,
-        "phase": record.phase.value,
+        "phase": event.phase.value,
     }
     if record.noop:
         _emit(args, f"active layer {record.to_tag} is stable; nothing to do", payload)
@@ -374,7 +374,7 @@ def _cmd_rollback(args) -> int:
     _emit(
         args,
         f"rolled back {record.from_tag} -> {record.to_tag} "
-        f"after {record.phase.value} failure (exit {args.exit_code})",
+        f"after {event.phase.value} failure (exit {args.exit_code})",
         payload,
     )
     return EXIT_ROLLED_BACK

@@ -28,8 +28,6 @@ INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_varia
 #: Share of textual edits that insert lines; the rest delete a redundant
 #: comment, an unused import, or a log line (see :func:`_deletable`).
 INSERT_SHARE = 0.7
-#: Generate-and-measure rounds before the generator gives up on a target.
-_MAX_ROUNDS = 6
 
 _WORDS = (
     "telemetry frame sensor gain offset buffer cache probe flight orbit "
@@ -178,7 +176,7 @@ def generate_variant(
 
     serial = 0
 
-    def try_flip(goal: float) -> bool:
+    def try_flip() -> bool:
         """One chunk flip, reverted if it jumps the ratio past the band.
 
         A max-size chunk can be a large slice of a small tree, so each
@@ -195,7 +193,7 @@ def generate_variant(
             path, ChangeKind.CHUNK_PATCH, *chunk_diff(orig[path].content, mutated)
         )
         binary_preserved[path] = retained_bytes(change, mutated)
-        if estimate() > goal + 0.02:
+        if estimate() > target_ratio + 0.02:
             binary_files[path] = before_content
             binary_preserved[path] = before_preserved
             return False
@@ -209,8 +207,8 @@ def generate_variant(
         ):
             record.insert(pos + i, line)
 
-    def one_edit(goal: float) -> None:
-        if binary_paths and rng.random() < 0.08 and try_flip(goal):
+    def one_edit() -> None:
+        if binary_paths and rng.random() < 0.08 and try_flip():
             return
         record = text_files[rng.choice(text_paths)]
         if rng.random() < INSERT_SHARE:
@@ -234,23 +232,14 @@ def generate_variant(
                 mapping[path] = entry.content
         return FileTree.from_dict(orig.root_label, mapping)
 
-    goal = target_ratio
-    achieved = 0.0
-    for _ in range(_MAX_ROUNDS):
-        steps = 0
-        cap = 200_000
-        while estimate() < goal and steps < cap:
-            one_edit(goal)
-            steps += 1
-        variant = build()
-        achieved = float(modification_ratio(orig, variant).ratio)
-        if abs(achieved - target_ratio) <= 0.05:
-            return variant
-        if achieved > target_ratio + 0.05:
-            break  # overshot: single edits are too coarse for this tree
-        # Estimation fell short of the real metric; push the goal up by
-        # the observed gap and keep editing the same state.
-        goal += target_ratio - achieved
+    steps = 0
+    while estimate() < target_ratio and steps < 200_000:
+        one_edit()
+        steps += 1
+    variant = build()
+    achieved = float(modification_ratio(orig, variant).ratio)
+    if abs(achieved - target_ratio) <= 0.05:
+        return variant
     raise VariantError(
         f"could not land within 0.05 of {target_ratio}",
         achieved_ratio=achieved,

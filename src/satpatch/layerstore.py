@@ -66,7 +66,6 @@ class Layer:
 
 @dataclass(frozen=True)
 class RollbackRecord:
-    phase: FailurePhase
     from_tag: str
     to_tag: str
     noop: bool = False
@@ -147,20 +146,22 @@ def on_failure(
 
     A failure while the active layer is itself stable is not an update
     problem; the pointer stays put and the record says no-op. The failed
-    layer is kept (marked failed) for telemetry, never deleted.
+    layer is kept (marked failed) for telemetry, never deleted. Every
+    failure phase gets the same reaction, so the record does not repeat
+    ``event``.
     """
     active = stack.active_layer
     if active is None:
         raise UnrecoverableStateError("no layers deployed")
     if active.stable:
-        return stack, RollbackRecord(event.phase, active.tag, active.tag, noop=True)
+        return stack, RollbackRecord(active.tag, active.tag, noop=True)
     target = stack.latest_stable()
     if target is None:
         raise UnrecoverableStateError("no stable layer to roll back to")
     layers = list(stack.layers)
     layers[stack.active] = replace(active, failed=True)
     rolled = replace(stack, layers=tuple(layers), active=target)
-    record = RollbackRecord(event.phase, active.tag, stack.layers[target].tag)
+    record = RollbackRecord(active.tag, stack.layers[target].tag)
     return rolled, record
 
 

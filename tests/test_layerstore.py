@@ -101,7 +101,6 @@ class TestOnFailure:
         assert record.from_tag == "V1.1"
         assert record.to_tag == "V1.0"
         assert not record.noop
-        assert record.phase is FailurePhase.POST_UPDATE_EXECUTION
 
     def test_failed_layer_retained_and_marked(self):
         stack = commit_layer(deployed_stack(), V11, "V1.1")

@@ -30,9 +30,10 @@ finds the same boundaries as a 64-bit rolling hash. Chunk boundaries only
 steer the search: a chunk script's ops count bytes, and each of its insert
 runs is delta-coded with :func:`satpatch.package.delta_encode`.
 
-The chunker and the Hirschberg split compute on numpy arrays. numpy is
-loaded on first use, by the first chunk or split a process runs, so the
-onboard modules that import this one never load it.
+Only the chunker computes on numpy arrays; the line diff and the
+Hirschberg split use the standard library. numpy is loaded by the first
+chunk a process runs, so neither a text-only diff nor the onboard modules
+that import this one ever load it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-from itertools import compress
+from itertools import accumulate, compress
+from operator import sub
 from typing import Sequence
 
 from .fstree import FileTree, classify_textual, tree_digest
@@ -298,15 +300,26 @@ def _row(masks, a0, a1, units, reverse=False, rows=None, local=None):
     return v
 
 
-def _zero_counts(v: int, width: int) -> np.ndarray:
-    """out[x] = number of zero bits of ``v`` below bit x, for x <= width."""
-    import numpy as np
+#: Maps the digits of ``format(v, "b")`` to the bits they stand for.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
-    raw = np.frombuffer(v.to_bytes((width + 7) // 8, "little"), np.uint8)
-    zeros = 1 - np.unpackbits(raw, bitorder="little")[:width].astype(np.int64)
-    out = np.zeros(width + 1, np.int64)
-    np.cumsum(zeros, out=out[1:])
-    return out
+
+def _split(fwd: int, rev: int, la: int) -> tuple[int, int]:
+    """(i, score) of the first old length i with the largest
+    score(i) = zeros of ``fwd`` below bit i + zeros of ``rev`` below bit
+    la - i, for 0 <= i <= la: the LCS lengths of the two halves of a
+    Hirschberg split through old position i.
+
+    Read ``rev`` most significant bit first, as r'; then score(i) =
+    la - ones(rev) - sum(f[x] - r'[x] for x < i), so i is the first
+    minimum of those prefix sums. The bits are summed by C-level calls,
+    with no per-bit Python loop.
+    """
+    f = format(fwd, f"0{la}b").encode()[::-1].translate(_BIT_VALUES)
+    r = format(rev, f"0{la}b").encode().translate(_BIT_VALUES)
+    sums = list(accumulate(map(sub, f, r), initial=0))
+    low = min(sums)
+    return sums.index(low), la - rev.bit_count() - low
 
 
 def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b):
@@ -332,11 +345,10 @@ def _match(masks, a, b, a0, a1, b0, b1, hit_a, hit_b):
         _trace(masks, a, b, a0, a1, b0, b1, hit_a, hit_b)
         return
     mid = b0 + lb // 2
-    fwd = _zero_counts(_row(masks, a0, a1, b[b0:mid]), la)
-    rev = _zero_counts(_row(masks, a0, a1, b[mid:b1][::-1], True), la)
-    score = fwd + rev[::-1]
-    i = int(score.argmax())
-    if score[i]:
+    fwd = _row(masks, a0, a1, b[b0:mid])
+    rev = _row(masks, a0, a1, b[mid:b1][::-1], True)
+    i, score = _split(fwd, rev, la)
+    if score:
         _match(masks, a, b, a0, a0 + i, b0, mid, hit_a, hit_b)
         _match(masks, a, b, a0 + i, a1, mid, b1, hit_a, hit_b)
 

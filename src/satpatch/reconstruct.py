@@ -64,15 +64,20 @@ class ApplyReport:
 
 def apply_file(old: bytes, change: FileChange) -> bytes:
     """Replay a single patch of either kind against old file content: a
-    retain copies the old bytes between two unit edges, and a chunk insert
-    run inflates against the old bytes before its edge."""
+    retain takes the old bytes between two unit edges, and a chunk insert
+    run inflates against the old bytes before its edge.
+
+    Retained spans are views of ``old``, so the new content is the only
+    copy made of them.
+    """
     if change.kind not in PATCH_KINDS:
         raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
     chunked = change.kind is ChangeKind.CHUNK_PATCH
     unit = "byte" if chunked else "line"
     edges = unit_edges(old, change.kind)
     units = len(edges) - 1
-    out: list[bytes] = []
+    view = memoryview(old)
+    out: list[bytes | memoryview] = []
     pos = 0
     seg = iter(change.segments)
     for op in change.ops:
@@ -86,7 +91,7 @@ def apply_file(old: bytes, change: FileChange) -> bytes:
         if end > units:
             raise EditScriptError(f"{change.path!r}: script walks past {unit} {units}")
         if op.kind == RETAIN:
-            out.append(old[edges[pos] : edges[end]])
+            out.append(view[edges[pos] : edges[end]])
         pos = end
     if pos != units:
         raise EditScriptError(

@@ -18,6 +18,7 @@ from satpatch.diffgen import (
     _BLOCK,
     _LEAF_BITS,
     _ROW_HEADER_BITS,
+    _split,
     chunk_diff,
     chunk_lengths,
     chunkify,
@@ -275,6 +276,64 @@ class TestDiffUnits:
             tracemalloc.stop()
         assert replay_raw(a, b, raw) == b
         assert peak < 16 * 2**20
+
+
+def zeros_below(v, k):
+    return k - (v & ((1 << k) - 1)).bit_count()
+
+
+def split_oracle(fwd, rev, la):
+    """(i, score) by recounting zero bits at every column, first maximum."""
+    scores = [zeros_below(fwd, i) + zeros_below(rev, la - i) for i in range(la + 1)]
+    best = max(scores)
+    return scores.index(best), best
+
+
+def bit_reversed(v, la):
+    return int(format(v, f"0{la}b")[::-1], 2)
+
+
+@st.composite
+def _split_rows(draw):
+    """(fwd, rev, la): random, empty, full and sparse rows, and rev rows
+    that mirror fwd, whole or XORed with another row, so that columns tie."""
+    la = draw(st.one_of(st.integers(1, 24), st.integers(1, 600)))
+    full = (1 << la) - 1
+
+    def row():
+        return draw(
+            st.one_of(
+                st.integers(0, full),
+                st.just(0),
+                st.just(full),
+                st.lists(st.integers(0, la - 1), max_size=6).map(
+                    lambda xs: sum({1 << x for x in xs})
+                ),
+            )
+        )
+
+    fwd, other = row(), row()
+    mirror = bit_reversed(fwd, la)
+    rev = draw(st.sampled_from([other, mirror, mirror ^ other]))
+    return fwd, rev, la
+
+
+class TestSplit:
+    """The Hirschberg split's column and score (:func:`diffgen._split`)."""
+
+    @settings(max_examples=300)
+    @given(_split_rows())
+    def test_matches_recount(self, rows):
+        assert _split(*rows) == split_oracle(*rows)
+
+    def test_ties_take_the_first_column(self):
+        # Every column scores the same when rev mirrors fwd.
+        assert _split(0, 0, 9) == (0, 9)
+        assert _split(0b101, 0b101, 3) == (0, 1)
+        full = (1 << 13) - 1
+        assert _split(full, full, 13) == (0, 0)
+        # Columns 1 and 3 both score 2.
+        assert _split(0b010, 0b101, 3) == (1, 2)
 
 
 class TestLineDiff:

@@ -1,4 +1,5 @@
-"""Import layering of the onboard modules, checked three ways.
+"""Import layering of the onboard modules, checked three ways, and the
+ground differ's lazy numpy import.
 
 The replay path must not depend on the ground differ or on numpy. The
 first check parses each onboard module with ``ast`` instead of importing
@@ -9,7 +10,8 @@ through :mod:`satpatch.layerstore`. So the other two checks run the
 onboard path in a fresh interpreter and then read ``sys.modules``. One
 imports every ``satpatch`` module, decodes a package and applies it, and
 finds no numpy. The other imports only the replay's own modules, does the
-same, and finds no ground module loaded.
+same, and finds no ground module loaded. A last probe diffs a text update
+large enough to split and finds no numpy: only the chunker loads it.
 """
 
 import ast
@@ -120,6 +122,32 @@ assert not loaded, f"the replay loaded {loaded}"
 """
 
 
+#: Runs in a fresh interpreter. Each edit copies a line from elsewhere in
+#: the file, so the lines between the first and last edit stay shared and
+#: the piece the differ searches after trimming the ends is large enough
+#: to split.
+TEXT_DIFF_PROBE = """
+import random, sys
+from satpatch import diffgen
+from satpatch.fstree import FileTree
+from satpatch.package import encode_package
+rng = random.Random(7)
+old = [b"value_%d = compute(%d);\\n" % (k, rng.randrange(1000)) for k in range(3000)]
+new = list(old)
+edits = rng.sample(range(3000), 150)
+for k in edits:
+    new[k] = old[rng.randrange(3000)]
+shared = max(edits) - min(edits) + 1 - len(edits)
+assert shared * (shared + diffgen._ROW_HEADER_BITS) > diffgen._LEAF_BITS
+trees = [FileTree.from_dict(tag, {"app/main.c": b"".join(lines)})
+         for tag, lines in (("old", old), ("new", new))]
+encode_package(diffgen.compare_trees(*trees))
+assert "numpy" not in sys.modules, "a text-only diff loaded numpy"
+diffgen.chunkify(bytes(range(256)) * 400)
+assert "numpy" in sys.modules, "the probe cannot see numpy load"
+"""
+
+
 @pytest.fixture
 def onboard_update(tmp_path):
     """(base tree directory, package file) of a text and binary update."""
@@ -140,7 +168,7 @@ def onboard_update(tmp_path):
     return tmp_path / "old", pkg
 
 
-def run_probe(probe: str, update: tuple[Path, Path]) -> None:
+def run_probe(probe: str, update: tuple[Path, ...]) -> None:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", probe, *map(str, update)],
@@ -155,3 +183,7 @@ def test_onboard_path_loads_no_numpy(onboard_update):
 
 def test_replay_loads_no_ground_module(onboard_update):
     run_probe(REPLAY_PROBE, onboard_update)
+
+
+def test_text_only_diff_loads_no_numpy():
+    run_probe(TEXT_DIFF_PROBE, ())

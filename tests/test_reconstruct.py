@@ -1,6 +1,7 @@
 """Apply path: end-to-end round trips, typed failures, transactionality."""
 
 import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -68,6 +69,23 @@ class TestApplyFile:
         # The runs resend mostly old bytes, which the dictionary supplies.
         inserted = sum(op.count for op in ops if op.kind == "I")
         assert sum(map(len, segments)) < 333 + inserted // 4
+
+    def test_retained_bytes_copied_once(self):
+        # A patched file's retained spans go into the new content without
+        # a copy of their own: the peak is the output, not twice it.
+        old = random.Random(2).randbytes(4 * 2**20)
+        new = bytearray(old)
+        new[1_000_000] ^= 1
+        new[3_000_000] ^= 1
+        change = chunk_change(old, bytes(new))
+        tracemalloc.start()
+        try:
+            out = apply_file(old, change)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == new
+        assert peak < 1.25 * len(old)
 
     def test_wrong_old_content_caught_by_length(self):
         ops, segments = chunk_diff(b"A" * 1000, b"A" * 500)

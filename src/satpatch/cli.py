@@ -279,12 +279,13 @@ def _cmd_inspect(args) -> int:
         f"package: {len(blob)} B compressed",
         f"manifest: {layout['manifest_bytes']} B",
         f"segments: {layout['segment_bytes']} B",
-        f"{'kind':<12}  {'changes':>8}  {'segment B':>12}  {'inserted B':>12}",
+        f"{'kind':<12}  {'changes':>8}  {'segment B':>12}  {'inserted B':>12}  "
+        f"{'patched B':>12}",
     ]
     for kind, row in sorted(layout["kinds"].items()):
         lines.append(
             f"{kind:<12}  {row['changes']:>8}  {row['segment_bytes']:>12}  "
-            f"{row['inserted']:>12}"
+            f"{row['inserted']:>12}  {row['patched']:>12}"
         )
     if layout["paths"]:
         lines.append("top paths by segment bytes:")

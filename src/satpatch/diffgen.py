@@ -27,8 +27,12 @@ ending there has its low ``MASK_BITS`` bits zero (LBFS), at least
 (:func:`_boundary_candidates`) sums each window's hash terms by doubling,
 with shifted vector adds in 16-bit arithmetic over 64 KiB blocks, and
 finds the same boundaries as a 64-bit rolling hash. Chunk boundaries only
-steer the search: a chunk script's ops count bytes, and each of its insert
-runs is delta-coded with :func:`satpatch.package.delta_encode`.
+steer the search: a chunk script's ops count bytes. A delete directly
+followed by an insert of the same byte length becomes one X run, coded
+by :func:`satpatch.package.patch_encode` as the bytes that change, when
+that segment is at most 1/``_PATCH_SHARE`` of the span; every other
+insert run is delta-coded with :func:`satpatch.package.delta_encode`.
+No run is deflated just to compare sizes.
 
 Only the chunker computes on numpy arrays; the line diff and the
 Hirschberg split use the standard library. numpy is loaded by the first
@@ -52,6 +56,7 @@ from .package import (
     MASK_BITS,
     MAX_SIZE,
     MIN_SIZE,
+    PATCH,
     RETAIN,
     WINDOW,
     ChangeKind,
@@ -59,6 +64,7 @@ from .package import (
     EditOp,
     FileChange,
     delta_encode,
+    patch_encode,
     split_lines,
 )
 
@@ -438,6 +444,11 @@ def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
         i, j = x + run, y + run
 
 
+#: A same-length delete and insert become one X run when its segment is
+#: at most ``span // _PATCH_SHARE`` bytes. A fixed design constant.
+_PATCH_SHARE = 8
+
+
 def _assemble(
     raw: list[tuple],
     old_units: Sequence[bytes],
@@ -447,8 +458,10 @@ def _assemble(
     """Turn a unit script into ops and segments.
 
     Without ``old`` the ops count units. With it (chunk scripts) they
-    count bytes, and each insert run is delta-coded against ``old`` at
-    the old offset the script has reached.
+    count bytes; an insert right after a delete of the same byte length
+    replaces that delete with an X run when its sparse segment is at most
+    ``span // _PATCH_SHARE`` bytes, and every other insert run is
+    delta-coded against ``old`` at the old offset the script has reached.
     """
     ops: list[EditOp] = []
     segments: list[bytes] = []
@@ -462,9 +475,16 @@ def _assemble(
             if old is None:
                 ops.append(EditOp(INSERT, n))
                 segments.append(run)
-            else:
-                ops.append(EditOp(INSERT, len(run)))
-                segments.append(delta_encode(run, old, pos))
+                continue
+            span = len(run)
+            if ops and ops[-1] == (DELETE, span):
+                patch = patch_encode(old[pos - span : pos], run, span // _PATCH_SHARE)
+                if patch:
+                    ops[-1] = EditOp(PATCH, span)
+                    segments.append(patch)
+                    continue
+            ops.append(EditOp(INSERT, span))
+            segments.append(delta_encode(run, old, pos))
             continue
         kind, n = op
         if old is None:
@@ -490,7 +510,7 @@ def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, 
 
 def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
     """Minimal chunk-level edit script for binary content, as byte spans
-    with delta-coded insert runs."""
+    with delta-coded insert runs and sparse patch runs."""
     old_units = chunkify(old)
     new_units = chunkify(new)
     raw = diff_units(old_units, new_units)

@@ -84,8 +84,11 @@ class EditScriptError(ApplyError):
 
 
 class DeltaRunError(ApplyError):
-    """A chunk insert run does not inflate, against the old bytes before
-    it, to exactly the span its op declares."""
+    """A chunk run does not rebuild exactly the span its op declares: an
+    insert run that does not inflate, against the old bytes before it, to
+    that span, or an X run whose segment is empty, ends inside a pair,
+    has a gap that is not minimal or a zero XOR byte, or patches a byte
+    at or past the span."""
 
 
 class DigestMismatchError(ApplyError):

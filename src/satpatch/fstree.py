@@ -17,6 +17,7 @@ timestamps, and symlinks are out of scope.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import hashlib
 import io
 import os
@@ -305,23 +306,28 @@ def materialize(tree: FileTree, dest: str | Path) -> Path:
     """Write the tree to ``dest``, which must not exist yet; missing
     parents are created. This is the one writer of tree entries.
 
-    The tree is built in a hidden sibling (its name starts with ``.``,
-    so it never equals a layer tag) and renamed into place, so ``dest``
-    is either absent or whole. On any failure the sibling is removed, and
-    a sibling that a cut write left behind is removed by the next call
-    for the same ``dest``.
+    ``dest`` is claimed first, with an exclusive mkdir, so a ``dest``
+    that exists, or appears after the claim, is never written over: the
+    claim raises TreeError and leaves it as it is. The tree is built in a
+    hidden sibling (its name starts with ``.``, so it never equals a
+    layer tag) and renamed onto the claimed empty ``dest``, so ``dest``
+    is absent, empty or whole. On any failure the sibling and the claim
+    are removed, and a sibling that a cut write left behind is removed by
+    the next call for the same ``dest``.
     """
     root = Path(dest)
-    if root.exists():
-        raise TreeError(f"destination already exists: {root}")
     root.parent.mkdir(parents=True, exist_ok=True)
-    prefix = f".{root.name}.satpatch-"
-    for sibling in root.parent.iterdir():
-        if sibling.name.startswith(prefix):
-            shutil.rmtree(sibling, ignore_errors=True)
-    staging = root.parent / f"{prefix}{os.urandom(4).hex()}"
-    staging.mkdir()
     try:
+        root.mkdir()
+    except FileExistsError:
+        raise TreeError(f"destination already exists: {root}") from None
+    prefix = f".{root.name}.satpatch-"
+    staging = root.parent / f"{prefix}{os.urandom(4).hex()}"
+    try:
+        for sibling in root.parent.iterdir():
+            if sibling.name.startswith(prefix):
+                shutil.rmtree(sibling, ignore_errors=True)
+        staging.mkdir()
         for path, entry in tree.items():
             target = staging / path
             if entry.is_dir:
@@ -331,6 +337,8 @@ def materialize(tree: FileTree, dest: str | Path) -> Path:
         os.rename(staging, root)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            root.rmdir()
         raise
     return root
 

@@ -1,27 +1,32 @@
 """The update package: the change-set model and its .satpkg wire format.
 
 This module is the one owner of what an update package is: the
-:class:`ChangeSet` model, the units its ops count, the delta-run codec and
-the version 2 bytes. The ground differ (:mod:`satpatch.diffgen`) builds
-change sets and the onboard replay (:mod:`satpatch.reconstruct`) consumes
-them; neither defines them.
+:class:`ChangeSet` model, the units its ops count, the codecs of chunk
+runs and the version 3 bytes. The ground differ (:mod:`satpatch.diffgen`)
+builds change sets and the onboard replay (:mod:`satpatch.reconstruct`)
+consumes them; neither defines them.
 
 A patch carries a run-length script of R (retain), D (delete) and I
-(insert) ops and one segment per I run. Ops count lines (as
-:func:`split_lines` cuts them) in a text patch and bytes in a chunk patch,
-so the receiver replays byte spans and never chunks. A text insert run is
-raw. A chunk insert run is delta-coded (:func:`delta_encode`,
-:func:`delta_decode`): a raw deflate stream (``zlib`` wbits -15, level 9)
-whose preset dictionary is ``old[max(0, p - 32768):p]``, where ``p`` is
-the old-content offset the script has reached at the run, after any
-delete before it, and it must inflate to exactly the run's I count. The
-rule depends only on the change kind, so no flag travels with a run.
+(insert) ops, plus X (patch) ops in a chunk patch, and one segment per I
+or X run. Ops count lines (as :func:`split_lines` cuts them) in a text
+patch and bytes in a chunk patch, so the receiver replays byte spans and
+never chunks. A text insert run is raw. A chunk insert run is
+delta-coded (:func:`delta_encode`, :func:`delta_decode`): a raw deflate
+stream (``zlib`` wbits -15, level 9) whose preset dictionary is
+``old[max(0, p - 32768):p]``, where ``p`` is the old-content offset the
+script has reached at the run, after any delete before it, and it must
+inflate to exactly the run's I count. An X run of n consumes n old bytes
+and yields n new bytes that differ from them only where its segment says
+(:func:`patch_encode`, :func:`patch_decode`): the segment is (LEB128 gap,
+nonzero XOR byte) pairs, one per changed byte, where the gap counts the
+bytes since the previous changed byte ended. The rules depend only on
+the op and change kind, so no flag travels with a run.
 
 The container (all integers big-endian) is gzip'd as a whole at level 9
 with a zeroed timestamp, so identical change sets encode to identical
 bytes:
 
-    magic "SATL" | u8 version (2)
+    magic "SATL" | u8 version (3)
     u32 window | u32 mask_bits | u32 min_size | u32 max_size
     32B source tree digest | 32B target tree digest
     u64 manifest length | manifest (UTF-8 text, one line per change)
@@ -31,9 +36,10 @@ bytes:
 The four u32 words are the ground chunker's fixed constants; decode
 requires exactly these values. Manifest lines are tab-separated: change
 code, percent-encoded path, and for patches an op string such as
-``R5 D2 I3``. Records are keyed by (UTF-8 path bytes, insert-run index),
-one per I run of a patch and one, run 0, per inserted file. Encode writes
-them in key order, and decode requires exactly these records in it.
+``R5 D2 I3`` (``R5 X4096 R9`` in a chunk patch). Records are keyed by
+(UTF-8 path bytes, run index), one per I or X run of a patch, counted in
+op order, and one, run 0, per inserted file. Encode writes them in key
+order, and decode requires exactly these records in it.
 
 Decoding inflates the container only as far as the fields read so far
 need, refuses a record whose header is not the next key before reading
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import re
 import struct
 import urllib.parse
 import zlib
@@ -69,15 +76,16 @@ from .fstree import normalize_path
 RETAIN = "R"
 DELETE = "D"
 INSERT = "I"
+PATCH = "X"
 
 
 # Chunker parameters: a boundary falls where the rolling hash of the
 # trailing WINDOW bytes has MASK_BITS low zero bits, and chunk lengths are
 # clamped to [MIN_SIZE, MAX_SIZE]. They are fixed design constants, as in
 # LBFS, which uses the same 48-byte window, and only the ground chunks.
-# They sit here, not in diffgen, because the v2 header carries them and
+# They sit here, not in diffgen, because the header carries them and
 # decode requires them; they return to diffgen when the header drops them
-# (wire format v3, ROADMAP.md).
+# (ROADMAP.md).
 WINDOW = 48
 MASK_BITS = 11
 MIN_SIZE = 256
@@ -88,9 +96,10 @@ MAX_SIZE = 16384
 
 
 class EditOp(NamedTuple):
-    """One run-length edit: retain/delete/insert ``count`` units, where a
-    unit is a line in text scripts and a byte in chunk scripts. Plain
-    data: a package's ops are checked once, when its manifest is parsed."""
+    """One run-length edit: retain/delete/insert/patch ``count`` units,
+    where a unit is a line in text scripts and a byte in chunk scripts.
+    Plain data: a package's ops are checked once, when its manifest is
+    parsed."""
 
     kind: str
     count: int
@@ -114,14 +123,14 @@ CONTENT_KINDS = PATCH_KINDS | {ChangeKind.FILE_INSERT}
 class FileChange:
     """One manifest entry: what happened to one path.
 
-    Patches carry an edit script plus the inserted-byte segments, in I-op
-    order (delta-coded for chunk patches). A file insert is a single
-    segment holding the whole content.
+    Patches carry an edit script plus one segment per I or X run, in op
+    order (delta-coded or sparse for chunk patches). A file insert is a
+    single segment holding the whole content.
 
     A FileChange checks the structure that needs no old content when it is
-    built: one segment per insert run, and each text insert run exactly as
-    many lines as its op counts. Chunk insert runs are checked when they
-    inflate against the old content. Raises PackageInconsistencyError.
+    built: one segment per run, and each text insert run exactly as many
+    lines as its op counts. Chunk runs are checked when they replay
+    against the old content. Raises PackageInconsistencyError.
     """
 
     path: str
@@ -133,7 +142,7 @@ class FileChange:
         needed = insert_runs(self.kind, self.ops)
         if len(self.segments) != needed:
             raise PackageInconsistencyError(
-                f"{needed} insert runs but {len(self.segments)} segments", self.path
+                f"{needed} runs but {len(self.segments)} segments", self.path
             )
         if self.kind is not ChangeKind.TEXT_PATCH:
             return
@@ -167,11 +176,14 @@ class ChangeSet:
 
 
 def insert_runs(kind: ChangeKind, ops: tuple[EditOp, ...]) -> int:
-    """How many segments a change of ``kind`` with ``ops`` must carry."""
+    """How many segments a change of ``kind`` with ``ops`` must carry:
+    one per I run of a patch and per X run of a chunk patch."""
     if kind is ChangeKind.FILE_INSERT:
         return 1
-    if kind in PATCH_KINDS:
+    if kind is ChangeKind.TEXT_PATCH:
         return sum(1 for op in ops if op.kind == INSERT)
+    if kind is ChangeKind.CHUNK_PATCH:
+        return sum(1 for op in ops if op.kind in (INSERT, PATCH))
     return 0
 
 
@@ -185,9 +197,10 @@ def split_lines(data: bytes) -> list[bytes]:
 def unit_edges(content: bytes, kind: ChangeKind) -> Sequence[int]:
     """Byte offsets of the op units of ``content`` in a patch of ``kind``:
     unit k is ``content[edges[k]:edges[k + 1]]``. A text unit is a line
-    (as :func:`split_lines` cuts it), a chunk unit a byte."""
+    (as :func:`split_lines` cuts it), a chunk unit a byte. Lines are read
+    one at a time, so only their edges are held."""
     if kind is ChangeKind.TEXT_PATCH:
-        return list(accumulate(map(len, split_lines(content)), initial=0))
+        return list(accumulate(map(len, io.BytesIO(content)), initial=0))
     return range(len(content) + 1)
 
 
@@ -236,10 +249,90 @@ def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> 
     return run
 
 
+# -- sparse chunk patch runs ----------------------------------------------------
+
+#: A byte of an XOR of two spans where they differ.
+_CHANGED = re.compile(rb"[^\x00]")
+
+
+def patch_encode(old: bytes, new: bytes, limit: int) -> bytes | None:
+    """Segment of an X run turning ``old`` into ``new`` (equal lengths):
+    one (LEB128 gap, nonzero XOR byte) pair per byte that differs, where
+    the gap counts the bytes since the previous changed byte ended.
+
+    Returns None once the segment is known to exceed ``limit`` bytes,
+    before any pair is built if the changed bytes alone are too many.
+    """
+    n = len(new)
+    diff = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).to_bytes(
+        n, "little"
+    )
+    if 2 * (n - diff.count(0)) > limit:
+        return None
+    out = bytearray()
+    end = 0
+    for hit in _CHANGED.finditer(diff):
+        p = hit.start()
+        gap = p - end
+        while gap > 0x7F:
+            out.append(gap & 0x7F | 0x80)
+            gap >>= 7
+        out.append(gap)
+        out.append(diff[p])
+        end = p + 1
+    return bytes(out) if len(out) <= limit else None
+
+
+def patch_decode(
+    segment: bytes, old: memoryview, pos: int, span: int, path: str
+) -> list[bytes | memoryview]:
+    """The pieces of the ``span`` new bytes that an X run at old offset
+    ``pos`` yields: views of ``old`` with each patched byte between them,
+    so joining them is the only copy. Raises DeltaRunError (naming
+    ``path``) for an empty segment, a cut or non-minimal gap, a zero XOR
+    byte, or a position at or past the span.
+    """
+    where = f"{path!r}: patch run at byte {pos}"
+    if not segment:
+        raise DeltaRunError(f"{where} is empty")
+    pieces: list[bytes | memoryview] = []
+    start, stop = pos, pos + span
+    i, n = 0, len(segment)
+    while i < n:
+        gap = shift = 0
+        while True:
+            byte = segment[i]
+            i += 1
+            gap |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            if i == n:
+                raise DeltaRunError(f"{where} ends inside a gap")
+            shift += 7
+        if shift and not byte:
+            raise DeltaRunError(f"{where} has a gap that is not minimal")
+        if i == n:
+            raise DeltaRunError(f"{where} ends before a XOR byte")
+        xor = segment[i]
+        i += 1
+        if not xor:
+            raise DeltaRunError(f"{where} has a zero XOR byte")
+        at = start + gap
+        if at >= stop:
+            raise DeltaRunError(f"{where} patches byte {at - pos} of a {span}-byte span")
+        if at > start:
+            pieces.append(old[start:at])
+        pieces.append(bytes((old[at] ^ xor,)))
+        start = at + 1
+    if stop > start:
+        pieces.append(old[start:stop])
+    return pieces
+
+
 # -- wire format ----------------------------------------------------------------
 
 MAGIC = b"SATL"
-PACKAGE_VERSION = 2
+PACKAGE_VERSION = 3
 
 _DIGEST_LEN = 32
 #: The chunker constants, in header order.
@@ -260,11 +353,15 @@ def _format_ops(ops: tuple[EditOp, ...]) -> str:
     return " ".join(f"{op.kind}{op.count}" for op in ops)
 
 
-def _parse_ops(text: str, line_no: int, path: str) -> tuple[EditOp, ...]:
-    """The one check of ops from outside: R, D or I and a positive count."""
+def _parse_ops(
+    text: str, kind: ChangeKind, line_no: int, path: str
+) -> tuple[EditOp, ...]:
+    """The one check of ops from outside: R, D or I, or X in a chunk
+    patch, and a positive count."""
+    letters = "RDIX" if kind is ChangeKind.CHUNK_PATCH else "RDI"
     ops = []
     for token in text.split(" "):
-        if not token or token[0] not in "RDI":
+        if not token or token[0] not in letters:
             raise ManifestError(f"bad op token {token!r}", line_no, path)
         count = token[1:]
         # ASCII digits only, and few enough that the count fits a C ssize_t.
@@ -305,7 +402,7 @@ def _decode_manifest(blob: bytes) -> list[tuple[str, ChangeKind, tuple[EditOp, .
         if kind in PATCH_KINDS:
             if len(fields) != 3:
                 raise ManifestError("patch line needs an op field", line_no, path)
-            entries.append((path, kind, _parse_ops(fields[2], line_no, path)))
+            entries.append((path, kind, _parse_ops(fields[2], kind, line_no, path)))
         else:
             if len(fields) != 2:
                 raise ManifestError("unexpected extra fields", line_no, path)
@@ -432,7 +529,7 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
     entries = _decode_manifest(cur.take(manifest_len, "manifest"))
-    # One key per insert run the manifest declares, in the one order
+    # One key per run the manifest declares, in the one order
     # encode_package writes the records, each with the entry it belongs to.
     keys = sorted(
         (path.encode("utf-8"), run, at)
@@ -440,10 +537,10 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
         for run in range(insert_runs(kind, ops))
     )
     if len({key[:2] for key in keys}) != len(keys):
-        raise PackageInconsistencyError("manifest lists a path's insert runs twice")
+        raise PackageInconsistencyError("manifest lists a path's runs twice")
     (record_count,) = cur.unpack(">I", "segment count")
     if record_count != len(keys):
-        raise PackageInconsistencyError(f"{record_count} records, {len(keys)} insert runs")
+        raise PackageInconsistencyError(f"{record_count} records, {len(keys)} runs")
     segments: list[list[bytes]] = [[] for _ in entries]
     for want_path, want_run, at in keys:
         (path_len,) = cur.unpack(">H", "segment path length")
@@ -467,21 +564,27 @@ def wire_layout(blob: bytes) -> dict:
     the wire, and the segment records split by change kind and by path.
     Decodes the package, so it raises a PackageError subclass.
 
-    For each kind, ``inserted`` is the bytes its segments rebuild, which
-    differs from ``segment_bytes`` only for delta-coded chunk runs.
+    For each kind, ``inserted`` is the bytes its I runs and inserted files
+    yield and ``patched`` the bytes its X runs yield (chunk patches only);
+    against ``segment_bytes`` they show what the coding of chunk runs saves.
     """
     changeset, manifest_len = _decode(blob)
     kinds: dict[str, dict[str, int]] = {}
     paths: dict[str, int] = {}
     for change in changeset.changes:
         row = kinds.setdefault(
-            change.kind.name, {"changes": 0, "segment_bytes": 0, "inserted": 0}
+            change.kind.name,
+            {"changes": 0, "segment_bytes": 0, "inserted": 0, "patched": 0},
         )
         row["changes"] += 1
         sent = sum(map(len, change.segments))
         row["segment_bytes"] += sent
         if change.kind is ChangeKind.CHUNK_PATCH:
-            row["inserted"] += sum(op.count for op in change.ops if op.kind == INSERT)
+            for op in change.ops:
+                if op.kind == INSERT:
+                    row["inserted"] += op.count
+                elif op.kind == PATCH:
+                    row["patched"] += op.count
         else:
             row["inserted"] += sent
         if sent:

@@ -11,7 +11,9 @@ checked when the FileChange was built, at decode for a package. One loop
 replays both patch kinds through the old content's unit edges (lines of
 a text patch, bytes of a chunk patch), so the receiver never re-chunks
 its local content; each chunk insert run inflates against the old bytes
-before it through :func:`satpatch.package.delta_decode`. The model and
+before it through :func:`satpatch.package.delta_decode`, and each X run
+is the old span with its changed bytes patched in
+(:func:`satpatch.package.patch_decode`), with no inflater. The model and
 its rules come from :mod:`satpatch.package` alone, so this module never
 imports the ground differ.
 """
@@ -33,6 +35,7 @@ from .errors import (
 from .fstree import Entry, FileTree, materialize, tree_digest
 from .package import (
     INSERT,
+    PATCH,
     PATCH_KINDS,
     RETAIN,
     ChangeKind,
@@ -40,6 +43,7 @@ from .package import (
     FileChange,
     decode_package,
     delta_decode,
+    patch_decode,
     unit_edges,
 )
 
@@ -64,11 +68,12 @@ class ApplyReport:
 
 def apply_file(old: bytes, change: FileChange) -> bytes:
     """Replay a single patch of either kind against old file content: a
-    retain takes the old bytes between two unit edges, and a chunk insert
-    run inflates against the old bytes before its edge.
+    retain takes the old bytes between two unit edges, a chunk insert run
+    inflates against the old bytes before its edge, and an X run patches
+    its changed bytes into the old span it consumes.
 
-    Retained spans are views of ``old``, so the new content is the only
-    copy made of them.
+    Retained spans and the unchanged bytes of X runs are views of
+    ``old``, so the new content is the only copy made of them.
     """
     if change.kind not in PATCH_KINDS:
         raise EditScriptError(f"{change.path!r}: not a patch change ({change.kind})")
@@ -92,6 +97,10 @@ def apply_file(old: bytes, change: FileChange) -> bytes:
             raise EditScriptError(f"{change.path!r}: script walks past {unit} {units}")
         if op.kind == RETAIN:
             out.append(view[edges[pos] : edges[end]])
+        elif op.kind == PATCH:
+            if not chunked:
+                raise EditScriptError(f"{change.path!r}: patch run in a line script")
+            out.extend(patch_decode(next(seg), view, pos, op.count, change.path))
         pos = end
     if pos != units:
         raise EditScriptError(

@@ -302,13 +302,25 @@ class TestInspect:
         kinds = doc["kinds"]
         assert set(kinds) == {"CHUNK_PATCH", "TEXT_PATCH", "FILE_INSERT"}
         assert doc["segment_bytes"] == sum(k["segment_bytes"] for k in kinds.values())
-        # The flipped chunk travels as a few bytes against the old ones.
+        # The flipped chunk travels as one (gap, XOR) pair, patched into
+        # the old chunk, and nothing is inserted.
         chunk = kinds["CHUNK_PATCH"]
-        assert chunk["changes"] == 1 and 0 < chunk["segment_bytes"] < chunk["inserted"] // 10
+        assert chunk["changes"] == 1 and chunk["inserted"] == 0
+        assert 0 < chunk["segment_bytes"] <= 4 < 256 <= chunk["patched"]
         assert kinds["TEXT_PATCH"]["segment_bytes"] == len(b"B\n")
-        assert [path for path, _ in doc["paths"]][0] == "app/b.bin"
+        assert kinds["TEXT_PATCH"]["patched"] == 0
+        # Paths by segment bytes, most first: the patched chunk now costs
+        # less than the inserted file.
+        assert doc["paths"] == sorted(doc["paths"], key=lambda kv: (-kv[1], kv[0]))
+        assert dict(doc["paths"]) == {
+            "app/b.bin": chunk["segment_bytes"], "app/m.py": 2, "app/n.txt": 4
+        }
         code, out, _ = run(capsys, "inspect", pkg)
-        assert code == 0 and "manifest:" in out and "CHUNK_PATCH" in out
+        assert code == 0 and "manifest:" in out and "patched B" in out
+        row = next(line for line in out.splitlines() if line.startswith("CHUNK_PATCH"))
+        assert row.split()[1:] == [
+            str(chunk[key]) for key in ("changes", "segment_bytes", "inserted", "patched")
+        ]
 
     def test_bad_package_exits_2(self, tmp_path, capsys):
         pkg = tmp_path / "bad.satpkg"

@@ -423,14 +423,19 @@ class TestChunking:
 
 class TestChunkDiff:
     def test_sizes_on_every_op(self):
-        # Chunk ops are byte spans; each insert run is a raw deflate stream
-        # against the 32 KiB of old content before the run's old offset.
+        # Chunk ops are byte spans. A flipped chunk is an X run: (LEB128
+        # gap, XOR byte) pairs over the old bytes it consumes. Each insert
+        # run is a raw deflate stream against the 32 KiB of old content
+        # before the run's old offset.
         rng = random.Random(6)
         old = rng.randbytes(40_000)
-        new = old[:10_000] + rng.randbytes(500) + old[10_000:]
+        flipped = bytearray(old)
+        flipped[30_000] ^= 0x81
+        new = old[:10_000] + rng.randbytes(500) + bytes(flipped[10_000:])
         ops, segments = chunk_diff(old, new)
-        src = sum(op.count for op in ops if op.kind in ("R", "D"))
-        dst = sum(op.count for op in ops if op.kind in ("R", "I"))
+        assert {"I", "X"} <= {op.kind for op in ops}
+        src = sum(op.count for op in ops if op.kind in ("R", "D", "X"))
+        dst = sum(op.count for op in ops if op.kind in ("R", "I", "X"))
         assert src == len(old)
         assert dst == len(new)
         seg = iter(segments)
@@ -444,6 +449,20 @@ class TestChunkDiff:
                 continue
             if op.kind == "R":
                 rebuilt.append(old[pos : pos + op.count])
+            elif op.kind == "X":
+                span = bytearray(old[pos : pos + op.count])
+                data = iter(next(seg))
+                at = 0
+                for first in data:
+                    gap, shift = first & 0x7F, 7
+                    while first & 0x80:
+                        first = next(data)
+                        gap |= (first & 0x7F) << shift
+                        shift += 7
+                    at += gap
+                    span[at] ^= next(data)
+                    at += 1
+                rebuilt.append(bytes(span))
             pos += op.count
         assert b"".join(rebuilt) == new
 
@@ -558,12 +577,14 @@ class TestRetainedBytes:
     def test_chunk_patch(self):
         rng = random.Random(9)
         old = rng.randbytes(30_000)
-        new = old[:20_000] + rng.randbytes(100) + old[20_000:]
-        ops, segments = chunk_diff(old, new)
+        new = bytearray(old[:20_000] + rng.randbytes(100) + old[20_000:])
+        new[5_000] ^= 0x40
+        ops, segments = chunk_diff(old, bytes(new))
+        assert {"I", "X"} <= {op.kind for op in ops}
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
-        retained = retained_bytes(change, new)
-        inserted = sum(op.count for op in ops if op.kind == "I")
-        assert retained + inserted == len(new)
+        retained = retained_bytes(change, bytes(new))
+        rebuilt = sum(op.count for op in ops if op.kind in ("I", "X"))
+        assert retained + rebuilt == len(new)
 
     def test_full_replacement_retains_nothing(self):
         ops, segments = line_diff(b"a\n", b"zz\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import os
 import tarfile
 import tempfile
 from pathlib import Path
@@ -239,6 +240,38 @@ class TestRoundTrips:
     def test_materialize_refuses_existing(self, tmp_path):
         with pytest.raises(TreeError):
             materialize(FileTree("a", {}), tmp_path)
+        # and leaves what is there as it was, with no staging sibling
+        dest = tmp_path / "out"
+        dest.mkdir()
+        (dest / "keep").write_bytes(b"mine")
+        with pytest.raises(TreeError, match="already exists"):
+            materialize(FileTree.from_dict("a", {"f": b"x\n"}), dest)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert (dest / "keep").read_bytes() == b"mine"
+
+    def test_materialize_never_replaces_a_dest_made_after_the_check(
+        self, tmp_path, monkeypatch
+    ):
+        # Another writer makes an empty ``dest`` while the tree is staged.
+        # POSIX rename would replace it, so the claim must come first: the
+        # other writer's mkdir fails, and the tree lands whole.
+        dest = tmp_path / "out"
+        refused = []
+        write_bytes = Path.write_bytes
+
+        def racing_write(self, data):
+            try:
+                os.mkdir(dest)
+            except FileExistsError:
+                refused.append(self.name)
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", racing_write)
+        tree = FileTree.from_dict("a", {"f": b"x\n"})
+        materialize(tree, dest)
+        monkeypatch.undo()
+        assert refused == ["f"]
+        assert load_tree(dest) == tree
 
     def test_materialize_root_mode(self, tmp_path):
         # staged under a random name, but not with mkdtemp's 0700

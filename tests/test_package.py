@@ -91,6 +91,24 @@ class TestRoundTrip:
         cs = compare_trees(old, new)
         assert decode_package(encode_package(cs)) == cs
 
+    def test_patch_runs_count_with_insert_runs(self):
+        # Records number the I and X runs of a chunk patch in op order.
+        change = FileChange(
+            "f.bin",
+            ChangeKind.CHUNK_PATCH,
+            (EditOp("X", 300), EditOp("R", 9), EditOp("D", 4), EditOp("I", 6), EditOp("X", 40)),
+            (b"\x81\x01\x07", b"delta", b"\x00\x01"),
+        )
+        blob = encode_package(ChangeSet(bytes(32), bytes(32), (change,)))
+        assert decode_package(blob).changes == (change,)
+        container = container_of(blob)
+        assert b"B~\tf.bin\tX300 R9 D4 I6 X40\n" in container
+        assert container.endswith(
+            struct.pack(">H", 5) + b"f.bin" + struct.pack(">IQ", 2, 2) + b"\x00\x01"
+        )
+        (row,) = wire_layout(blob)["kinds"].values()
+        assert row == {"changes": 1, "segment_bytes": 10, "inserted": 6, "patched": 340}
+
     def test_random_pairs(self):
         rng = random.Random(42)
         for _ in range(25):
@@ -129,6 +147,13 @@ class TestDecodeErrors:
         patched = container[:4] + bytes([PACKAGE_VERSION + 1]) + container[5:]
         with pytest.raises(UnsupportedVersionError):
             decode_package(recompress(patched))
+
+    def test_version_2_refused(self):
+        # Version 2 had no X runs; decode accepts version 3 only.
+        container = container_of(encode_package(sample_changeset()))
+        assert container[4] == PACKAGE_VERSION == 3
+        with pytest.raises(UnsupportedVersionError, match="version 2"):
+            decode_package(recompress(container[:4] + b"\x02" + container[5:]))
 
     def test_truncated_container(self):
         container = container_of(encode_package(sample_changeset()))
@@ -227,6 +252,7 @@ class TestManifestValidation:
     def test_bad_op_token(self):
         with pytest.raises(ManifestError, match="bad op count in 'Rx'"):
             decode_package(tamper_manifest(b"R1", b"Rx"))
+        # X runs belong to chunk patches only, and this R1 is a text op.
         with pytest.raises(ManifestError, match="bad op token 'X1'"):
             decode_package(tamper_manifest(b"R1", b"X1"))
 

@@ -1,11 +1,16 @@
 """Wire bytes and generated variants pinned by SHA-256.
 
-The digests were recorded from a build whose chunker parameters were
-still a per-call setting; they hold unchanged now that the parameters
-are constants. A change to package framing, chunk boundaries, the delta
-coder, or the variant generator's random-call order moves one of them.
+A change to package framing, chunk boundaries, the delta or patch
+coders, or the variant generator's random-call order moves one of them.
+The package digests are of version 3 packages. Version 3 added X runs
+(sparse byte patches) to chunk patches, which recodes the flipped chunks
+of ``binary``. The other three packages hold no chunk patch of equal
+lengths, so their containers are pinned a second time as version 2 wrote
+them: with the version byte set back to 2 they hash as before, which
+shows that nothing but the version byte moved.
 """
 
+import gzip
 import hashlib
 import random
 
@@ -80,16 +85,23 @@ def empty():
 
 
 PACKAGES = {
-    "text-only": (text_only, "ebdfc377c0067f8955274f7deafb70d1fa4ee45c8c781d12fc32e147f232146d"),
+    "text-only": (text_only, "cda629f9a9bc1d43eb04c02c52f1d8419de0dadd2c3016f8f944cc43a4dbb3f5"),
     "binary": (
         binary_flips_and_shift,
-        "b58e5fa4f6099758d37accd40d59f5c6ce0c90aaa104c75c1025cf6b5a33fa16",
+        "803f11da21ee89b1c76af893f023287b50c4cc755cf7cd18a6de557619cf265e",
     ),
     "mixed": (
         mixed_inserts_and_deletes,
-        "36fa5c3114fa20a53b4717d1f3e08ce4cdb829e84b2a274a55d9be9cab083b26",
+        "32e768e461da1f7cdd4e9511d2fe96cfeccbae3e63efee3441c2eb2bf69a60ca",
     ),
-    "empty": (empty, "06d55cba7d2794ff4cfde6ee39e1cda301e00fb566bdadeb98bb92c52e5133aa"),
+    "empty": (empty, "47ffe044f728bc95eb35efb01be68415aa23236039f39678793d074b88e7fae1"),
+}
+
+#: SHA-256 of the inflated container that version 2 encoded.
+VERSION_2_CONTAINERS = {
+    "text-only": "132917ad194302d0218624832a1b5348d775cfe9e374b4afee6b7bc34d74d7fc",
+    "mixed": "5f16483ca9da2f05da7ff32277c67f4ead498ffc37eb8d154f6c202b401258e7",
+    "empty": "d41ab6ecc71cfe4d6bb45798848047bd4264c262eae0d5819e64ea4f49296b3b",
 }
 
 
@@ -98,6 +110,15 @@ def test_package_bytes_are_pinned(name):
     make, want = PACKAGES[name]
     old, new = make()
     assert hashlib.sha256(encode_package(compare_trees(old, new))).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", VERSION_2_CONTAINERS)
+def test_only_the_version_byte_moved(name):
+    make, _ = PACKAGES[name]
+    container = gzip.decompress(encode_package(compare_trees(*make())))
+    assert container[4] == 3
+    as_version_2 = container[:4] + b"\x02" + container[5:]
+    assert hashlib.sha256(as_version_2).hexdigest() == VERSION_2_CONTAINERS[name]
 
 
 VARIANTS = {

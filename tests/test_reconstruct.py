@@ -6,7 +6,7 @@ import zlib
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpatch.diffgen import chunk_diff, compare_trees, line_diff
@@ -87,6 +87,25 @@ class TestApplyFile:
         assert out == new
         assert peak < 1.25 * len(old)
 
+    def test_line_edges_hold_no_line_objects(self):
+        # Only the line edges of the old content are kept, not a bytes
+        # object per line: 131,072 lines of 25 bytes, two of them edited.
+        old = b"".join(b"%024d\n" % i for i in range(131_072))
+        lines = old.splitlines(keepends=True)
+        lines[1_000] = b"edited one\n"
+        lines[100_000] = b"edited two\n"
+        new = b"".join(lines)
+        del lines
+        change = FileChange("f", ChangeKind.TEXT_PATCH, *line_diff(old, new))
+        tracemalloc.start()
+        try:
+            out = apply_file(old, change)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == new
+        assert peak < 3 * len(old)
+
     def test_wrong_old_content_caught_by_length(self):
         ops, segments = chunk_diff(b"A" * 1000, b"A" * 500)
         change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
@@ -141,8 +160,8 @@ class TestDeltaRuns:
 
     def check_round_trip(self, old: bytes, new: bytes):
         change = chunk_change(old, new)
-        assert sum(op.count for op in change.ops if op.kind in "RD") == len(old)
-        assert sum(op.count for op in change.ops if op.kind in "RI") == len(new)
+        assert sum(op.count for op in change.ops if op.kind in "RDX") == len(old)
+        assert sum(op.count for op in change.ops if op.kind in "RIX") == len(new)
         assert apply_file(old, change) == new
         return change
 
@@ -191,10 +210,13 @@ class TestDeltaRuns:
         old = rng.randbytes(60_000)
         new = bytearray(old)
         new[30_000] ^= 0xFF
+        new[10_000:10_000] = rng.randbytes(20)
         base = FileTree.from_dict("a", {"f.bin": old})
         cs = compare_trees(base, FileTree.from_dict("a", {"f.bin": bytes(new)}))
-        # Same length, other bytes: the spans line up, the runs inflate
-        # against the wrong dictionary, and the target digest refuses.
+        assert {"I", "X"} <= {op.kind for op in cs.changes[0].ops}
+        # Same length, other bytes: the spans line up, the insert run
+        # inflates against the wrong dictionary, the patch run patches the
+        # wrong bytes, and the target digest refuses.
         other = FileTree.from_dict("a", {"f.bin": rng.randbytes(60_000)})
         with pytest.raises(DigestMismatchError):
             apply_changeset(other, replace(cs, source_digest=tree_digest(other)))
@@ -233,6 +255,173 @@ class TestDeltaRuns:
         _, change = self.damaged(lambda z: long_run)
         with pytest.raises(DeltaRunError):
             apply_file(old, change)
+
+
+def reference_patch(old: bytes, segment: bytes) -> bytes | None:
+    """An X run's new bytes decoded independently of the package module:
+    (LEB128 gap, nonzero XOR byte) pairs, each gap counted from the end
+    of the previous patched byte. None for any segment the format
+    refuses."""
+    out = bytearray(old)
+    at = 0
+    rest = list(segment)
+    if not rest:
+        return None
+    while rest:
+        digits = []
+        while rest and rest[0] & 0x80:
+            digits.append(rest.pop(0) & 0x7F)
+        if not rest:
+            return None  # cut inside the gap
+        digits.append(rest.pop(0))
+        if len(digits) > 1 and digits[-1] == 0:
+            return None  # not minimal
+        if not rest or rest[0] == 0:
+            return None  # no XOR byte, or a zero one
+        at += sum(d << (7 * k) for k, d in enumerate(digits))
+        if at >= len(old):
+            return None
+        out[at] ^= rest.pop(0)
+        at += 1
+    return bytes(out)
+
+
+def patch_change(span: int, segment: bytes, before: int = 3, after: int = 5) -> FileChange:
+    """A chunk patch retaining ``before`` bytes, patching ``span`` and
+    retaining ``after``."""
+    ops = (EditOp("R", before), EditOp("X", span), EditOp("R", after))
+    return FileChange("f", ChangeKind.CHUNK_PATCH, ops, (segment,))
+
+
+@st.composite
+def mixed_edits(draw):
+    """A blob and an edited copy: a flipped byte in each 4 KiB block and
+    same-length rewrites in its first 48 KiB, then inserts and deletes in
+    the 32 KiB after that, which insert more bytes than they delete."""
+    old = random.Random(draw(st.integers(0, 2**16))).randbytes(80 * 1024)
+    new = bytearray(old)
+    for block in range(12):
+        new[block * 4096 + draw(st.integers(0, 4095))] ^= draw(st.integers(1, 255))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, 48 * 1024 - 64))
+        new[at : at + 64] = draw(st.binary(min_size=64, max_size=64))
+    tail = st.integers(48 * 1024, 80 * 1024)
+    edits = draw(st.lists(st.tuples(tail, st.binary(min_size=1, max_size=2000)), min_size=1, max_size=3))
+    edits += draw(st.lists(st.tuples(tail, st.integers(1, 2000)), max_size=3))
+    # right to left, so every position is still an old offset
+    for at, edit in sorted(edits, key=lambda e: e[0], reverse=True):
+        if isinstance(edit, int):
+            del new[at : at + edit]
+        else:
+            new[at:at] = edit
+    # A net insert leaves some edited region with more new bytes than
+    # old, which no X run can code.
+    assume(len(new) > len(old))
+    return old, bytes(new)
+
+
+@st.composite
+def near_segments(draw):
+    """Segments close to the format: (gap, XOR) pairs, each of which may
+    have a gap padded with a zero digit or a zero XOR byte, with gaps
+    that may walk past a span, and cut at any byte half of the time."""
+    out = bytearray()
+    for _ in range(draw(st.integers(1, 6))):
+        gap = draw(st.one_of(st.integers(0, 40), st.integers(0, 400)))
+        digits = []
+        while True:
+            digits.append(gap & 0x7F)
+            gap >>= 7
+            if not gap:
+                break
+        if draw(st.integers(0, 7)) == 0:
+            digits.append(0)  # not minimal
+        out += bytes(d | 0x80 for d in digits[:-1]) + bytes(digits[-1:])
+        out.append(0 if draw(st.integers(0, 7)) == 0 else draw(st.integers(1, 255)))
+    if draw(st.booleans()):
+        del out[draw(st.integers(0, len(out) - 1)) :]
+    return bytes(out)
+
+
+class TestPatchRuns:
+    """Same-length changed chunks travel as their changed bytes."""
+
+    def test_flipped_bytes_travel_as_pairs(self):
+        rng = random.Random(7)
+        old = rng.randbytes(100_000)
+        new = bytearray(old)
+        for at in (20_000, 20_001, 70_000):
+            new[at] ^= 0x5A
+        change = chunk_change(old, bytes(new))
+        patches = [op for op in change.ops if op.kind == "X"]
+        assert patches and not [op for op in change.ops if op.kind in "DI"]
+        # one (gap, XOR) pair per flipped byte, a gap taking one to three bytes
+        assert 6 <= sum(map(len, change.segments)) <= 12
+        assert apply_file(old, change) == new
+
+    def test_dense_rewrite_stays_an_insert_run(self):
+        # 600 rewritten bytes in a same-length pair of 7,820 bytes cost
+        # more as pairs than an eighth of the span, so the pair stays a
+        # delete and a deflated insert run.
+        rng = random.Random(8)
+        old = rng.randbytes(60_000)
+        new = old[:30_000] + rng.randbytes(600) + old[30_600:]
+        change = chunk_change(old, new)
+        assert [op.kind for op in change.ops] == ["R", "D", "I", "R"]
+        assert change.ops[1].count == change.ops[2].count
+        assert apply_file(old, change) == new
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_edits())
+    def test_mixed_edits_round_trip(self, pair):
+        old, new = pair
+        cs = compare_trees(
+            FileTree.from_dict("a", {"f.bin": old}), FileTree.from_dict("a", {"f.bin": new})
+        )
+        (change,) = cs.changes
+        kinds = {op.kind for op in change.ops}
+        assert {"X", "I"} <= kinds <= set("RDIX")
+        applied, _ = apply_package(FileTree.from_dict("a", {"f.bin": old}), encode_package(cs))
+        assert applied.get("f.bin").content == new
+
+    @pytest.mark.parametrize(
+        "segment, match",
+        [
+            (b"", "is empty"),
+            (b"\x80", "ends inside a gap"),
+            (b"\x01\x07\x81", "ends inside a gap"),
+            (b"\x80\x00\x07", "not minimal"),
+            (b"\x02", "ends before a XOR byte"),
+            (b"\x00\x00", "zero XOR byte"),
+            (b"\x10\x07", "patches byte 16 of a 16-byte span"),
+            (b"\x0e\x07\x00\x07\x00\x07", "patches byte 16 of a 16-byte span"),
+        ],
+        ids=[
+            "empty", "cut-gap", "cut-second-gap", "non-minimal", "no-xor", "zero-xor",
+            "at-span", "walks-past-span",
+        ],
+    )
+    def test_malformed_segment_refused(self, segment, match):
+        old = random.Random(9).randbytes(24)
+        with pytest.raises(DeltaRunError, match=match):
+            apply_file(old, patch_change(16, segment))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), near_segments()), st.integers(1, 300))
+    def test_any_segment_applies_cleanly_or_fails_typed(self, segment, span):
+        old = random.Random(span).randbytes(span + 8)
+        want = reference_patch(old[3 : 3 + span], segment)
+        try:
+            out = apply_file(old, patch_change(span, segment))
+        except ApplyError:
+            assert want is None
+        else:
+            assert out == old[:3] + want + old[3 + span :]
+
+    def test_patch_run_in_a_line_script_refused(self):
+        ops = (EditOp("X", 1),)
+        with pytest.raises(EditScriptError, match="patch run in a line script"):
+            apply_file(b"a\n", FileChange("f", ChangeKind.TEXT_PATCH, ops))
 
 
 class TestApplyChangeset:

@@ -364,12 +364,12 @@ def _cmd_rollback(args) -> int:
         raise CliError(EXIT_INPUT, str(exc)) from exc
     record = layerstore.LayerStore(args.store).on_failure(event)
     payload = {
-        "rolled_back": not record.noop,
+        "rolled_back": record.from_tag != record.to_tag,
         "from": record.from_tag,
         "to": record.to_tag,
         "phase": event.phase.value,
     }
-    if record.noop:
+    if not payload["rolled_back"]:
         _emit(args, f"active layer {record.to_tag} is stable; nothing to do", payload)
         return EXIT_OK
     _emit(

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 
-from .diffgen import chunk_diff, chunk_lengths
+from .diffgen import WINDOW, chunk_diff, chunk_lengths
 from .errors import VariantError
 from .fstree import FileTree, classify_textual, under_prefix
 from .linksim import modification_ratio, retained_bytes
-from .package import WINDOW, ChangeKind, FileChange, split_lines
+from .package import ChangeKind, FileChange, split_lines
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
 #: Share of textual edits that insert lines; the rest delete a redundant

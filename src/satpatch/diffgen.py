@@ -23,7 +23,8 @@ repeated old unit and at most ``_LEAF_BITS`` of stored rows.
 
 A binary file's chunks end where the rolling hash of the ``WINDOW`` bytes
 ending there has its low ``MASK_BITS`` bits zero (LBFS), at least
-``MIN_SIZE`` and at most ``MAX_SIZE`` bytes apart. The boundary scan
+``MIN_SIZE`` and at most ``MAX_SIZE`` bytes apart; no package carries
+these constants, as the receiver never chunks. The boundary scan
 (:func:`_boundary_candidates`) sums each window's hash terms by doubling,
 with shifted vector adds in 16-bit arithmetic over 64 KiB blocks, and
 finds the same boundaries as a 64-bit rolling hash. Chunk boundaries only
@@ -53,12 +54,8 @@ from .fstree import FileTree, classify_textual, tree_digest
 from .package import (
     DELETE,
     INSERT,
-    MASK_BITS,
-    MAX_SIZE,
-    MIN_SIZE,
     PATCH,
     RETAIN,
-    WINDOW,
     ChangeKind,
     ChangeSet,
     EditOp,
@@ -68,6 +65,13 @@ from .package import (
     split_lines,
 )
 
+
+# Fixed design constants, as in LBFS, which uses the same 48-byte window.
+# Only the ground chunks, so no package carries them.
+WINDOW = 48
+MASK_BITS = 11
+MIN_SIZE = 256
+MAX_SIZE = 16384
 
 # Rolling-hash tables. A window's hash is sum(w64[b_j] * mult**j) mod 2**64
 # over its bytes, newest first (j = 0), with 64-bit byte weights drawn from

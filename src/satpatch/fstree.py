@@ -306,28 +306,33 @@ def materialize(tree: FileTree, dest: str | Path) -> Path:
     """Write the tree to ``dest``, which must not exist yet; missing
     parents are created. This is the one writer of tree entries.
 
-    ``dest`` is claimed first, with an exclusive mkdir, so a ``dest``
-    that exists, or appears after the claim, is never written over: the
-    claim raises TreeError and leaves it as it is. The tree is built in a
-    hidden sibling (its name starts with ``.``, so it never equals a
-    layer tag) and renamed onto the claimed empty ``dest``, so ``dest``
-    is absent, empty or whole. On any failure the sibling and the claim
-    are removed, and a sibling that a cut write left behind is removed by
-    the next call for the same ``dest``.
+    The tree is built in a hidden sibling named by the writer's pid (it
+    starts with ``.``, so it never equals a layer tag) and renamed onto
+    ``dest``, claimed empty with an exclusive mkdir once the sibling
+    exists, so ``dest`` is absent, empty or whole. A ``dest`` that exists
+    is never written over (TreeError) unless it is a killed writer's
+    claim: empty, beside an exited writer's sibling and no running one's.
+    A failure removes the sibling and the claim; a claim removes the
+    siblings of writers that are not running.
     """
     root = Path(dest)
     root.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        root.mkdir()
-    except FileExistsError:
-        raise TreeError(f"destination already exists: {root}") from None
     prefix = f".{root.name}.satpatch-"
-    staging = root.parent / f"{prefix}{os.urandom(4).hex()}"
+    staging = root.parent / f"{prefix}{os.getpid()}-{os.urandom(4).hex()}"
+    staging.mkdir()
+    claimed = False
     try:
+        try:
+            root.mkdir()
+        except FileExistsError:
+            siblings = [s for s in root.parent.iterdir() if s.name.startswith(prefix)]
+            writers = {_running(s.name, prefix) for s in siblings if s != staging}
+            if writers - {None} != {False} or not root.is_dir() or any(root.iterdir()):
+                raise TreeError(f"destination already exists: {root}") from None
+        claimed = True
         for sibling in root.parent.iterdir():
-            if sibling.name.startswith(prefix):
+            if sibling.name.startswith(prefix) and not _running(sibling.name, prefix):
                 shutil.rmtree(sibling, ignore_errors=True)
-        staging.mkdir()
         for path, entry in tree.items():
             target = staging / path
             if entry.is_dir:
@@ -337,10 +342,24 @@ def materialize(tree: FileTree, dest: str | Path) -> Path:
         os.rename(staging, root)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
-        with contextlib.suppress(OSError):
-            root.rmdir()
+        if claimed:
+            with contextlib.suppress(OSError):
+                root.rmdir()
         raise
     return root
+
+
+def _running(name: str, prefix: str) -> bool | None:
+    """Whether the pid a staging sibling's name gives runs; None if none."""
+    pid = name[len(prefix) :].partition("-")[0]
+    if not (pid.isascii() and pid.isdigit()) or len(pid) > 9:
+        return None
+    try:
+        with contextlib.suppress(PermissionError):  # another user's process
+            os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def write_tar(tree: FileTree, paths: Iterable[str] | None = None) -> bytes:

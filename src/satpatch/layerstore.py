@@ -68,7 +68,6 @@ class Layer:
 class RollbackRecord:
     from_tag: str
     to_tag: str
-    noop: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,16 +144,16 @@ def on_failure(
     """React to a failure signal: roll back to the latest stable layer.
 
     A failure while the active layer is itself stable is not an update
-    problem; the pointer stays put and the record says no-op. The failed
-    layer is kept (marked failed) for telemetry, never deleted. Every
-    failure phase gets the same reaction, so the record does not repeat
-    ``event``.
+    problem: the pointer stays put, and the record goes from that layer
+    to itself, as no rollback does. The failed layer is kept (marked
+    failed) for telemetry, never deleted. Every failure phase gets the
+    same reaction, so the record does not repeat ``event``.
     """
     active = stack.active_layer
     if active is None:
         raise UnrecoverableStateError("no layers deployed")
     if active.stable:
-        return stack, RollbackRecord(active.tag, active.tag, noop=True)
+        return stack, RollbackRecord(active.tag, active.tag)
     target = stack.latest_stable()
     if target is None:
         raise UnrecoverableStateError("no stable layer to roll back to")

@@ -2,7 +2,7 @@
 
 This module is the one owner of what an update package is: the
 :class:`ChangeSet` model, the units its ops count, the codecs of chunk
-runs and the version 3 bytes. The ground differ (:mod:`satpatch.diffgen`)
+runs and the version 4 bytes. The ground differ (:mod:`satpatch.diffgen`)
 builds change sets and the onboard replay (:mod:`satpatch.reconstruct`)
 consumes them; neither defines them.
 
@@ -26,26 +26,24 @@ The container (all integers big-endian) is gzip'd as a whole at level 9
 with a zeroed timestamp, so identical change sets encode to identical
 bytes:
 
-    magic "SATL" | u8 version (3)
-    u32 window | u32 mask_bits | u32 min_size | u32 max_size
+    magic "SATL" | u8 version (4) | 16 reserved zero bytes
     32B source tree digest | 32B target tree digest
     u64 manifest length | manifest (UTF-8 text, one line per change)
     u32 record count
     per record: u16 path length | path | u32 run index | u64 length | bytes
 
-The four u32 words are the ground chunker's fixed constants; decode
-requires exactly these values. Manifest lines are tab-separated: change
-code, percent-encoded path, and for patches an op string such as
+Decode refuses a nonzero reserved byte. Manifest lines are tab-separated:
+change code, percent-encoded path, and for patches an op string such as
 ``R5 D2 I3`` (``R5 X4096 R9`` in a chunk patch). Records are keyed by
 (UTF-8 path bytes, run index), one per I or X run of a patch, counted in
-op order, and one, run 0, per inserted file. Encode writes them in key
-order, and decode requires exactly these records in it.
+op order, and one, run 0, per inserted file. Encode writes them in
+manifest order, and decode requires exactly these records in it.
 
 Decoding inflates the container only as far as the fields read so far
 need, refuses a record whose header is not the next key before reading
-its bytes, and builds each FileChange once, which checks its own
-structure; what needs the old content is left to the replay. Every
-failure is a typed PackageError subclass; decode never touches files.
+its bytes, and builds each FileChange, which checks its own structure,
+once its records are read; what needs the old content is left to the
+replay. Failures are typed PackageError subclasses; decode touches no file.
 """
 
 from __future__ import annotations
@@ -77,19 +75,6 @@ RETAIN = "R"
 DELETE = "D"
 INSERT = "I"
 PATCH = "X"
-
-
-# Chunker parameters: a boundary falls where the rolling hash of the
-# trailing WINDOW bytes has MASK_BITS low zero bits, and chunk lengths are
-# clamped to [MIN_SIZE, MAX_SIZE]. They are fixed design constants, as in
-# LBFS, which uses the same 48-byte window, and only the ground chunks.
-# They sit here, not in diffgen, because the header carries them and
-# decode requires them; they return to diffgen when the header drops them
-# (ROADMAP.md).
-WINDOW = 48
-MASK_BITS = 11
-MIN_SIZE = 256
-MAX_SIZE = 16384
 
 
 # -- the change-set model -----------------------------------------------------
@@ -332,11 +317,11 @@ def patch_decode(
 # -- wire format ----------------------------------------------------------------
 
 MAGIC = b"SATL"
-PACKAGE_VERSION = 3
+PACKAGE_VERSION = 4
 
 _DIGEST_LEN = 32
-#: The chunker constants, in header order.
-_CHUNK_PARAMS = (WINDOW, MASK_BITS, MIN_SIZE, MAX_SIZE)
+#: Zero header bytes after the version (the chunker's constants up to v3).
+_RESERVED_LEN = 16
 _CODES = {kind.value: kind for kind in ChangeKind}
 
 
@@ -418,23 +403,20 @@ def encode_package(changeset: ChangeSet) -> bytes:
     parts = [
         MAGIC,
         struct.pack(">B", PACKAGE_VERSION),
-        struct.pack(">IIII", *_CHUNK_PARAMS),
+        bytes(_RESERVED_LEN),
         changeset.source_digest,
         changeset.target_digest,
         struct.pack(">Q", len(manifest)),
         manifest,
+        struct.pack(">I", sum(len(c.segments) for c in changeset.changes)),
     ]
-    records = []
     for change in changeset.changes:
+        path_bytes = change.path.encode("utf-8")
         for run, segment in enumerate(change.segments):
-            records.append((change.path.encode("utf-8"), run, segment))
-    records.sort(key=lambda r: (r[0], r[1]))
-    parts.append(struct.pack(">I", len(records)))
-    for path_bytes, run, segment in records:
-        parts.append(struct.pack(">H", len(path_bytes)))
-        parts.append(path_bytes)
-        parts.append(struct.pack(">IQ", run, len(segment)))
-        parts.append(segment)
+            parts.append(struct.pack(">H", len(path_bytes)))
+            parts.append(path_bytes)
+            parts.append(struct.pack(">IQ", run, len(segment)))
+            parts.append(segment)
     return gzip_bytes(b"".join(parts))
 
 
@@ -522,41 +504,35 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
     (version,) = cur.unpack(">B", "version")
     if version != PACKAGE_VERSION:
         raise UnsupportedVersionError(f"package version {version} not supported")
-    params = cur.unpack(">IIII", "chunk parameters")
-    if params != _CHUNK_PARAMS:
-        raise CorruptPackageError(f"chunk parameters {params}, expected {_CHUNK_PARAMS}")
+    if any(cur.take(_RESERVED_LEN, "reserved bytes")):
+        raise CorruptPackageError("reserved header bytes are not zero")
     source_digest = cur.take(_DIGEST_LEN, "source digest")
     target_digest = cur.take(_DIGEST_LEN, "target digest")
     (manifest_len,) = cur.unpack(">Q", "manifest length")
     entries = _decode_manifest(cur.take(manifest_len, "manifest"))
-    # One key per run the manifest declares, in the one order
-    # encode_package writes the records, each with the entry it belongs to.
-    keys = sorted(
-        (path.encode("utf-8"), run, at)
-        for at, (path, kind, ops) in enumerate(entries)
-        for run in range(insert_runs(kind, ops))
-    )
-    if len({key[:2] for key in keys}) != len(keys):
+    runs = [insert_runs(kind, ops) for _, kind, ops in entries]
+    claimed = [path for (path, _, _), n in zip(entries, runs) if n]
+    if len(set(claimed)) != len(claimed):
         raise PackageInconsistencyError("manifest lists a path's runs twice")
     (record_count,) = cur.unpack(">I", "segment count")
-    if record_count != len(keys):
-        raise PackageInconsistencyError(f"{record_count} records, {len(keys)} runs")
-    segments: list[list[bytes]] = [[] for _ in entries]
-    for want_path, want_run, at in keys:
-        (path_len,) = cur.unpack(">H", "segment path length")
-        path = cur.take(path_len, "segment path")
-        run, seg_len = cur.unpack(">IQ", "segment header")
-        if (path, run) != (want_path, want_run):
-            raise PackageInconsistencyError(
-                f"record {path!r} run {run} where {want_path!r} run {want_run} is next"
-            )
-        segments[at].append(cur.take(seg_len, "segment data"))
+    if record_count != sum(runs):
+        raise PackageInconsistencyError(f"{record_count} records, {sum(runs)} runs")
+    changes = []
+    for (path, kind, ops), n in zip(entries, runs):
+        want_path = path.encode("utf-8")
+        segments = []
+        for want_run in range(n):
+            (path_len,) = cur.unpack(">H", "segment path length")
+            got_path = cur.take(path_len, "segment path")
+            run, seg_len = cur.unpack(">IQ", "segment header")
+            if (got_path, run) != (want_path, want_run):
+                raise PackageInconsistencyError(
+                    f"record {got_path!r} run {run} where {want_path!r} run {want_run} is next"
+                )
+            segments.append(cur.take(seg_len, "segment data"))
+        changes.append(FileChange(path, kind, ops, tuple(segments)))
     cur.finish()
-    changes = tuple(
-        FileChange(path, kind, ops, tuple(runs))
-        for (path, kind, ops), runs in zip(entries, segments)
-    )
-    return ChangeSet(source_digest, target_digest, changes), manifest_len
+    return ChangeSet(source_digest, target_digest, tuple(changes)), manifest_len
 
 
 def wire_layout(blob: bytes) -> dict:

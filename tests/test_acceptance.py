@@ -253,7 +253,7 @@ def test_c6_failure_rolls_back_and_recovery_costs_order(tmp_path, corpus_matrix)
         record = store.on_failure(
             FailureEvent(FailurePhase.POST_UPDATE_EXECUTION, exit_code=137)
         )
-        assert not record.noop
+        assert record.from_tag != record.to_tag
         assert store.stack.active_layer.tag == "V1.0"
         assert tree_digest(store.active_tree()) == tree_digest(v10)
         failed = store.stack.layers[store.stack.find("V1.1")]

@@ -20,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpatch import diffgen
-from satpatch.diffgen import chunk_lengths
-from satpatch.package import MASK_BITS, WINDOW
+from satpatch.diffgen import MASK_BITS, WINDOW, chunk_lengths
 
 #: SHA-256 of ",".join(map(str, chunk_lengths(data))). The inputs (see
 #: ``pinned_input``) are random bytes of lengths 0, 1, 47-49, around the

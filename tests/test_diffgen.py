@@ -15,6 +15,10 @@ from hypothesis import strategies as st
 
 from satpatch import diffgen
 from satpatch.diffgen import (
+    MASK_BITS,
+    MAX_SIZE,
+    MIN_SIZE,
+    WINDOW,
     _BLOCK,
     _LEAF_BITS,
     _ROW_HEADER_BITS,
@@ -29,10 +33,6 @@ from satpatch.diffgen import (
 from satpatch.fstree import FileTree, tree_digest
 from satpatch.linksim import retained_bytes
 from satpatch.package import (
-    MASK_BITS,
-    MAX_SIZE,
-    MIN_SIZE,
-    WINDOW,
     ChangeKind,
     EditOp,
     FileChange,

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tarfile
 import tempfile
 from pathlib import Path
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satpatch.cli import main
+from satpatch.diffgen import compare_trees
 from satpatch.errors import PathError, TreeError
 from satpatch.fstree import (
     Entry,
@@ -24,6 +28,7 @@ from satpatch.fstree import (
     under_prefix,
     write_tar,
 )
+from satpatch.package import encode_package
 
 # Known SHA-256 digests (FIPS 180-4 test vectors, verifiable with sha256sum).
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -31,6 +36,18 @@ ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 # How os.walk and tarfile spell the undecodable name byte b"\xff".
 NON_UTF8_NAME = "bad\udcff.txt"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Runs in a fresh interpreter: materialize to argv[1], killed at the first
+#: file write, after the claim and before the rename.
+KILLED_WRITER = """
+import os, sys
+from pathlib import Path
+from satpatch.fstree import FileTree, materialize
+Path.write_bytes = lambda self, data: os._exit(9)
+materialize(FileTree.from_dict("a", {"f": b"x\\n"}), sys.argv[1])
+"""
 
 
 def load_tar_bytes(blob: bytes, directory) -> FileTree:
@@ -272,6 +289,43 @@ class TestRoundTrips:
         monkeypatch.undo()
         assert refused == ["f"]
         assert load_tree(dest) == tree
+
+    @pytest.mark.parametrize("finish", ["materialize", "apply"])
+    def test_a_killed_writers_claim_is_taken_over(self, tmp_path, finish):
+        dest = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        killed = subprocess.run([sys.executable, "-c", KILLED_WRITER, str(dest)], env=env)
+        assert killed.returncode == 9
+        assert list(dest.iterdir()) == []
+        assert len(list(tmp_path.glob(".out.satpatch-*"))) == 1
+        tree = FileTree.from_dict("a", {"g": b"y\n"})
+        if finish == "materialize":
+            materialize(tree, dest)
+        else:
+            base = FileTree.from_dict("a", {})
+            materialize(base, tmp_path / "base")
+            (tmp_path / "u.satpkg").write_bytes(encode_package(compare_trees(base, tree)))
+            argv = ["apply", tmp_path / "base", tmp_path / "u.satpkg", "-o", dest]
+            assert main([str(a) for a in argv]) == 0
+        assert load_tree(dest) == tree
+        assert [p.name for p in tmp_path.iterdir() if "satpatch" in p.name] == []
+
+    @pytest.mark.parametrize("dead_sibling", [False, True], ids=["alone", "beside-a-dead-one"])
+    def test_a_live_writers_claim_is_kept(self, tmp_path, dead_sibling):
+        # The test's own pid is a running writer's: its empty claim stays.
+        dest = tmp_path / "out"
+        dest.mkdir()
+        siblings = [f".out.satpatch-{os.getpid()}-0"]
+        if dead_sibling:
+            exited = subprocess.Popen([sys.executable, "-c", ""])
+            exited.wait()
+            siblings.append(f".out.satpatch-{exited.pid}-0")
+        for name in siblings:
+            (tmp_path / name).mkdir()
+        with pytest.raises(TreeError, match="already exists"):
+            materialize(FileTree.from_dict("a", {"f": b"x\n"}), dest)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(siblings + ["out"])
+        assert list(dest.iterdir()) == []
 
     def test_materialize_root_mode(self, tmp_path):
         # staged under a random name, but not with mkdtemp's 0700

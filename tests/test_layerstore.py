@@ -100,7 +100,7 @@ class TestOnFailure:
         assert rolled.active_layer.tag == "V1.0"
         assert record.from_tag == "V1.1"
         assert record.to_tag == "V1.0"
-        assert not record.noop
+        assert record.from_tag != record.to_tag
 
     def test_failed_layer_retained_and_marked(self):
         stack = commit_layer(deployed_stack(), V11, "V1.1")
@@ -113,7 +113,7 @@ class TestOnFailure:
         stack = deployed_stack()
         same, record = on_failure(stack, FAIL_137)
         assert same is stack
-        assert record.noop
+        assert record.from_tag == record.to_tag
         assert record.from_tag == record.to_tag == "V1.0"
 
     def test_skips_failed_unstable_layers(self):

@@ -148,12 +148,13 @@ class TestDecodeErrors:
         with pytest.raises(UnsupportedVersionError):
             decode_package(recompress(patched))
 
-    def test_version_2_refused(self):
-        # Version 2 had no X runs; decode accepts version 3 only.
+    def test_version_3_refused(self):
+        # Version 3 sorted its records and carried the chunker constants;
+        # decode accepts version 4 only.
         container = container_of(encode_package(sample_changeset()))
-        assert container[4] == PACKAGE_VERSION == 3
-        with pytest.raises(UnsupportedVersionError, match="version 2"):
-            decode_package(recompress(container[:4] + b"\x02" + container[5:]))
+        assert container[4] == PACKAGE_VERSION == 4
+        with pytest.raises(UnsupportedVersionError, match="version 3"):
+            decode_package(recompress(container[:4] + b"\x03" + container[5:]))
 
     def test_truncated_container(self):
         container = container_of(encode_package(sample_changeset()))
@@ -208,18 +209,14 @@ class TestDecodeErrors:
         with pytest.raises(TruncatedPackageError):
             decode_package(recompress(patched))
 
-    @pytest.mark.parametrize(
-        "word,value",
-        [(0, 32), (1, 8), (2, 64), (3, 4096), (2, 0)],
-        ids=["window-32", "mask_bits-8", "min_size-64", "max_size-4096", "min_size-0"],
-    )
-    def test_chunk_parameters_must_match(self, word, value):
-        # The header's four u32 words follow magic and version. All but the
-        # last case are valid chunker settings, just not the ground's.
+    @pytest.mark.parametrize("index", range(16))
+    def test_reserved_bytes_must_be_zero(self, index):
+        # The 16 reserved bytes follow magic and version.
         container = container_of(encode_package(sample_changeset()))
-        at = 5 + 4 * word
-        patched = container[:at] + struct.pack(">I", value) + container[at + 4 :]
-        with pytest.raises(CorruptPackageError, match="chunk parameters"):
+        at = 5 + index
+        assert container[5:21] == bytes(16)
+        patched = container[:at] + b"\x01" + container[at + 1 :]
+        with pytest.raises(CorruptPackageError, match="reserved"):
             decode_package(recompress(patched))
 
 
@@ -304,28 +301,34 @@ class TestManifestValidation:
             decode_package(tamper_manifest(b"R1 D1", f"R{count} D1".encode()))
 
 
+def records_of(container: bytes) -> tuple[int, dict[tuple[str, int], bytes]]:
+    """Where a container's record count sits, and its (path, run) -> bytes
+    records in the order they are written."""
+    head_end = 4 + 1 + 16 + 32 + 32
+    (manifest_len,) = struct.unpack_from(">Q", container, head_end)
+    body_end = head_end + 8 + manifest_len
+    records = {}
+    pos = body_end + 4
+    (count,) = struct.unpack_from(">I", container, body_end)
+    for _ in range(count):
+        (plen,) = struct.unpack_from(">H", container, pos)
+        pos += 2
+        path = container[pos : pos + plen].decode()
+        pos += plen
+        run, seg_len = struct.unpack_from(">IQ", container, pos)
+        pos += 12
+        records[(path, run)] = container[pos : pos + seg_len]
+        pos += seg_len
+    return body_end, records
+
+
 class TestSegmentValidation:
     def craft(self, mutate):
         """Encode the sample, mutate its (path, run) -> bytes segment map,
         and rebuild the container around the same manifest, with the
         records in the map's order (as read, unless ``mutate`` reorders)."""
-        cs = sample_changeset()
-        container = container_of(encode_package(cs))
-        head_end = 4 + 1 + 16 + 32 + 32
-        (manifest_len,) = struct.unpack_from(">Q", container, head_end)
-        body_end = head_end + 8 + manifest_len
-        records = {}
-        pos = body_end + 4
-        (count,) = struct.unpack_from(">I", container, body_end)
-        for _ in range(count):
-            (plen,) = struct.unpack_from(">H", container, pos)
-            pos += 2
-            path = container[pos : pos + plen].decode()
-            pos += plen
-            run, seg_len = struct.unpack_from(">IQ", container, pos)
-            pos += 12
-            records[(path, run)] = container[pos : pos + seg_len]
-            pos += seg_len
+        container = container_of(encode_package(sample_changeset()))
+        body_end, records = records_of(container)
         mutate(records)
         out = io.BytesIO()
         out.write(container[:body_end])
@@ -335,6 +338,18 @@ class TestSegmentValidation:
             out.write(struct.pack(">H", len(pb)) + pb)
             out.write(struct.pack(">IQ", run, len(data)) + data)
         return recompress(out.getvalue())
+
+    def test_records_follow_the_manifest(self):
+        # File inserts come before patches in the manifest, so the record
+        # of b/new.bin precedes the one of a/main.py, whose path sorts first.
+        old = FileTree.from_dict("t", {"a/main.py": b"a\nb\n"})
+        new = FileTree.from_dict("t", {"a/main.py": b"a\nB\n", "b/new.bin": b"\x00new"})
+        changeset = compare_trees(old, new)
+        blob = encode_package(changeset)
+        _, records = records_of(container_of(blob))
+        assert list(records) == [("b/new.bin", 0), ("a/main.py", 0)]
+        assert [c.path for c in changeset.changes if c.segments] == ["b/new.bin", "a/main.py"]
+        assert decode_package(blob) == changeset
 
     def test_missing_segment(self):
         def drop_one(records):
@@ -351,8 +366,8 @@ class TestSegmentValidation:
             decode_package(self.craft(add_orphan))
 
     def test_records_out_of_order(self, tmp_path, capsys):
-        # The same records, but not in the (path bytes, run) order that
-        # encode writes them.
+        # The same records, but not in the manifest order that encode
+        # writes them in.
         def reverse(records):
             swapped = list(records.items())[::-1]
             records.clear()

@@ -2,17 +2,19 @@
 
 A change to package framing, chunk boundaries, the delta or patch
 coders, or the variant generator's random-call order moves one of them.
-The package digests are of version 3 packages. Version 3 added X runs
-(sparse byte patches) to chunk patches, which recodes the flipped chunks
-of ``binary``. The other three packages hold no chunk patch of equal
-lengths, so their containers are pinned a second time as version 2 wrote
-them: with the version byte set back to 2 they hash as before, which
-shows that nothing but the version byte moved.
+The package digests are of version 4 packages. Version 4 zeroed the four
+header words that carried the chunker constants and writes the records in
+manifest order, where version 3 sorted them by (path bytes, run). Only
+``mixed`` inserts a file beside a patch, so only its records move. Each
+container is pinned a second time as version 3 wrote it: with the version
+byte, the chunker words and the record order set back it hashes as
+before, which shows that nothing else moved.
 """
 
 import gzip
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -85,23 +87,24 @@ def empty():
 
 
 PACKAGES = {
-    "text-only": (text_only, "cda629f9a9bc1d43eb04c02c52f1d8419de0dadd2c3016f8f944cc43a4dbb3f5"),
+    "text-only": (text_only, "fa526eb3b18d42c6a447a4628192ed0b4f3869b0bb2b8ddec8027f97dc753d6e"),
     "binary": (
         binary_flips_and_shift,
-        "803f11da21ee89b1c76af893f023287b50c4cc755cf7cd18a6de557619cf265e",
+        "96721abf96f1208ab35a86ebbe3166b3d6b10a7d173d31b8ee24b2bfff3c83d7",
     ),
     "mixed": (
         mixed_inserts_and_deletes,
-        "32e768e461da1f7cdd4e9511d2fe96cfeccbae3e63efee3441c2eb2bf69a60ca",
+        "8340b05aaa765dabd18d450906bde5ee280b1d104d0ca7e292b00005f6f7c95d",
     ),
-    "empty": (empty, "47ffe044f728bc95eb35efb01be68415aa23236039f39678793d074b88e7fae1"),
+    "empty": (empty, "06b862181709930a87b8a410874e46f13f1a9924bb63f6b69ae255f926a7723b"),
 }
 
-#: SHA-256 of the inflated container that version 2 encoded.
-VERSION_2_CONTAINERS = {
-    "text-only": "132917ad194302d0218624832a1b5348d775cfe9e374b4afee6b7bc34d74d7fc",
-    "mixed": "5f16483ca9da2f05da7ff32277c67f4ead498ffc37eb8d154f6c202b401258e7",
-    "empty": "d41ab6ecc71cfe4d6bb45798848047bd4264c262eae0d5819e64ea4f49296b3b",
+#: SHA-256 of the inflated container that version 3 encoded.
+VERSION_3_CONTAINERS = {
+    "text-only": "8a6feacf014626425f6b0e28d1c15bda18bc9f8ecdacbba9b495bc8c785f573e",
+    "binary": "b2a50d6c452f4695a4ddcdb263552f906aded5769964640b65140c962e875759",
+    "mixed": "308dfc2a26dc33c24019cb52294df1d813c0996fd699c27399a2a28593ecd4e9",
+    "empty": "370744f1779ab77458a9bcbf1751c09874bcfffc3a4b8832770cf4dcba03a20b",
 }
 
 
@@ -112,13 +115,38 @@ def test_package_bytes_are_pinned(name):
     assert hashlib.sha256(encode_package(compare_trees(old, new))).hexdigest() == want
 
 
-@pytest.mark.parametrize("name", VERSION_2_CONTAINERS)
-def test_only_the_version_byte_moved(name):
+def split_records(container: bytes) -> tuple[bytes, list[tuple[tuple[bytes, int], bytes]]]:
+    """The container up to its first record, and each record keyed by
+    (path bytes, run), in the order they are written."""
+    head_end = 4 + 1 + 16 + 32 + 32
+    (manifest_len,) = struct.unpack_from(">Q", container, head_end)
+    pos = head_end + 8 + manifest_len + 4
+    head, records = container[:pos], []
+    while pos < len(container):
+        (path_len,) = struct.unpack_from(">H", container, pos)
+        path = container[pos + 2 : pos + 2 + path_len]
+        run, seg_len = struct.unpack_from(">IQ", container, pos + 2 + path_len)
+        end = pos + 2 + path_len + 12 + seg_len
+        records.append(((path, run), container[pos:end]))
+        pos = end
+    return head, records
+
+
+@pytest.mark.parametrize("name", VERSION_3_CONTAINERS)
+def test_version_3_container_rebuilds_from_version_4(name):
     make, _ = PACKAGES[name]
     container = gzip.decompress(encode_package(compare_trees(*make())))
-    assert container[4] == 3
-    as_version_2 = container[:4] + b"\x02" + container[5:]
-    assert hashlib.sha256(as_version_2).hexdigest() == VERSION_2_CONTAINERS[name]
+    assert container[4] == 4 and container[5:21] == bytes(16)
+    head, records = split_records(container)
+    assert (records != sorted(records)) == (name == "mixed")
+    as_version_3 = (
+        head[:4]
+        + b"\x03"
+        + struct.pack(">IIII", 48, 11, 256, 16384)
+        + head[21:]
+        + b"".join(record for _, record in sorted(records))
+    )
+    assert hashlib.sha256(as_version_3).hexdigest() == VERSION_3_CONTAINERS[name]
 
 
 VARIANTS = {

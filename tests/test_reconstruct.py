@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from satpatch.diffgen import chunk_diff, compare_trees, line_diff
+from satpatch.diffgen import MAX_SIZE, chunk_diff, compare_trees, line_diff
 from satpatch.errors import (
     ApplyError,
     BaseVersionMismatchError,
@@ -21,7 +21,6 @@ from satpatch.errors import (
 from satpatch.fstree import FileTree, load_tree, materialize, tree_digest
 from satpatch.package import (
     DELTA_WINDOW,
-    MAX_SIZE,
     ChangeKind,
     ChangeSet,
     EditOp,

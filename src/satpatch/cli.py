@@ -280,12 +280,12 @@ def _cmd_inspect(args) -> int:
         f"manifest: {layout['manifest_bytes']} B",
         f"segments: {layout['segment_bytes']} B",
         f"{'kind':<12}  {'changes':>8}  {'segment B':>12}  {'inserted B':>12}  "
-        f"{'patched B':>12}",
+        f"{'patched B':>12}  {'changed':>8}",
     ]
     for kind, row in sorted(layout["kinds"].items()):
         lines.append(
             f"{kind:<12}  {row['changes']:>8}  {row['segment_bytes']:>12}  "
-            f"{row['inserted']:>12}  {row['patched']:>12}"
+            f"{row['inserted']:>12}  {row['patched']:>12}  {row['changed']:>8}"
         )
     if layout["paths"]:
         lines.append("top paths by segment bytes:")

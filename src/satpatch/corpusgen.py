@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 
-from .diffgen import WINDOW, chunk_diff, chunk_lengths
+from .diffgen import WINDOW, chunk_lengths, retained_bytes
 from .errors import VariantError
 from .fstree import FileTree, classify_textual, under_prefix
-from .linksim import modification_ratio, retained_bytes
-from .package import ChangeKind, FileChange, split_lines
+from .linksim import modification_ratio
+from .package import split_lines
 
 INSERTION_KINDS = ("comments", "logging", "inactive_conditionals", "unused_variables")
 #: Share of textual edits that insert lines; the rest delete a redundant
@@ -189,10 +189,7 @@ def generate_variant(
         if mutated == before_content:
             return False
         binary_files[path] = mutated
-        change = FileChange(
-            path, ChangeKind.CHUNK_PATCH, *chunk_diff(orig[path].content, mutated)
-        )
-        binary_preserved[path] = retained_bytes(change, mutated)
+        binary_preserved[path] = retained_bytes(orig[path].content, mutated)
         if estimate() > target_ratio + 0.02:
             binary_files[path] = before_content
             binary_preserved[path] = before_preserved

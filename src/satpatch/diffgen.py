@@ -29,11 +29,15 @@ these constants, as the receiver never chunks. The boundary scan
 with shifted vector adds in 16-bit arithmetic over 64 KiB blocks, and
 finds the same boundaries as a 64-bit rolling hash. Chunk boundaries only
 steer the search: a chunk script's ops count bytes. A delete directly
-followed by an insert of the same byte length becomes one X run, coded
+followed by an insert of the same byte length (a pair) is patched, coded
 by :func:`satpatch.package.patch_encode` as the bytes that change, when
-that segment is at most 1/``_PATCH_SHARE`` of the span; every other
+that segment is at most 1/``_PATCH_SHARE`` of the span. Patched pairs
+that only retained chunks separate share one X run, which spans those
+chunks too, as bsdiff's add block spans an aligned region; every other
 insert run is delta-coded with :func:`satpatch.package.delta_encode`.
-No run is deflated just to compare sizes.
+No run is deflated just to compare sizes. The modification ratio is read
+off the unit script (:func:`retained_bytes`), where a retained chunk is
+still one.
 
 Only the chunker computes on numpy arrays; the line diff and the
 Hirschberg split use the standard library. numpy is loaded by the first
@@ -448,8 +452,11 @@ def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
         i, j = x + run, y + run
 
 
-#: A same-length delete and insert become one X run when its segment is
-#: at most ``span // _PATCH_SHARE`` bytes. A fixed design constant.
+#: A delete and an insert of the same byte length (a pair) are patched when
+#: the segment they would have as an X run of their own is at most
+#: ``span // _PATCH_SHARE`` bytes; merged into a longer run, they add at
+#: most that plus a longer first gap, which the retained chunks before them
+#: more than pay for. A fixed design constant.
 _PATCH_SHARE = 8
 
 
@@ -462,14 +469,19 @@ def _assemble(
     """Turn a unit script into ops and segments.
 
     Without ``old`` the ops count units. With it (chunk scripts) they
-    count bytes; an insert right after a delete of the same byte length
-    replaces that delete with an X run when its sparse segment is at most
-    ``span // _PATCH_SHARE`` bytes, and every other insert run is
-    delta-coded against ``old`` at the old offset the script has reached.
+    count bytes, and each pair whose sparse segment passes the
+    ``_PATCH_SHARE`` test is patched. A patched pair that only retained
+    chunks separate from the last X run extends that run over them, its
+    first gap carrying the unchanged bytes between, so one X run spans
+    each aligned stretch and the retained bytes are never read. Every
+    other insert run, the insert of a pair too dense to patch included,
+    is delta-coded against ``old`` at the old offset the script has
+    reached; such a run, a lone delete and the file's ends stop an X run.
     """
     ops: list[EditOp] = []
-    segments: list[bytes] = []
+    segments: list[bytes | bytearray] = []
     i = j = pos = 0
+    tail = 0  # unchanged bytes at the end of the last X run
     for op in raw:
         if op[0] == INSERT:
             _, b_start, n = op
@@ -482,10 +494,20 @@ def _assemble(
                 continue
             span = len(run)
             if ops and ops[-1] == (DELETE, span):
-                patch = patch_encode(old[pos - span : pos], run, span // _PATCH_SHARE)
+                # ops end X R D: only retained chunks since the last X run
+                extend = len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH
+                gap = tail + ops[-2].count if extend else 0
+                patch = patch_encode(old[pos - span : pos], run, span // _PATCH_SHARE, gap)
                 if patch:
-                    ops[-1] = EditOp(PATCH, span)
-                    segments.append(patch)
+                    segment, tail = patch
+                    if extend:
+                        span += ops[-2].count
+                        del ops[-2:]
+                        ops[-1] = EditOp(PATCH, ops[-1].count + span)
+                        segments[-1] += segment
+                    else:
+                        ops[-1] = EditOp(PATCH, span)
+                        segments.append(bytearray(segment))
                     continue
             ops.append(EditOp(INSERT, span))
             segments.append(delta_encode(run, old, pos))
@@ -501,7 +523,7 @@ def _assemble(
         if kind == RETAIN:
             j += n
     assert i == len(old_units) and j == len(new_units)
-    return tuple(ops), tuple(segments)
+    return tuple(ops), tuple(map(bytes, segments))
 
 
 def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
@@ -521,6 +543,30 @@ def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes,
     return _assemble(raw, old_units, new_units, old)
 
 
+def _textual(old: bytes, new: bytes) -> bool:
+    """A changed file is line-diffed when both versions classify as
+    textual, and chunk-diffed otherwise."""
+    return classify_textual(old) and classify_textual(new)
+
+
+def retained_bytes(old: bytes, new: bytes) -> int:
+    """Bytes of ``new`` that a patch from ``old`` retains: the new lines
+    or chunks, cut as :func:`compare_trees` cuts them, that the unit
+    script keeps. Read off the unit script, not a chunk patch's ops,
+    because one X run also spans the retained chunks between its pairs.
+    """
+    cut = split_lines if _textual(old, new) else chunkify
+    new_units = cut(new)
+    total = j = 0
+    for op in diff_units(cut(old), new_units):
+        if op[0] == INSERT:
+            j += op[2]
+        elif op[0] == RETAIN:
+            total += sum(map(len, new_units[j : j + op[1]]))
+            j += op[1]
+    return total
+
+
 # -- tree comparison ---------------------------------------------------------
 
 
@@ -528,8 +574,8 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
     """Compute the ChangeSet turning ``old`` into ``new``.
 
     Files matching by content hash are skipped entirely. A changed file
-    is line-diffed when both versions classify as textual, chunk-diffed
-    otherwise. A path whose kind flips becomes a delete plus an insert.
+    is line-diffed or chunk-diffed as :func:`_textual` says. A path whose
+    kind flips becomes a delete plus an insert.
     """
     file_del: list[FileChange] = []
     dir_del: list[FileChange] = []
@@ -562,7 +608,7 @@ def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
             delete(path, o)
             insert(path, n)
         elif o.is_file and o.content_hash != n.content_hash:
-            if classify_textual(o.content) and classify_textual(n.content):
+            if _textual(o.content, n.content):
                 kind, differ = ChangeKind.TEXT_PATCH, line_diff
             else:
                 kind, differ = ChangeKind.CHUNK_PATCH, chunk_diff

@@ -14,20 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffgen import compare_trees
-from .errors import LinkError, PrefixMatchError, TreeError
+from .diffgen import retained_bytes
+from .errors import LinkError, PrefixMatchError
 from .fstree import FileTree, under_prefix, write_tar
-from .package import (
-    CONTENT_KINDS,
-    DELETE,
-    PATCH_KINDS,
-    RETAIN,
-    ChangeKind,
-    ChangeSet,
-    FileChange,
-    gzip_bytes,
-    unit_edges,
-)
+from .package import CONTENT_KINDS, ChangeSet, gzip_bytes
 
 KIB = 1024
 DEFAULT_UPLINK_BPS = 200_000
@@ -153,42 +143,24 @@ def modification_ratio(orig: FileTree, upd: FileTree) -> ModRatioReport:
     """ratio = 1 - S_preserved/S_upd.
 
     S_upd is the total file byte size of the updated tree. S_preserved
-    counts unchanged files in full plus the retained-run bytes of every
-    patched file, as found by the same differential analysis that builds
-    update packages.
+    counts unchanged files in full plus the bytes of every changed file
+    that its patch retains, as the unit script that builds update
+    packages finds them (:func:`satpatch.diffgen.retained_bytes`). A file
+    at a path that held none retains nothing.
     """
     s_upd = upd.total_file_bytes()
     if s_upd == 0:
         return ModRatioReport(0, 0, Fraction(0))
-    changeset = compare_trees(orig, upd)
-    touched: dict[str, int] = {}
-    for change in changeset.changes:
-        if change.kind in PATCH_KINDS:
-            touched[change.path] = retained_bytes(change, upd[change.path].content)
-        elif change.kind is ChangeKind.FILE_INSERT:
-            touched[change.path] = 0
     preserved = 0
     for path, entry in upd.files():
-        preserved += touched.get(path, len(entry.content))
+        o = orig.get(path)
+        if o is None or not o.is_file:
+            continue
+        if o.content_hash == entry.content_hash:
+            preserved += len(entry.content)
+        else:
+            preserved += retained_bytes(o.content, entry.content)
     return ModRatioReport(preserved, s_upd, 1 - Fraction(preserved, s_upd))
-
-
-def retained_bytes(change: FileChange, new_content: bytes) -> int:
-    """Bytes of the new file content that the script retains from the old:
-    the S_preserved share of one patched file. The retain runs are measured
-    on the new content's units (:func:`unit_edges`), so one walk serves
-    line and chunk scripts.
-    """
-    if change.kind not in PATCH_KINDS:
-        raise TreeError(f"not a patch change: {change.kind}")
-    edges = unit_edges(new_content, change.kind)
-    total = j = 0
-    for op in change.ops:
-        if op.kind == RETAIN:
-            total += edges[j + op.count] - edges[j]
-        if op.kind != DELETE:
-            j += op.count
-    return total
 
 
 # -- contact-window scheduling --------------------------------------------

@@ -19,8 +19,10 @@ inflate to exactly the run's I count. An X run of n consumes n old bytes
 and yields n new bytes that differ from them only where its segment says
 (:func:`patch_encode`, :func:`patch_decode`): the segment is (LEB128 gap,
 nonzero XOR byte) pairs, one per changed byte, where the gap counts the
-bytes since the previous changed byte ended. The rules depend only on
-the op and change kind, so no flag travels with a run.
+bytes since the previous changed byte ended. A run may span any bytes, so
+the ground spans a whole aligned stretch, unchanged chunks included, with
+one. The rules depend only on the op and change kind, so no flag travels
+with a run.
 
 The container (all integers big-endian) is gzip'd as a whole at level 9
 with a zeroed timestamp, so identical change sets encode to identical
@@ -57,7 +59,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadMagicError,
@@ -236,52 +238,64 @@ def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> 
 
 # -- sparse chunk patch runs ----------------------------------------------------
 
-#: A byte of an XOR of two spans where they differ.
-_CHANGED = re.compile(rb"[^\x00]")
+#: The unchanged bytes of an XOR of two spans up to a changed byte, and that
+#: byte. On a span that ends in a changed byte every match succeeds, so one
+#: linear scan finds them all.
+_CHANGED = re.compile(rb"\x00*[^\x00]")
 
 
-def patch_encode(old: bytes, new: bytes, limit: int) -> bytes | None:
+def _leb128_len(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def patch_encode(
+    old: bytes, new: bytes, limit: int, gap: int = 0
+) -> tuple[bytes, int] | None:
     """Segment of an X run turning ``old`` into ``new`` (equal lengths):
     one (LEB128 gap, nonzero XOR byte) pair per byte that differs, where
     the gap counts the bytes since the previous changed byte ended.
 
-    Returns None once the segment is known to exceed ``limit`` bytes,
-    before any pair is built if the changed bytes alone are too many.
+    One X run may span several such pairs of spans and the equal bytes
+    between them, coded one pair at a time: ``gap`` counts the run's
+    unchanged bytes before ``old`` and joins the first gap, so the
+    segments of consecutive calls concatenate to the run's. Returns the
+    segment and the count of unchanged bytes after its last changed byte.
+
+    Returns None for spans that do not differ, or once the segment these
+    spans would have as a run of their own is known to exceed ``limit``
+    bytes, before any pair is built if the changed bytes alone are too
+    many; so whether they are patched does not depend on ``gap``.
     """
     n = len(new)
     diff = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).to_bytes(
         n, "little"
-    )
-    if 2 * (n - diff.count(0)) > limit:
+    ).rstrip(b"\0")
+    if not diff or 2 * (len(diff) - diff.count(0)) > limit:
         return None
     out = bytearray()
-    end = 0
+    first = -1
     for hit in _CHANGED.finditer(diff):
-        p = hit.start()
-        gap = p - end
-        while gap > 0x7F:
-            out.append(gap & 0x7F | 0x80)
-            gap >>= 7
-        out.append(gap)
-        out.append(diff[p])
-        end = p + 1
-    return bytes(out) if len(out) <= limit else None
+        end = hit.end()
+        skip = end - 1 - hit.start()
+        if first < 0:
+            first = skip
+            skip += gap
+        while skip > 0x7F:
+            out.append(skip & 0x7F | 0x80)
+            skip >>= 7
+        out.append(skip)
+        out.append(diff[end - 1])
+    if len(out) - _leb128_len(first + gap) + _leb128_len(first) > limit:
+        return None
+    return bytes(out), n - len(diff)
 
 
-def patch_decode(
-    segment: bytes, old: memoryview, pos: int, span: int, path: str
-) -> list[bytes | memoryview]:
-    """The pieces of the ``span`` new bytes that an X run at old offset
-    ``pos`` yields: views of ``old`` with each patched byte between them,
-    so joining them is the only copy. Raises DeltaRunError (naming
-    ``path``) for an empty segment, a cut or non-minimal gap, a zero XOR
-    byte, or a position at or past the span.
-    """
-    where = f"{path!r}: patch run at byte {pos}"
+def _patch_pairs(segment: bytes, where: str) -> Iterator[tuple[int, int]]:
+    """The (gap, XOR byte) pairs of an X run's segment, in order. Raises
+    DeltaRunError (naming ``where``) for an empty segment, a cut or
+    non-minimal gap, or a zero XOR byte."""
     if not segment:
         raise DeltaRunError(f"{where} is empty")
-    pieces: list[bytes | memoryview] = []
-    start, stop = pos, pos + span
     i, n = 0, len(segment)
     while i < n:
         gap = shift = 0
@@ -302,6 +316,22 @@ def patch_decode(
         i += 1
         if not xor:
             raise DeltaRunError(f"{where} has a zero XOR byte")
+        yield gap, xor
+
+
+def patch_decode(
+    segment: bytes, old: memoryview, pos: int, span: int, path: str
+) -> list[bytes | memoryview]:
+    """The pieces of the ``span`` new bytes that an X run at old offset
+    ``pos`` yields: views of ``old`` with each patched byte between them,
+    so joining them is the only copy. Raises DeltaRunError (naming
+    ``path``) for an empty segment, a cut or non-minimal gap, a zero XOR
+    byte, or a position at or past the span.
+    """
+    where = f"{path!r}: patch run at byte {pos}"
+    pieces: list[bytes | memoryview] = []
+    start, stop = pos, pos + span
+    for gap, xor in _patch_pairs(segment, where):
         at = start + gap
         if at >= stop:
             raise DeltaRunError(f"{where} patches byte {at - pos} of a {span}-byte span")
@@ -538,11 +568,15 @@ def _decode(blob: bytes) -> tuple[ChangeSet, int]:
 def wire_layout(blob: bytes) -> dict:
     """Uncompressed bytes of a package's parts: the manifest as it is on
     the wire, and the segment records split by change kind and by path.
-    Decodes the package, so it raises a PackageError subclass.
+    Decodes the package and reads the pairs of every X record, so it
+    raises a PackageError subclass, CorruptPackageError for an X record
+    that is not (gap, XOR byte) pairs.
 
     For each kind, ``inserted`` is the bytes its I runs and inserted files
-    yield and ``patched`` the bytes its X runs yield (chunk patches only);
-    against ``segment_bytes`` they show what the coding of chunk runs saves.
+    yield, ``patched`` the bytes its X runs yield, the unchanged bytes
+    inside a run included, and ``changed`` the pairs their records carry,
+    one per byte the runs change (chunk patches only); against
+    ``segment_bytes`` they show what the coding of chunk runs saves.
     """
     changeset, manifest_len = _decode(blob)
     kinds: dict[str, dict[str, int]] = {}
@@ -550,17 +584,24 @@ def wire_layout(blob: bytes) -> dict:
     for change in changeset.changes:
         row = kinds.setdefault(
             change.kind.name,
-            {"changes": 0, "segment_bytes": 0, "inserted": 0, "patched": 0},
+            {"changes": 0, "segment_bytes": 0, "inserted": 0, "patched": 0, "changed": 0},
         )
         row["changes"] += 1
         sent = sum(map(len, change.segments))
         row["segment_bytes"] += sent
         if change.kind is ChangeKind.CHUNK_PATCH:
+            seg = iter(change.segments)
             for op in change.ops:
                 if op.kind == INSERT:
                     row["inserted"] += op.count
+                    next(seg)
                 elif op.kind == PATCH:
                     row["patched"] += op.count
+                    where = f"{change.path!r}: patch run"
+                    try:
+                        row["changed"] += sum(1 for _ in _patch_pairs(next(seg), where))
+                    except DeltaRunError as exc:
+                        raise CorruptPackageError(str(exc)) from exc
         else:
             row["inserted"] += sent
         if sent:

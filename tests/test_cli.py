@@ -307,8 +307,9 @@ class TestInspect:
         chunk = kinds["CHUNK_PATCH"]
         assert chunk["changes"] == 1 and chunk["inserted"] == 0
         assert 0 < chunk["segment_bytes"] <= 4 < 256 <= chunk["patched"]
+        assert chunk["changed"] == 1
         assert kinds["TEXT_PATCH"]["segment_bytes"] == len(b"B\n")
-        assert kinds["TEXT_PATCH"]["patched"] == 0
+        assert kinds["TEXT_PATCH"]["patched"] == kinds["TEXT_PATCH"]["changed"] == 0
         # Paths by segment bytes, most first: the patched chunk now costs
         # less than the inserted file.
         assert doc["paths"] == sorted(doc["paths"], key=lambda kv: (-kv[1], kv[0]))
@@ -316,10 +317,11 @@ class TestInspect:
             "app/b.bin": chunk["segment_bytes"], "app/m.py": 2, "app/n.txt": 4
         }
         code, out, _ = run(capsys, "inspect", pkg)
-        assert code == 0 and "manifest:" in out and "patched B" in out
+        assert code == 0 and "manifest:" in out and "patched B" in out and "changed" in out
         row = next(line for line in out.splitlines() if line.startswith("CHUNK_PATCH"))
         assert row.split()[1:] == [
-            str(chunk[key]) for key in ("changes", "segment_bytes", "inserted", "patched")
+            str(chunk[key])
+            for key in ("changes", "segment_bytes", "inserted", "patched", "changed")
         ]
 
     def test_bad_package_exits_2(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ against the package's own apply path.
 import random
 import tracemalloc
 import zlib
+from fractions import Fraction
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -29,13 +30,13 @@ from satpatch.diffgen import (
     compare_trees,
     diff_units,
     line_diff,
+    retained_bytes,
 )
 from satpatch.fstree import FileTree, tree_digest
-from satpatch.linksim import retained_bytes
+from satpatch.linksim import modification_ratio
 from satpatch.package import (
     ChangeKind,
     EditOp,
-    FileChange,
     split_lines,
 )
 
@@ -569,24 +570,35 @@ class TestRetainedBytes:
     def test_text_patch(self):
         old = b"keep1\nchange me\nkeep2\n"
         new = b"keep1\nchanged\nkeep2\n"
-        ops, segments = line_diff(old, new)
-        change_kind = ChangeKind.TEXT_PATCH
-        change = FileChange("f", change_kind, ops, segments)
-        assert retained_bytes(change, new) == len(b"keep1\n") + len(b"keep2\n")
+        assert retained_bytes(old, new) == len(b"keep1\n") + len(b"keep2\n")
 
     def test_chunk_patch(self):
         rng = random.Random(9)
         old = rng.randbytes(30_000)
         new = bytearray(old[:20_000] + rng.randbytes(100) + old[20_000:])
         new[5_000] ^= 0x40
-        ops, segments = chunk_diff(old, bytes(new))
+        ops, _ = chunk_diff(old, bytes(new))
         assert {"I", "X"} <= {op.kind for op in ops}
-        change = FileChange("f", ChangeKind.CHUNK_PATCH, ops, segments)
-        retained = retained_bytes(change, bytes(new))
+        retained = retained_bytes(old, bytes(new))
         rebuilt = sum(op.count for op in ops if op.kind in ("I", "X"))
         assert retained + rebuilt == len(new)
 
+    def test_retained_chunks_inside_an_x_run_still_count(self):
+        # Five flips in four chunks make one X run over the three retained
+        # stretches between them; the ratio is the one the per-pair
+        # coding gave, where each stretch was an R op.
+        blob = random.Random(5).randbytes(200_000)
+        new = bytearray(blob)
+        for p in (10_000, 30_000, 50_000, 120_000, 121_000):
+            new[p] ^= 0x5A
+        ops, _ = chunk_diff(blob, bytes(new))
+        assert [op.kind for op in ops] == ["R", "X", "R"]
+        report = modification_ratio(
+            FileTree.from_dict("a", {"m.bin": blob}),
+            FileTree.from_dict("a", {"m.bin": bytes(new)}),
+        )
+        assert report.s_preserved_bytes == 178_473
+        assert report.ratio == Fraction(21_527, 200_000)
+
     def test_full_replacement_retains_nothing(self):
-        ops, segments = line_diff(b"a\n", b"zz\n")
-        change = FileChange("f", ChangeKind.TEXT_PATCH, ops, segments)
-        assert retained_bytes(change, b"zz\n") == 0
+        assert retained_bytes(b"a\n", b"zz\n") == 0

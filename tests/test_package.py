@@ -4,6 +4,7 @@ import gzip
 import io
 import random
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -31,6 +32,7 @@ from satpatch.package import (
     decode_package,
     encode_package,
     gzip_bytes,
+    patch_encode,
     wire_layout,
 )
 from satpatch.reconstruct import apply_changeset
@@ -107,7 +109,15 @@ class TestRoundTrip:
             struct.pack(">H", 5) + b"f.bin" + struct.pack(">IQ", 2, 2) + b"\x00\x01"
         )
         (row,) = wire_layout(blob)["kinds"].values()
-        assert row == {"changes": 1, "segment_bytes": 10, "inserted": 6, "patched": 340}
+        assert row == {
+            "changes": 1, "segment_bytes": 10, "inserted": 6, "patched": 340, "changed": 2
+        }
+
+    def test_layout_refuses_a_patch_record_that_is_not_pairs(self):
+        change = FileChange("f.bin", ChangeKind.CHUNK_PATCH, (EditOp("X", 9),), (b"\x03\x00",))
+        blob = encode_package(ChangeSet(bytes(32), bytes(32), (change,)))
+        with pytest.raises(CorruptPackageError, match="zero XOR byte"):
+            wire_layout(blob)
 
     def test_random_pairs(self):
         rng = random.Random(42)
@@ -115,6 +125,37 @@ class TestRoundTrip:
             old, new = random_pair(rng, max_files=25, max_file_size=16 * 1024)
             cs = compare_trees(old, new)
             assert decode_package(encode_package(cs)) == cs
+
+
+class TestPatchEncode:
+    def test_long_unchanged_tail_scans_in_linear_time(self):
+        # One changed byte, then 32 KiB of equal bytes: a scan that tried
+        # the gap pattern again at each trailing zero would take seconds.
+        old = bytes(32 * 1024 + 1)
+        new = b"\x07" + old[1:]
+        start = time.perf_counter()
+        assert patch_encode(old, new, len(new) // 8) == (b"\x00\x07", 32 * 1024)
+        assert time.perf_counter() - start < 0.5
+
+    def test_carried_gap_joins_the_first_gap(self):
+        old = bytes(300)
+        new = bytearray(old)
+        new[10], new[200] = 1, 2
+        # gaps 10 and 189, then 99 unchanged bytes
+        assert patch_encode(old, bytes(new), 37) == (b"\x0a\x01\xbd\x01\x02", 99)
+        assert patch_encode(old, bytes(new), 37, 1000) == (b"\xf2\x07\x01\xbd\x01\x02", 99)
+
+    def test_limit_is_on_the_segment_alone(self):
+        # Alone the segment is 2 bytes; a carried gap of 200 makes its
+        # first gap 2 bytes long, and the pair is still patched.
+        new = bytearray(40)
+        new[5] = 1
+        assert patch_encode(bytes(40), bytes(new), 1) is None
+        assert patch_encode(bytes(40), bytes(new), 2) == (b"\x05\x01", 34)
+        assert patch_encode(bytes(40), bytes(new), 2, 200) == (b"\xcd\x01\x01", 34)
+
+    def test_equal_spans_are_not_patched(self):
+        assert patch_encode(b"abc", b"abc", 10) is None
 
 
 class TestDeterminism:

@@ -9,19 +9,34 @@ manifest order, where version 3 sorted them by (path bytes, run). Only
 container is pinned a second time as version 3 wrote it: with the version
 byte, the chunker words and the record order set back it hashes as
 before, which shows that nothing else moved.
+
+``binary`` moved once more within version 4, when one X run came to span
+each aligned stretch: the retained chunks between two patched pairs join
+the run instead of standing as an R op between two runs. A reference
+encoder here codes one X run per pair, as the first version 4 packages
+did; its package still hashes as they did, its container as version 3
+wrote it, and it still applies.
 """
 
 import gzip
 import hashlib
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
 from satpatch.corpusgen import generate_variant, sample_app_tree
-from satpatch.diffgen import compare_trees
+from satpatch.diffgen import _PATCH_SHARE, chunkify, compare_trees, diff_units
 from satpatch.fstree import FileTree, tree_digest
-from satpatch.package import encode_package
+from satpatch.package import (
+    EditOp,
+    FileChange,
+    delta_encode,
+    encode_package,
+    patch_encode,
+)
+from satpatch.reconstruct import apply_package
 
 
 def _text(rng: random.Random, lines: int) -> bytes:
@@ -90,7 +105,7 @@ PACKAGES = {
     "text-only": (text_only, "fa526eb3b18d42c6a447a4628192ed0b4f3869b0bb2b8ddec8027f97dc753d6e"),
     "binary": (
         binary_flips_and_shift,
-        "96721abf96f1208ab35a86ebbe3166b3d6b10a7d173d31b8ee24b2bfff3c83d7",
+        "fffae26f3dbcce78cdd84b92b9612b3004477e05250a49256e41fb86dea62021",
     ),
     "mixed": (
         mixed_inserts_and_deletes,
@@ -102,7 +117,6 @@ PACKAGES = {
 #: SHA-256 of the inflated container that version 3 encoded.
 VERSION_3_CONTAINERS = {
     "text-only": "8a6feacf014626425f6b0e28d1c15bda18bc9f8ecdacbba9b495bc8c785f573e",
-    "binary": "b2a50d6c452f4695a4ddcdb263552f906aded5769964640b65140c962e875759",
     "mixed": "308dfc2a26dc33c24019cb52294df1d813c0996fd699c27399a2a28593ecd4e9",
     "empty": "370744f1779ab77458a9bcbf1751c09874bcfffc3a4b8832770cf4dcba03a20b",
 }
@@ -132,21 +146,77 @@ def split_records(container: bytes) -> tuple[bytes, list[tuple[tuple[bytes, int]
     return head, records
 
 
-@pytest.mark.parametrize("name", VERSION_3_CONTAINERS)
-def test_version_3_container_rebuilds_from_version_4(name):
-    make, _ = PACKAGES[name]
-    container = gzip.decompress(encode_package(compare_trees(*make())))
+def as_version_3(container: bytes) -> bytes:
+    """A version 4 container as version 3 wrote it: its version byte, the
+    chunker's constants in the reserved words, records sorted by key."""
     assert container[4] == 4 and container[5:21] == bytes(16)
     head, records = split_records(container)
-    assert (records != sorted(records)) == (name == "mixed")
-    as_version_3 = (
+    return (
         head[:4]
         + b"\x03"
         + struct.pack(">IIII", 48, 11, 256, 16384)
         + head[21:]
         + b"".join(record for _, record in sorted(records))
     )
-    assert hashlib.sha256(as_version_3).hexdigest() == VERSION_3_CONTAINERS[name]
+
+
+@pytest.mark.parametrize("name", VERSION_3_CONTAINERS)
+def test_version_3_container_rebuilds_from_version_4(name):
+    make, _ = PACKAGES[name]
+    container = gzip.decompress(encode_package(compare_trees(*make())))
+    _, records = split_records(container)
+    assert (records != sorted(records)) == (name == "mixed")
+    assert hashlib.sha256(as_version_3(container)).hexdigest() == VERSION_3_CONTAINERS[name]
+
+
+def per_pair_chunk_diff(old: bytes, new: bytes):
+    """Chunk ops and segments with one X run per patched pair, whatever
+    lies between two pairs, from the unit script and the package's coders."""
+    old_units, new_units = chunkify(old), chunkify(new)
+    ops, segments = [], []
+    i = pos = 0
+    for op in diff_units(old_units, new_units):
+        if op[0] == "I":
+            _, j, n = op
+            run = b"".join(new_units[j : j + n])
+            if ops and ops[-1] == ("D", len(run)):
+                patch = patch_encode(old[pos - len(run) : pos], run, len(run) // _PATCH_SHARE)
+                if patch:
+                    ops[-1] = EditOp("X", len(run))
+                    segments.append(patch[0])
+                    continue
+            ops.append(EditOp("I", len(run)))
+            segments.append(delta_encode(run, old, pos))
+        else:
+            kind, n = op
+            span = sum(map(len, old_units[i : i + n]))
+            ops.append(EditOp(kind, span))
+            i += n
+            pos += span
+    return tuple(ops), tuple(segments)
+
+
+def test_per_pair_binary_package_is_pinned_and_applies():
+    old, new = binary_flips_and_shift()
+    changeset = compare_trees(old, new)
+    (change,) = changeset.changes
+    content = (old[change.path].content, new[change.path].content)
+    per_pair = replace(
+        changeset,
+        changes=(FileChange(change.path, change.kind, *per_pair_chunk_diff(*content)),),
+    )
+    blob = encode_package(per_pair)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "96721abf96f1208ab35a86ebbe3166b3d6b10a7d173d31b8ee24b2bfff3c83d7"
+    )
+    assert hashlib.sha256(as_version_3(gzip.decompress(blob))).hexdigest() == (
+        "b2a50d6c452f4695a4ddcdb263552f906aded5769964640b65140c962e875759"
+    )
+    # the per-pair script has an R op between two X runs; the merged one none
+    kinds = "".join(op.kind for op in per_pair.changes[0].ops)
+    assert "XRX" in kinds and "XRX" not in "".join(op.kind for op in change.ops)
+    applied, _ = apply_package(old, blob)
+    assert applied == new
 
 
 VARIANTS = {

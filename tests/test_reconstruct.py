@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from satpatch.diffgen import MAX_SIZE, chunk_diff, compare_trees, line_diff
+from satpatch.diffgen import MAX_SIZE, _PATCH_SHARE, chunk_diff, compare_trees, line_diff
 from satpatch.errors import (
     ApplyError,
     BaseVersionMismatchError,
@@ -26,6 +26,7 @@ from satpatch.package import (
     EditOp,
     FileChange,
     encode_package,
+    patch_encode,
 )
 from satpatch.reconstruct import (
     apply_changeset,
@@ -320,6 +321,29 @@ def mixed_edits(draw):
 
 
 @st.composite
+def stretch_edits(draw):
+    """A blob and an edited copy: flips scattered over many chunks, some
+    dense same-length rewrites, and a few inserts and deletes, anywhere."""
+    old = random.Random(draw(st.integers(0, 2**16))).randbytes(96 * 1024)
+    new = bytearray(old)
+    anywhere = st.integers(0, len(old) - 1)
+    for at in draw(st.lists(anywhere, min_size=1, max_size=40)):
+        new[at] ^= draw(st.integers(1, 255))
+    for at in draw(st.lists(anywhere, max_size=3)):
+        size = draw(st.integers(64, 1500))
+        new[at : at + size] = draw(st.binary(min_size=size, max_size=size))[: len(new) - at]
+    edits = draw(st.lists(st.tuples(anywhere, st.binary(min_size=1, max_size=600)), max_size=2))
+    edits += draw(st.lists(st.tuples(anywhere, st.integers(1, 600)), max_size=2))
+    # right to left, so every position is still an old offset
+    for at, edit in sorted(edits, key=lambda e: e[0], reverse=True):
+        if isinstance(edit, int):
+            del new[at : at + edit]
+        else:
+            new[at:at] = edit
+    return old, bytes(new)
+
+
+@st.composite
 def near_segments(draw):
     """Segments close to the format: (gap, XOR) pairs, each of which may
     have a gap padded with a zero digit or a zero XOR byte, with gaps
@@ -381,6 +405,65 @@ class TestPatchRuns:
         kinds = {op.kind for op in change.ops}
         assert {"X", "I"} <= kinds <= set("RDIX")
         applied, _ = apply_package(FileTree.from_dict("a", {"f.bin": old}), encode_package(cs))
+        assert applied.get("f.bin").content == new
+
+    def test_dense_pair_between_flips_splits_the_run(self):
+        # Two flips 70 KB apart make one X run over the retained chunks
+        # between them; a dense same-length rewrite between the two stays
+        # a delete and an insert run, and so splits that run in two.
+        rng = random.Random(10)
+        old = rng.randbytes(100_000)
+        new = bytearray(old)
+        new[10_000] ^= 0x5A
+        new[80_000] ^= 0xA5
+        flips = chunk_change(old, bytes(new))
+        assert [op.kind for op in flips.ops] == ["R", "X", "R"]
+        # the second pair's gap is every byte between the flips: 69,999 in
+        # LEB128, then the XOR byte
+        assert flips.segments[0].endswith(b"\xef\xa2\x04\xa5")
+        new[45_000:49_000] = rng.randbytes(4_000)
+        change = chunk_change(old, bytes(new))
+        assert [op.kind for op in change.ops] == ["R", "X", "R", "D", "I", "R", "X", "R"]
+        assert change.ops[3].count == change.ops[4].count
+        assert apply_file(old, change) == new
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.binary(min_size=1, max_size=300),
+        st.binary(max_size=300),
+        st.binary(min_size=1, max_size=300),
+        st.randoms(use_true_random=False),
+    )
+    def test_segments_with_a_carried_gap_concatenate(self, a, kept, b, rng):
+        # Two patched spans and the equal bytes between them decode, by the
+        # independent decoder, as one X run from the two segments joined.
+        a_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in a)
+        b_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in b)
+        first = patch_encode(a, a_new, len(a))
+        assume(first is not None)
+        second = patch_encode(b, b_new, len(b), first[1] + len(kept))
+        assume(second is not None)
+        segment = first[0] + second[0]
+        assert reference_patch(a + kept + b, segment) == a_new + kept + b_new
+        last = max(i for i in range(len(b)) if b[i] != b_new[i])
+        assert second[1] == len(b) - 1 - last
+
+    @settings(max_examples=40, deadline=None)
+    @given(stretch_edits())
+    def test_one_x_run_per_aligned_stretch(self, pair):
+        old, new = pair
+        old_tree = FileTree.from_dict("a", {"f.bin": old})
+        cs = compare_trees(old_tree, FileTree.from_dict("a", {"f.bin": new}))
+        (change,) = cs.changes
+        assert change.kind is ChangeKind.CHUNK_PATCH
+        assert "XRX" not in "".join(op.kind for op in change.ops)
+        runs = iter(change.segments)
+        for op in change.ops:
+            if op.kind in "IX":
+                segment = next(runs)
+                if op.kind == "X":
+                    assert len(segment) <= op.count // _PATCH_SHARE
+        applied, _ = apply_package(old_tree, encode_package(cs))
         assert applied.get("f.bin").content == new
 
     @pytest.mark.parametrize(

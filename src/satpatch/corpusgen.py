@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import random
 
-from .diffgen import WINDOW, chunk_lengths, retained_bytes
+from .diffgen import WINDOW, chunk_lengths, classify_textual, retained_bytes
 from .errors import VariantError
-from .fstree import FileTree, classify_textual, under_prefix
+from .fstree import FileTree, under_prefix
 from .linksim import modification_ratio
 from .package import split_lines
 

@@ -1,11 +1,15 @@
 """Ground-side search: the delta between two application trees.
 
 This module holds the search only: :mod:`satpatch.package` defines the
-change set it finds, with its op units and delta-run codec. Changed files
-are diffed at unit granularity: textual files as lines, binary files as
-content-defined chunks. Both kinds of unit sequence go through one exact
-engine, so every script deletes and inserts the minimal number of units
-(:func:`diff_units`):
+change set it finds, with its op units and delta-run codec. A changed
+file is textual when both of its versions classify as textual
+(:func:`classify_textual`: no NUL byte and valid UTF-8 in the first
+``TEXT_SCAN_LIMIT`` bytes), and binary otherwise; only the ground
+classifies. Each kind has its own script builder: :func:`line_diff` cuts
+a textual file into lines and its ops count lines, and :func:`chunk_diff`
+cuts a binary file into content-defined chunks and its ops count bytes.
+Both read their script off one exact engine, so every script deletes and
+inserts the minimal number of units (:func:`diff_units`):
 
 1. units are interned, and units found on one side only are dropped,
    because no common subsequence can hold them;
@@ -48,13 +52,14 @@ that import this one ever load it.
 from __future__ import annotations
 
 import bisect
+import codecs
 import functools
 import hashlib
 from itertools import accumulate, compress
 from operator import sub
 from typing import Sequence
 
-from .fstree import FileTree, classify_textual, tree_digest
+from .fstree import FileTree, tree_digest
 from .package import (
     DELETE,
     INSERT,
@@ -460,87 +465,96 @@ def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
 _PATCH_SHARE = 8
 
 
-def _assemble(
-    raw: list[tuple],
-    old_units: Sequence[bytes],
-    new_units: Sequence[bytes],
-    old: bytes | None = None,
-) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
-    """Turn a unit script into ops and segments.
-
-    Without ``old`` the ops count units. With it (chunk scripts) they
-    count bytes, and each pair whose sparse segment passes the
-    ``_PATCH_SHARE`` test is patched. A patched pair that only retained
-    chunks separate from the last X run extends that run over them, its
-    first gap carrying the unchanged bytes between, so one X run spans
-    each aligned stretch and the retained bytes are never read. Every
-    other insert run, the insert of a pair too dense to patch included,
-    is delta-coded against ``old`` at the old offset the script has
-    reached; such a run, a lone delete and the file's ends stop an X run.
-    """
-    ops: list[EditOp] = []
-    segments: list[bytes | bytearray] = []
-    i = j = pos = 0
-    tail = 0  # unchanged bytes at the end of the last X run
-    for op in raw:
-        if op[0] == INSERT:
-            _, b_start, n = op
-            assert b_start == j, "insert runs must consume new units in order"
-            run = b"".join(new_units[j : j + n])
-            j += n
-            if old is None:
-                ops.append(EditOp(INSERT, n))
-                segments.append(run)
-                continue
-            span = len(run)
-            if ops and ops[-1] == (DELETE, span):
-                # ops end X R D: only retained chunks since the last X run
-                extend = len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH
-                gap = tail + ops[-2].count if extend else 0
-                patch = patch_encode(old[pos - span : pos], run, span // _PATCH_SHARE, gap)
-                if patch:
-                    segment, tail = patch
-                    if extend:
-                        span += ops[-2].count
-                        del ops[-2:]
-                        ops[-1] = EditOp(PATCH, ops[-1].count + span)
-                        segments[-1] += segment
-                    else:
-                        ops[-1] = EditOp(PATCH, span)
-                        segments.append(bytearray(segment))
-                    continue
-            ops.append(EditOp(INSERT, span))
-            segments.append(delta_encode(run, old, pos))
-            continue
-        kind, n = op
-        if old is None:
-            ops.append(EditOp(kind, n))
-        else:
-            span = sum(map(len, old_units[i : i + n]))
-            ops.append(EditOp(kind, span))
-            pos += span
-        i += n
-        if kind == RETAIN:
-            j += n
-    assert i == len(old_units) and j == len(new_units)
-    return tuple(ops), tuple(map(bytes, segments))
-
-
 def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
-    """Minimal line-level edit script for textual content."""
-    old_units = split_lines(old)
+    """Minimal line-level edit script for textual content: the ops count
+    lines, and each insert run's lines are its segment."""
     new_units = split_lines(new)
-    raw = diff_units(old_units, new_units)
-    return _assemble(raw, old_units, new_units)
+    ops: list[EditOp] = []
+    segments: list[bytes] = []
+    for op in diff_units(split_lines(old), new_units):
+        if op[0] == INSERT:
+            _, start, n = op
+            ops.append(EditOp(INSERT, n))
+            segments.append(b"".join(new_units[start : start + n]))
+        else:
+            ops.append(EditOp(*op))
+    return tuple(ops), tuple(segments)
 
 
 def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
     """Minimal chunk-level edit script for binary content, as byte spans
-    with delta-coded insert runs and sparse patch runs."""
+    with delta-coded insert runs and sparse patch runs.
+
+    Each pair whose sparse segment passes the ``_PATCH_SHARE`` test is
+    patched. A patched pair that only retained chunks separate from the
+    last X run extends that run over them, its first gap carrying the
+    unchanged bytes between, so one X run spans each aligned stretch and
+    the retained bytes are never read. Every other insert run, the insert
+    of a pair too dense to patch included, is delta-coded against ``old``
+    at the old offset the script has reached; such a run, a lone delete
+    and the file's ends stop an X run.
+    """
     old_units = chunkify(old)
     new_units = chunkify(new)
-    raw = diff_units(old_units, new_units)
-    return _assemble(raw, old_units, new_units, old)
+    old_at = list(accumulate(map(len, old_units), initial=0))
+    new_at = list(accumulate(map(len, new_units), initial=0))
+    ops: list[EditOp] = []
+    segments: list[bytes | bytearray] = []
+    i = 0  # old chunks the script has consumed
+    tail = 0  # unchanged bytes at the end of the last X run
+    for op in diff_units(old_units, new_units):
+        if op[0] != INSERT:
+            kind, n = op
+            ops.append(EditOp(kind, old_at[i + n] - old_at[i]))
+            i += n
+            continue
+        _, start, n = op
+        run = new[new_at[start] : new_at[start + n]]
+        pos = old_at[i]
+        span = len(run)
+        if ops and ops[-1] == (DELETE, span):
+            # ops end X R D: only retained chunks since the last X run
+            extend = len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH
+            gap = tail + ops[-2].count if extend else 0
+            patch = patch_encode(old[pos - span : pos], run, span // _PATCH_SHARE, gap)
+            if patch:
+                segment, tail = patch
+                if extend:
+                    span += ops[-2].count
+                    del ops[-2:]
+                    ops[-1] = EditOp(PATCH, ops[-1].count + span)
+                    segments[-1] += segment
+                else:
+                    ops[-1] = EditOp(PATCH, span)
+                    segments.append(bytearray(segment))
+                continue
+        ops.append(EditOp(INSERT, span))
+        segments.append(delta_encode(run, old, pos))
+    return tuple(ops), tuple(map(bytes, segments))
+
+
+#: Bytes of a file's head that :func:`classify_textual` inspects.
+TEXT_SCAN_LIMIT = 8192
+
+
+def classify_textual(content: bytes) -> bool:
+    """Classify content as textual (True) or binary (False).
+
+    A file is textual iff its first ``TEXT_SCAN_LIMIT`` bytes contain no
+    NUL byte and decode as valid UTF-8, allowing a multi-byte sequence
+    cut off by the scan limit to be ignored. Empty content is textual.
+    """
+    scan = content[:TEXT_SCAN_LIMIT]
+    if b"\x00" in scan:
+        return False
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        # final=True unless the scan window truncated the content, in which
+        # case an incomplete trailing code point is not evidence of binary.
+        decoder.decode(scan, final=len(content) <= TEXT_SCAN_LIMIT)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _textual(old: bytes, new: bytes) -> bool:
@@ -552,19 +566,20 @@ def _textual(old: bytes, new: bytes) -> bool:
 def retained_bytes(old: bytes, new: bytes) -> int:
     """Bytes of ``new`` that a patch from ``old`` retains: the new lines
     or chunks, cut as :func:`compare_trees` cuts them, that the unit
-    script keeps. Read off the unit script, not a chunk patch's ops,
-    because one X run also spans the retained chunks between its pairs.
+    script keeps. Every new unit is retained or inserted, so this is
+    ``new`` less its inserted units. Read off the unit script, not a
+    chunk patch's ops, because one X run also spans the retained chunks
+    between its pairs.
     """
     cut = split_lines if _textual(old, new) else chunkify
     new_units = cut(new)
-    total = j = 0
-    for op in diff_units(cut(old), new_units):
-        if op[0] == INSERT:
-            j += op[2]
-        elif op[0] == RETAIN:
-            total += sum(map(len, new_units[j : j + op[1]]))
-            j += op[1]
-    return total
+    inserted = sum(
+        len(unit)
+        for op in diff_units(cut(old), new_units)
+        if op[0] == INSERT
+        for unit in new_units[op[1] : op[1] + op[2]]
+    )
+    return len(new) - inserted
 
 
 # -- tree comparison ---------------------------------------------------------

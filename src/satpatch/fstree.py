@@ -4,10 +4,9 @@ A :class:`FileTree` maps normalized relative paths, which must be valid
 UTF-8, to entries. An :class:`Entry` is a file's content or, with none, a
 directory; it hashes the content once, when it is built, and no caller
 can supply the hash, so a tree never holds a stale hash and never hashes
-a file twice. Only the ground differ and the variant generator classify
-content as text or binary (:func:`classify_textual`). Trees are
-immutable once built and iterate in code-point order, which is UTF-8
-byte order; that makes hashing, diffing, and packaging deterministic.
+a file twice. Trees are immutable once built and iterate in code-point
+order, which is UTF-8 byte order; that makes hashing, diffing, and
+packaging deterministic.
 
 Sources can be a plain directory on disk or an uncompressed tar archive.
 Only entry kind and content are modeled; permissions, ownership,
@@ -16,7 +15,6 @@ timestamps, and symlinks are out of scope.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import hashlib
 import io
@@ -29,33 +27,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PathError, TreeError
 
-#: Number of leading bytes inspected by :func:`classify_textual`.
-TEXT_SCAN_LIMIT = 8192
-
 
 def hash_content(content: bytes) -> bytes:
     """SHA-256 digest of raw content (32 bytes)."""
     return hashlib.sha256(content).digest()
-
-
-def classify_textual(content: bytes) -> bool:
-    """Classify content as textual (True) or binary (False).
-
-    A file is textual iff its first ``TEXT_SCAN_LIMIT`` bytes contain no
-    NUL byte and decode as valid UTF-8, allowing a multi-byte sequence
-    cut off by the scan limit to be ignored. Empty content is textual.
-    """
-    scan = content[:TEXT_SCAN_LIMIT]
-    if b"\x00" in scan:
-        return False
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        # final=True unless the scan window truncated the content, in which
-        # case an incomplete trailing code point is not evidence of binary.
-        decoder.decode(scan, final=len(content) <= TEXT_SCAN_LIMIT)
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def normalize_path(raw: str) -> str:
@@ -267,6 +242,8 @@ def _load_tar(archive: Path) -> FileTree:
         raise TreeError(f"not a readable tar archive: {exc}") from exc
     with tar:
         for member in tar:
+            if member.isdir() and member.name in (".", "./"):
+                continue  # the root, as ``tar cf x.tar -C dir .`` writes it
             path = normalize_path(member.name)
             if member.isdir():
                 entry = Entry()

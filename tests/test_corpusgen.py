@@ -7,9 +7,9 @@ from satpatch.corpusgen import (
     generate_variant,
     sample_app_tree,
 )
-from satpatch.diffgen import compare_trees
+from satpatch.diffgen import classify_textual, compare_trees
 from satpatch.errors import VariantError
-from satpatch.fstree import FileTree, classify_textual, tree_digest
+from satpatch.fstree import FileTree, tree_digest
 from satpatch.linksim import modification_ratio
 from satpatch.package import decode_package, encode_package
 from satpatch.reconstruct import apply_changeset

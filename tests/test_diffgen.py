@@ -1,4 +1,5 @@
-"""Delta computation: line splitting, minimal edit scripts, chunking, tree compare.
+"""Delta computation: line splitting, minimal edit scripts, chunking,
+text/binary classification, tree compare.
 
 Minimality is checked against an independent quadratic LCS DP; replay
 correctness against a simple two-pointer interpreter written here, not
@@ -27,6 +28,7 @@ from satpatch.diffgen import (
     chunk_diff,
     chunk_lengths,
     chunkify,
+    classify_textual,
     compare_trees,
     diff_units,
     line_diff,
@@ -566,6 +568,38 @@ class TestCompareTrees:
         assert cs.segment_bytes() == 5
 
 
+class TestClassifyTextual:
+    def test_empty_is_textual(self):
+        assert classify_textual(b"") is True
+
+    def test_ascii(self):
+        assert classify_textual(b"print('hello')\n") is True
+
+    def test_utf8_multibyte(self):
+        assert classify_textual("héllo wörld".encode("utf-8")) is True
+
+    def test_nul_byte_is_binary(self):
+        assert classify_textual(b"abc\x00def") is False
+
+    def test_elf_header_is_binary(self):
+        assert classify_textual(b"\x7fELF\x02\x01\x01\x00" + b"\x00" * 8) is False
+
+    def test_invalid_utf8_is_binary(self):
+        assert classify_textual(b"\xff\xfe\xfd") is False
+
+    def test_multibyte_split_at_scan_limit(self):
+        # 8191 ASCII bytes then a 2-byte code point: the scan window cuts
+        # the sequence in half, which must not count as invalid UTF-8.
+        content = b"a" * 8191 + "é".encode("utf-8") + b"tail" * 100
+        assert classify_textual(content) is True
+
+    def test_nul_beyond_scan_limit_is_ignored(self):
+        assert classify_textual(b"a" * 8192 + b"\x00") is True
+
+    def test_invalid_byte_exactly_at_window_end(self):
+        assert classify_textual(b"a" * 8191 + b"\xff") is False
+
+
 class TestRetainedBytes:
     def test_text_patch(self):
         old = b"keep1\nchange me\nkeep2\n"
@@ -599,6 +633,20 @@ class TestRetainedBytes:
         )
         assert report.s_preserved_bytes == 178_473
         assert report.ratio == Fraction(21_527, 200_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairs(st.sampled_from(STOCK_LINES[:6] + [b"x", b"y\n"])))
+    def test_text_pairs_count_the_lines_r_ops_keep(self, pair):
+        old, new = (b"".join(side) for side in pair)
+        new_lines = split_lines(new)
+        ops, _ = line_diff(old, new)
+        kept = j = 0
+        for op in ops:
+            if op.kind == "R":
+                kept += sum(map(len, new_lines[j : j + op.count]))
+            if op.kind in "RI":
+                j += op.count
+        assert retained_bytes(old, new) == kept
 
     def test_full_replacement_retains_nothing(self):
         assert retained_bytes(b"a\n", b"zz\n") == 0

@@ -1,4 +1,4 @@
-"""Tree model: path normalization, classification, hashing, tar round trips."""
+"""Tree model: path normalization, hashing, tar round trips."""
 
 import hashlib
 import io
@@ -14,12 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satpatch.cli import main
-from satpatch.diffgen import compare_trees
+from satpatch.diffgen import classify_textual, compare_trees
 from satpatch.errors import PathError, TreeError
 from satpatch.fstree import (
     Entry,
     FileTree,
-    classify_textual,
     hash_content,
     load_tree,
     materialize,
@@ -105,38 +104,6 @@ class TestUnderPrefix:
     def test_rejects(self, bad):
         with pytest.raises(PathError):
             under_prefix(bad)
-
-
-class TestClassifyTextual:
-    def test_empty_is_textual(self):
-        assert classify_textual(b"") is True
-
-    def test_ascii(self):
-        assert classify_textual(b"print('hello')\n") is True
-
-    def test_utf8_multibyte(self):
-        assert classify_textual("héllo wörld".encode("utf-8")) is True
-
-    def test_nul_byte_is_binary(self):
-        assert classify_textual(b"abc\x00def") is False
-
-    def test_elf_header_is_binary(self):
-        assert classify_textual(b"\x7fELF\x02\x01\x01\x00" + b"\x00" * 8) is False
-
-    def test_invalid_utf8_is_binary(self):
-        assert classify_textual(b"\xff\xfe\xfd") is False
-
-    def test_multibyte_split_at_scan_limit(self):
-        # 8191 ASCII bytes then a 2-byte code point: the scan window cuts
-        # the sequence in half, which must not count as invalid UTF-8.
-        content = b"a" * 8191 + "é".encode("utf-8") + b"tail" * 100
-        assert classify_textual(content) is True
-
-    def test_nul_beyond_scan_limit_is_ignored(self):
-        assert classify_textual(b"a" * 8192 + b"\x00") is True
-
-    def test_invalid_byte_exactly_at_window_end(self):
-        assert classify_textual(b"a" * 8191 + b"\xff") is False
 
 
 class TestHashing:
@@ -386,6 +353,40 @@ class TestRoundTrips:
         loaded = load_tar_bytes(buf.getvalue(), tmp_path)
         assert list(loaded) == ["deep", "deep/nested", "deep/nested/f.txt"]
         assert loaded["deep"].is_dir
+
+    @pytest.mark.parametrize("root", [None, "./", "."])
+    def test_tar_root_member_is_skipped(self, tmp_path, root):
+        # ``tar cf x.tar -C dir .`` writes the tree's root as a ``./``
+        # directory member and prefixes every other member with ``./``
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tar:
+            names = ["app/", "app/f.txt"]
+            if root is not None:
+                names = [root] + ["./" + name for name in names]
+            for name in names:
+                info = tarfile.TarInfo(name=name)
+                if name.endswith("/") or name == root:
+                    info.type = tarfile.DIRTYPE
+                    tar.addfile(info)
+                else:
+                    info.size = 3
+                    tar.addfile(info, io.BytesIO(b"abc"))
+        loaded = load_tar_bytes(buf.getvalue(), tmp_path)
+        assert loaded == FileTree.from_dict("app", {"app/f.txt": b"abc"})
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [(".", tarfile.REGTYPE), ("./", tarfile.REGTYPE), ("./.", tarfile.DIRTYPE)],
+        ids=["file-dot", "file-dot-slash", "dir-dot-slash-dot"],
+    )
+    def test_nameless_member_other_than_the_root_rejected(self, tmp_path, name, kind):
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w") as tar:
+            info = tarfile.TarInfo(name=name)
+            info.type = kind
+            tar.addfile(info)
+        with pytest.raises(TreeError):
+            load_tar_bytes(buf.getvalue(), tmp_path)
 
     def test_tar_escape_rejected(self, tmp_path):
         buf = io.BytesIO()

@@ -454,6 +454,11 @@ class TestPatchRuns:
         old, new = pair
         old_tree = FileTree.from_dict("a", {"f.bin": old})
         cs = compare_trees(old_tree, FileTree.from_dict("a", {"f.bin": new}))
+        if new == old:
+            # edits can cancel: two flips of one byte by the same XOR, or a
+            # delete of exactly the bytes an insert put at the same offset
+            assert cs.changes == ()
+            return
         (change,) = cs.changes
         assert change.kind is ChangeKind.CHUNK_PATCH
         assert "XRX" not in "".join(op.kind for op in change.ops)

@@ -90,7 +90,7 @@ MAX_SIZE = 16384
 # operands, so the chunker computes in uint16 with the weights' low 16 bits.
 _HASH_MULT = 1000000007
 #: Bytes hashed per pass of the chunker; consecutive blocks share
-#: ``WINDOW - 1`` bytes. Its three uint16 work buffers fit in L2 cache.
+#: ``WINDOW - 1`` bytes. Its block-sized uint16 sums fit in L2 cache.
 _BLOCK = 1 << 16
 
 
@@ -144,9 +144,9 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
        that overlap by ``WINDOW - 1`` bytes decide every window once, and
        one table of inverse powers serves every block.
 
-    Memory is three block-sized uint16 work buffers, a block of flags,
-    the block of intp indices that ``np.take`` casts the bytes to, and the
-    result.
+    Memory is a block's temporaries, freed as each step replaces them:
+    the block of intp indices that ``np.take`` casts the bytes to, at most
+    three block-sized uint16 sums, a block of flags, and the result.
     """
     import numpy as np
 
@@ -156,43 +156,25 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
     weights, inv_pows = _tables()
     mask = np.uint16((1 << MASK_BITS) - 1)
     view = np.frombuffer(data, dtype=np.uint8)
-    bufs = [np.empty(min(_BLOCK, n), dtype=np.uint16) for _ in range(3)]
-    hits = np.empty(bufs[0].size - WINDOW + 1, dtype=bool)
     found = []
     start = 0
     while True:
         stop = min(start + _BLOCK, n)
-        size = stop - start
-        count = size - WINDOW + 1
-        terms = bufs[0][:size]
-        # byte indices are always in range; "clip" lets take write to
-        # ``out`` directly instead of through a checked buffer
-        np.take(weights, view[start:stop], out=terms, mode="clip")
-        np.multiply(terms, inv_pows[:size], out=terms)
+        run = np.take(weights, view[start:stop]) * inv_pows[: stop - start]
         # run holds the sums of ``span`` consecutive terms, acc the sums of
         # ``covered`` terms: the set bits of WINDOW below ``span``
-        run, free, acc = terms, bufs[1:], None
+        acc = None
         span, covered = 1, 0
         while True:
             if WINDOW & span:
-                if covered:
-                    m = size - covered - span + 1
-                    np.add(acc[:m], run[covered : covered + m], out=acc[:m])
-                else:
-                    acc = run
+                part = run[covered:]
+                acc = part if acc is None else acc[: part.size] + part
                 covered += span
             if covered == WINDOW:
                 break
-            m = size - 2 * span + 1
-            out = free.pop()
-            np.add(run[:m], run[span : span + m], out=out[:m])
-            if run is not acc:
-                free.append(run)
-            run = out
+            run = run[:-span] + run[span:]
             span *= 2
-        np.bitwise_and(acc[:count], mask, out=acc[:count])
-        np.equal(acc[:count], 0, out=hits[:count])
-        found.append(np.flatnonzero(hits[:count]) + (start + WINDOW - 1))
+        found.append(np.flatnonzero((acc & mask) == 0) + (start + WINDOW - 1))
         if stop == n:
             return np.concatenate(found)
         start = stop - (WINDOW - 1)

@@ -178,19 +178,42 @@ def test_candidates_follow_the_rolling_hash_across_blocks(seed, extra, alphabet,
     assert diffgen._boundary_candidates(data).tolist() == want
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        diffgen._BLOCK + 1,
+        diffgen._BLOCK + 2,
+        2 * (diffgen._BLOCK - WINDOW + 1) + WINDOW,
+    ],
+    ids=["block+1", "block+2", "three-blocks"],
+)
+def test_candidates_follow_the_rolling_hash_in_the_smallest_last_blocks(n):
+    # The last block starts WINDOW - 1 bytes before the previous one ends,
+    # so at these lengths it holds exactly WINDOW bytes (block+1), one more
+    # (block+2), or exactly WINDOW bytes after two full blocks: it alone
+    # decides the last one or two windows. The last window is planted, so
+    # a last block that finds nothing fails.
+    data = plant(random.Random(n).randbytes(n), n - 1)
+    want = rolling_candidates(data)
+    assert n - 1 in want
+    assert diffgen._boundary_candidates(data).tolist() == want
+
+
 def test_boundary_candidates_memory_is_bounded():
-    # Three 128 KiB work buffers, a block of flags, the block of intp
-    # indices np.take casts the bytes to, and the candidates: about
-    # 0.96 MiB on 4 MiB, and no buffer grows with the input.
-    data = random.Random(7).randbytes(4 << 20)
+    # Per block, the intp indices np.take casts the bytes to, at most three
+    # 128 KiB uint16 sums and a block of flags, then the candidates: about
+    # 0.9 MiB on 4 MiB. The same bound on 16 MiB shows that no temporary
+    # grows with the input.
     diffgen._tables()
-    tracemalloc.start()
-    try:
-        diffgen._boundary_candidates(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20, f"_boundary_candidates peaked at {peak / 2**20:.2f} MiB"
+    for size in (4 << 20, 16 << 20):
+        data = random.Random(7).randbytes(size)
+        tracemalloc.start()
+        try:
+            diffgen._boundary_candidates(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"{size} bytes peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_chunk_lengths_memory_is_bounded():

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satpatch.cli import main
-from satpatch.diffgen import classify_textual, compare_trees
+from satpatch.diffgen import compare_trees
 from satpatch.errors import PathError, TreeError
 from satpatch.fstree import (
     Entry,
@@ -123,6 +123,10 @@ class TestHashing:
         with pytest.raises(TypeError):
             Entry(b"x", content_hash=hash_content(b"y"))
 
+    def test_from_dict_entry_records_its_hash(self):
+        tree = FileTree.from_dict("app", {"f": b"abc"})
+        assert tree["f"].content_hash.hex() == ABC_SHA256
+
     def test_entry_without_content_is_a_directory(self):
         directory, empty = Entry(), Entry(b"")
         assert directory.is_dir and not directory.is_file
@@ -175,11 +179,6 @@ class TestFileTree:
         t1 = FileTree.from_dict("app", {"f": b"data"})
         t2 = FileTree.from_dict("app", {"f": b"DATA"})
         assert t1 != t2
-
-    def test_entry_records_hash_and_class(self):
-        tree = FileTree.from_dict("app", {"f": b"abc"})
-        assert tree["f"].content_hash.hex() == ABC_SHA256
-        assert classify_textual(tree["f"].content) is True
 
     def test_total_file_bytes(self):
         tree = FileTree.from_dict("app", {"a": b"xx", "b/c": b"yyy"})

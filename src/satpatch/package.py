@@ -248,28 +248,25 @@ def _leb128_len(value: int) -> int:
     return max(1, (value.bit_length() + 6) // 7)
 
 
-def patch_encode(
-    old: bytes, new: bytes, limit: int, gap: int = 0
-) -> tuple[bytes, int] | None:
-    """Segment of an X run turning ``old`` into ``new`` (equal lengths):
-    one (LEB128 gap, nonzero XOR byte) pair per byte that differs, where
-    the gap counts the bytes since the previous changed byte ended.
+def patch_encode(diff: bytes, limit: int, gap: int = 0) -> tuple[bytes, int] | None:
+    """Segment of an X run over a span whose new bytes differ from the old
+    ones by ``diff``, their XOR: one (LEB128 gap, nonzero XOR byte) pair
+    per nonzero byte of ``diff``, where the gap counts the bytes since the
+    previous changed byte ended.
 
-    One X run may span several such pairs of spans and the equal bytes
-    between them, coded one pair at a time: ``gap`` counts the run's
-    unchanged bytes before ``old`` and joins the first gap, so the
-    segments of consecutive calls concatenate to the run's. Returns the
-    segment and the count of unchanged bytes after its last changed byte.
+    One X run may span several such spans and the equal bytes between
+    them, coded one span at a time: ``gap`` counts the run's unchanged
+    bytes before this span and joins the first gap, so the segments of
+    consecutive calls concatenate to the run's. Returns the segment and
+    the count of unchanged bytes after its last changed byte.
 
-    Returns None for spans that do not differ, or once the segment these
-    spans would have as a run of their own is known to exceed ``limit``
-    bytes, before any pair is built if the changed bytes alone are too
-    many; so whether they are patched does not depend on ``gap``.
+    Returns None for a span that does not differ, or once the segment it
+    would have as a run of its own is known to exceed ``limit`` bytes,
+    before any pair is built if the changed bytes alone are too many; so
+    whether it is patched does not depend on ``gap``.
     """
-    n = len(new)
-    diff = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).to_bytes(
-        n, "little"
-    ).rstrip(b"\0")
+    n = len(diff)
+    diff = diff.rstrip(b"\0")
     if not diff or 2 * (len(diff) - diff.count(0)) > limit:
         return None
     out = bytearray()

@@ -1,4 +1,5 @@
-"""Chunk boundaries: pinned digests, two plain-Python oracles and memory bounds.
+"""Chunk boundaries: pinned digests, two plain-Python oracles, derived
+candidates and memory bounds.
 
 Chunk boundaries decide which byte spans a package retains, so moving
 one changes package bytes and can break the C5 localisation gate, even
@@ -8,7 +9,9 @@ with prefix sums, for the inputs around today's 64 KiB block edge. The
 chunker now sums each window by doubling in uint16 blocks. The oracle
 tests keep the 64-bit definition of a boundary in plain Python, once
 window by window and once as an O(n) rolling hash over inputs that span
-several blocks.
+several blocks. The new side of a changed pair takes the old side's
+candidates wherever its bytes are unchanged, and must find exactly what a
+full scan of it finds.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpatch import diffgen
@@ -199,6 +202,118 @@ def test_candidates_follow_the_rolling_hash_in_the_smallest_last_blocks(n):
     assert diffgen._boundary_candidates(data).tolist() == want
 
 
+# -- the new side of a changed pair --------------------------------------------
+
+EDITS = ("flip", "insert", "delete", "append", "truncate", "rewrite")
+
+
+@st.composite
+def edited_pairs(draw):
+    """(old, new): random or low-entropy bytes and a few edits of ``new``
+    placed within a window of a compare-block edge (laid from either end),
+    a scan-block edge, or either end of the file. Sizes run from shorter
+    than a window and than one compare block to past the first scan
+    block."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(
+        st.one_of(
+            st.integers(0, 2 * diffgen._SAME_BLOCK),
+            st.integers(diffgen._BLOCK - diffgen._SAME_BLOCK, diffgen._BLOCK + 3 * diffgen._SAME_BLOCK),
+        )
+    )
+    old = rng.randbytes(size)
+    alphabet = draw(st.sampled_from([b"", b"\x00\x01\xff", b"ab \n"]))
+    if alphabet:  # low-entropy content
+        old = old.translate(bytes(alphabet[b % len(alphabet)] for b in range(256)))
+    new = bytearray(old)
+    for _ in range(draw(st.integers(1, 4))):
+        edge = draw(st.sampled_from(["block", "block-from-end", "scan-block", "start", "end"]))
+        blocks = len(new) // diffgen._SAME_BLOCK
+        anchor = {
+            "block": diffgen._SAME_BLOCK * rng.randint(0, blocks),
+            "block-from-end": len(new) - diffgen._SAME_BLOCK * rng.randint(0, blocks),
+            "scan-block": diffgen._BLOCK,
+            "start": 0,
+            "end": len(new),
+        }[edge]
+        at = min(max(anchor + draw(st.integers(-WINDOW, WINDOW)), 0), len(new))
+        count = draw(st.integers(1, 300))
+        kind = draw(st.sampled_from(EDITS))
+        if kind == "flip" and new:
+            new[min(at, len(new) - 1)] ^= rng.randrange(1, 256)
+        elif kind == "insert":
+            new[at:at] = rng.randbytes(count)
+        elif kind == "delete":
+            del new[at : at + count]
+        elif kind == "append":
+            new += rng.randbytes(count)
+        elif kind == "truncate":
+            del new[max(0, len(new) - count) :]
+        elif kind == "rewrite":
+            new = bytearray(rng.randbytes(len(new)))
+    return old, bytes(new)
+
+
+def margin_pair(align: str, side: str) -> tuple[bytes, bytes]:
+    """(old, new) whose one changed byte lies one byte outside the first
+    or last window of a run of equal compare blocks, inside the window
+    next to it: old has a candidate there and new has none. With ``align``
+    "end", new also starts with 100 inserted bytes, so only the end
+    alignment finds the run."""
+    edge = 4 * diffgen._SAME_BLOCK
+    end, changed = (edge + WINDOW - 2, edge - 1) if side == "first" else (edge, edge)
+    old = plant(random.Random(1).randbytes(2 * edge), end)
+    head = b"" if align == "start" else random.Random(2).randbytes(100)
+    for x in range(1, 256):
+        new = bytearray(head + old)
+        new[len(head) + changed] ^= x
+        if not is_boundary(new, len(head) + end):
+            return old, bytes(new)
+    raise AssertionError("every flip keeps the candidate")
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_pairs())
+@example(margin_pair("start", "first"))
+@example(margin_pair("start", "last"))
+@example(margin_pair("end", "first"))
+@example(margin_pair("end", "last"))
+def test_derived_candidates_match_a_full_scan(pair):
+    old, new = pair
+    old_cands = diffgen._boundary_candidates(old)
+    derived = diffgen._derived_candidates(old, new, old_cands)
+    assert derived.tolist() == diffgen._boundary_candidates(new).tolist()
+    old_units, new_units = diffgen._chunk_pair(old, new)
+    assert list(map(len, old_units)) == chunk_lengths(old)
+    assert list(map(len, new_units)) == chunk_lengths(new)
+
+
+def test_new_side_scans_only_around_its_edits(monkeypatch):
+    # Three flips and a 100-byte insert in 256 KiB: the start alignment
+    # reuses the blocks before the insert and the end alignment those after
+    # it, so about a compare block per edit is scanned, not the half after
+    # the insert.
+    rng = random.Random(3)
+    old = rng.randbytes(256 << 10)
+    new = bytearray(old)
+    for at in (10_000, 100_000, 200_000):
+        new[at] ^= 0x5A
+    new[150_000:150_000] = rng.randbytes(100)
+    new = bytes(new)
+    old_cands = diffgen._boundary_candidates(old)
+    want = diffgen._boundary_candidates(new).tolist()
+    scanned = []
+    scan = diffgen._scan
+
+    def counting_scan(view, ends):
+        scanned.extend(stop - first for first, stop in ends)
+        return scan(view, ends)
+
+    monkeypatch.setattr(diffgen, "_scan", counting_scan)
+    assert diffgen._derived_candidates(old, new, old_cands).tolist() == want
+    assert 0 < sum(scanned) < 8 * diffgen._SAME_BLOCK
+
+
 def test_boundary_candidates_memory_is_bounded():
     # Per block, the intp indices np.take casts the bytes to, at most three
     # 128 KiB uint16 sums and a block of flags, then the candidates: about
@@ -214,6 +329,34 @@ def test_boundary_candidates_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, f"{size} bytes peaked at {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("pattern", ["sparse-flips", "dense-rewrite"])
+def test_derived_candidates_memory_is_bounded(pattern):
+    # Deriving the new side compares 64 KiB of blocks at a time and scans
+    # the rest in gathered blocks, so it keeps the full scan's bound: with
+    # a flip every 8 KiB or so and one insert, which leaves gaps to gather
+    # at both alignments, and with no block equal, which scans every window.
+    old = random.Random(7).randbytes(16 << 20)
+    rng = random.Random(8)
+    if pattern == "sparse-flips":
+        new = bytearray(old)
+        for _ in range(2048):
+            new[rng.randrange(len(new))] ^= rng.randrange(1, 256)
+        at = rng.randrange(len(new))
+        new[at:at] = rng.randbytes(100)
+        new = bytes(new)
+    else:
+        new = rng.randbytes(len(old))
+    old_cands = diffgen._boundary_candidates(old)
+    tracemalloc.start()
+    try:
+        got = diffgen._derived_candidates(old, new, old_cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"{pattern} peaked at {peak / 2**20:.2f} MiB"
+    assert got.tolist() == diffgen._boundary_candidates(new).tolist()
 
 
 def test_chunk_lengths_memory_is_bounded():

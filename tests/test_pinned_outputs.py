@@ -23,6 +23,7 @@ import hashlib
 import random
 import struct
 from dataclasses import replace
+from operator import xor
 
 import pytest
 
@@ -180,7 +181,8 @@ def per_pair_chunk_diff(old: bytes, new: bytes):
             _, j, n = op
             run = b"".join(new_units[j : j + n])
             if ops and ops[-1] == ("D", len(run)):
-                patch = patch_encode(old[pos - len(run) : pos], run, len(run) // _PATCH_SHARE)
+                diff = bytes(map(xor, old[pos - len(run) : pos], run))
+                patch = patch_encode(diff, len(run) // _PATCH_SHARE)
                 if patch:
                     ops[-1] = EditOp("X", len(run))
                     segments.append(patch[0])

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 import zlib
 from dataclasses import replace
+from operator import xor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -439,9 +440,9 @@ class TestPatchRuns:
         # independent decoder, as one X run from the two segments joined.
         a_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in a)
         b_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in b)
-        first = patch_encode(a, a_new, len(a))
+        first = patch_encode(bytes(map(xor, a, a_new)), len(a))
         assume(first is not None)
-        second = patch_encode(b, b_new, len(b), first[1] + len(kept))
+        second = patch_encode(bytes(map(xor, b, b_new)), len(b), first[1] + len(kept))
         assume(second is not None)
         segment = first[0] + second[0]
         assert reference_patch(a + kept + b, segment) == a_new + kept + b_new

@@ -41,14 +41,14 @@ old window it equals is. That is exact, as a candidate depends only on
 its window's bytes; every other window is scanned, so a dense rewrite
 scans every window as before. Chunk boundaries only steer the search: a
 chunk script's ops count bytes. A delete directly followed by an insert
-of the same byte length (a pair) is patched, coded by
-:func:`satpatch.package.patch_encode` from the XOR of the two spans as
-the bytes that change, when that segment is at most 1/``_PATCH_SHARE``
-of the span. Patched pairs that only retained chunks separate share one
-X run, which spans those chunks too, as bsdiff's add block spans an
-aligned region; every other insert run is delta-coded with
-:func:`satpatch.package.delta_encode`. No run is deflated just to
-compare sizes. The modification ratio is read off the unit script
+of the same byte length (a pair) is patched when at most
+1/``_PATCH_SHARE`` of its bytes change, counted in the XOR of the two
+spans; :func:`satpatch.package.patch_encode` codes that XOR as the
+bytes that change and decides nothing. Patched pairs that only retained
+chunks separate share one X run, which spans those chunks too, as
+bsdiff's add block spans an aligned region; every other insert run is
+delta-coded with :func:`satpatch.package.delta_encode`. No run is coded
+just to compare sizes. The modification ratio is read off the unit script
 (:func:`retained_bytes`), where a retained chunk is still one.
 
 Only the chunk diff computes on numpy arrays: the boundary scan, the
@@ -585,11 +585,12 @@ def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
 
 
 #: A delete and an insert of the same byte length (a pair) are patched when
-#: the segment they would have as an X run of their own is at most
-#: ``span // _PATCH_SHARE`` bytes; merged into a longer run, they add at
-#: most that plus a longer first gap, which the retained chunks before them
-#: more than pay for. A fixed design constant.
-_PATCH_SHARE = 8
+#: at most ``span // _PATCH_SHARE`` of its bytes change. Each changed byte
+#: costs the X run's segment two bytes, or more where its gap needs more
+#: than one LEB128 byte, so a patched pair costs little more than an
+#: eighth of its span; the count decides before anything is coded. A fixed
+#: design constant.
+_PATCH_SHARE = 16
 
 
 def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
@@ -612,11 +613,12 @@ def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes,
     """Minimal chunk-level edit script for binary content, as byte spans
     with delta-coded insert runs and sparse patch runs.
 
-    Each pair whose sparse segment passes the ``_PATCH_SHARE`` test is
-    patched. A patched pair that only retained chunks separate from the
-    last X run extends that run over them, its first gap carrying the
-    unchanged bytes between, so one X run spans each aligned stretch and
-    the retained bytes are never read. Every other insert run, the insert
+    A pair in which at least one and at most ``span // _PATCH_SHARE``
+    bytes change is patched; this is the one place that decides. A
+    patched pair that only retained chunks separate from the last X run
+    extends that run over them, its first gap carrying the unchanged
+    bytes between, so one X run spans each aligned stretch and the
+    retained bytes are never read. Every other insert run, the insert
     of a pair too dense to patch included, is delta-coded against ``old``
     at the old offset the script has reached; such a run, a lone delete
     and the file's ends stop an X run.
@@ -643,19 +645,17 @@ def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes,
         pos = old_at[i]
         span = end - at
         if ops and ops[-1] == (DELETE, span):
-            # ops end X R D: only retained chunks since the last X run
-            extend = len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH
-            gap = tail + ops[-2].count if extend else 0
             diff = np.bitwise_xor(old_view[pos - span : pos], new_view[at:end]).tobytes()
-            patch = patch_encode(diff, span // _PATCH_SHARE, gap)
-            if patch:
-                segment, tail = patch
-                if extend:
+            if 0 < span - diff.count(0) <= span // _PATCH_SHARE:
+                # ops end X R D: only retained chunks since the last X run
+                if len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH:
+                    segment, tail = patch_encode(diff, tail + ops[-2].count)
                     span += ops[-2].count
                     del ops[-2:]
                     ops[-1] = EditOp(PATCH, ops[-1].count + span)
                     segments[-1] += segment
                 else:
+                    segment, tail = patch_encode(diff, 0)
                     ops[-1] = EditOp(PATCH, span)
                     segments.append(bytearray(segment))
                 continue

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import re
 import struct
 import urllib.parse
 import zlib
@@ -238,17 +237,12 @@ def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> 
 
 # -- sparse chunk patch runs ----------------------------------------------------
 
-#: The unchanged bytes of an XOR of two spans up to a changed byte, and that
-#: byte. On a span that ends in a changed byte every match succeeds, so one
-#: linear scan finds them all.
-_CHANGED = re.compile(rb"\x00*[^\x00]")
+#: Maps every changed (nonzero) byte of an XOR to 1, so ``bytes.find``
+#: steps from one changed byte to the next.
+_CHANGED = bytes([0]) + bytes([1]) * 255
 
 
-def _leb128_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
-
-
-def patch_encode(diff: bytes, limit: int, gap: int = 0) -> tuple[bytes, int] | None:
+def patch_encode(diff: bytes, gap: int) -> tuple[bytes, int]:
     """Segment of an X run over a span whose new bytes differ from the old
     ones by ``diff``, their XOR: one (LEB128 gap, nonzero XOR byte) pair
     per nonzero byte of ``diff``, where the gap counts the bytes since the
@@ -258,33 +252,23 @@ def patch_encode(diff: bytes, limit: int, gap: int = 0) -> tuple[bytes, int] | N
     them, coded one span at a time: ``gap`` counts the run's unchanged
     bytes before this span and joins the first gap, so the segments of
     consecutive calls concatenate to the run's. Returns the segment and
-    the count of unchanged bytes after its last changed byte.
-
-    Returns None for a span that does not differ, or once the segment it
-    would have as a run of its own is known to exceed ``limit`` bytes,
-    before any pair is built if the changed bytes alone are too many; so
-    whether it is patched does not depend on ``gap``.
+    the count of unchanged bytes after its last changed byte. Which spans
+    are patched is the differ's decision; this only codes them.
     """
-    n = len(diff)
-    diff = diff.rstrip(b"\0")
-    if not diff or 2 * (len(diff) - diff.count(0)) > limit:
-        return None
+    marks = diff.translate(_CHANGED)
     out = bytearray()
-    first = -1
-    for hit in _CHANGED.finditer(diff):
-        end = hit.end()
-        skip = end - 1 - hit.start()
-        if first < 0:
-            first = skip
-            skip += gap
+    end = -gap  # where the previous changed byte ended
+    at = marks.find(1)
+    while at >= 0:
+        skip = at - end
         while skip > 0x7F:
             out.append(skip & 0x7F | 0x80)
             skip >>= 7
         out.append(skip)
-        out.append(diff[end - 1])
-    if len(out) - _leb128_len(first + gap) + _leb128_len(first) > limit:
-        return None
-    return bytes(out), n - len(diff)
+        out.append(diff[at])
+        end = at + 1
+        at = marks.find(1, end)
+    return bytes(out), len(diff) - end
 
 
 def _patch_pairs(segment: bytes, where: str) -> Iterator[tuple[int, int]]:

@@ -483,6 +483,65 @@ class TestChunkDiff:
         assert [op.kind for op in ops] == ["R"]
 
 
+class TestPatchDecision:
+    """chunk_diff patches a same-length pair when at most a sixteenth of
+    its bytes change, and sends a delete and an insert run otherwise."""
+
+    def flipped(self, offsets, extra=0):
+        # L // 16 + extra flips in one middle chunk of L bytes (L % 16 < 8,
+        # so an eighth of L is exactly two bytes per sixteenth), placed one
+        # at a time at ``offsets`` of L; a flip that would move a chunk
+        # boundary is undone, so the script pairs exactly that chunk.
+        rng = random.Random(29)
+        old = rng.randbytes(60_000)
+        lengths = chunk_lengths(old)
+        k = next(k for k, n in enumerate(lengths[1:-1], 1) if n >= 2048 and n % 16 < 8)
+        start, span = sum(lengths[:k]), lengths[k]
+        want = span // 16 + extra
+        new = bytearray(old)
+        kept = []
+        for off in offsets(span):
+            if len(kept) == want:
+                break
+            new[start + off] ^= rng.randrange(1, 256)
+            if chunk_lengths(bytes(new)) == lengths:
+                kept.append(off)
+            else:
+                new[start + off] = old[start + off]
+        assert len(kept) == want
+        ops, segments = chunk_diff(old, bytes(new))
+        return span, kept, ops, segments
+
+    @staticmethod
+    def every_fourth(span):
+        return range(0, span, 4)
+
+    def test_a_sixteenth_changed_is_patched(self):
+        span, _, ops, segments = self.flipped(self.every_fourth)
+        assert [op.kind for op in ops] == ["R", "X", "R"]
+        assert ops[1].count == span
+        # every gap fits one LEB128 byte: two bytes per changed byte
+        assert len(segments[0]) == 2 * (span // 16)
+
+    def test_one_byte_more_is_a_delete_and_an_insert_run(self):
+        span, _, ops, _ = self.flipped(self.every_fourth, extra=1)
+        assert [op.kind for op in ops] == ["R", "D", "I", "R"]
+        assert ops[1].count == ops[2].count == span
+
+    def test_a_long_gap_does_not_change_the_decision(self):
+        # A gap of 128 bytes or more takes two LEB128 bytes, so the record
+        # is one byte longer than an eighth of the span; the count of
+        # changed bytes alone decides, and the pair is still patched.
+        def with_a_hole(span):
+            return [off for off in range(0, span, 4) if not 100 < off < 300]
+
+        span, kept, ops, segments = self.flipped(with_a_hole)
+        gaps = [b - a - 1 for a, b in zip(kept, kept[1:])]
+        assert sum(gap >= 128 for gap in [kept[0]] + gaps) == 1
+        assert [op.kind for op in ops] == ["R", "X", "R"]
+        assert len(segments[0]) == 2 * (span // 16) + 1 > span // 8
+
+
 class TestCompareTrees:
     def test_identical_trees_empty_changeset(self):
         t = FileTree.from_dict("app", {"a/b.py": b"x = 1\n", "c.bin": b"\x00\x01"})

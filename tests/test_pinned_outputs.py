@@ -182,10 +182,9 @@ def per_pair_chunk_diff(old: bytes, new: bytes):
             run = b"".join(new_units[j : j + n])
             if ops and ops[-1] == ("D", len(run)):
                 diff = bytes(map(xor, old[pos - len(run) : pos], run))
-                patch = patch_encode(diff, len(run) // _PATCH_SHARE)
-                if patch:
+                if 0 < len(run) - diff.count(0) <= len(run) // _PATCH_SHARE:
                     ops[-1] = EditOp("X", len(run))
-                    segments.append(patch[0])
+                    segments.append(patch_encode(diff, 0)[0])
                     continue
             ops.append(EditOp("I", len(run)))
             segments.append(delta_encode(run, old, pos))

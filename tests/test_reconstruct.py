@@ -4,7 +4,7 @@ import random
 import tracemalloc
 import zlib
 from dataclasses import replace
-from operator import xor
+from operator import ne, xor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -384,9 +384,9 @@ class TestPatchRuns:
         assert apply_file(old, change) == new
 
     def test_dense_rewrite_stays_an_insert_run(self):
-        # 600 rewritten bytes in a same-length pair of 7,820 bytes cost
-        # more as pairs than an eighth of the span, so the pair stays a
-        # delete and a deflated insert run.
+        # 600 rewritten bytes in a same-length pair of 7,820 bytes are
+        # more than a sixteenth of the span, so the pair stays a delete and
+        # a deflated insert run.
         rng = random.Random(8)
         old = rng.randbytes(60_000)
         new = old[:30_000] + rng.randbytes(600) + old[30_600:]
@@ -438,12 +438,16 @@ class TestPatchRuns:
     def test_segments_with_a_carried_gap_concatenate(self, a, kept, b, rng):
         # Two patched spans and the equal bytes between them decode, by the
         # independent decoder, as one X run from the two segments joined.
-        a_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in a)
-        b_new = bytes(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in b)
-        first = patch_encode(bytes(map(xor, a, a_new)), len(a))
-        assume(first is not None)
-        second = patch_encode(bytes(map(xor, b, b_new)), len(b), first[1] + len(kept))
-        assume(second is not None)
+        def edit(span):
+            # the differ codes only spans with a changed byte
+            out = bytearray(x ^ (rng.random() < 0.2) * rng.randrange(1, 256) for x in span)
+            at = rng.randrange(len(span))
+            out[at] = span[at] ^ rng.randrange(1, 256)
+            return bytes(out)
+
+        a_new, b_new = edit(a), edit(b)
+        first = patch_encode(bytes(map(xor, a, a_new)), 0)
+        second = patch_encode(bytes(map(xor, b, b_new)), first[1] + len(kept))
         segment = first[0] + second[0]
         assert reference_patch(a + kept + b, segment) == a_new + kept + b_new
         last = max(i for i in range(len(b)) if b[i] != b_new[i])
@@ -463,12 +467,15 @@ class TestPatchRuns:
         (change,) = cs.changes
         assert change.kind is ChangeKind.CHUNK_PATCH
         assert "XRX" not in "".join(op.kind for op in change.ops)
-        runs = iter(change.segments)
+        # the differ's rule: at most a sixteenth of a patched pair's bytes
+        # change, so of an X run's bytes too
+        at = new_at = 0
         for op in change.ops:
-            if op.kind in "IX":
-                segment = next(runs)
-                if op.kind == "X":
-                    assert len(segment) <= op.count // _PATCH_SHARE
+            if op.kind == "X":
+                changed = sum(map(ne, old[at : at + op.count], new[new_at : new_at + op.count]))
+                assert 0 < changed <= op.count // _PATCH_SHARE
+            at += op.count * (op.kind != "I")
+            new_at += op.count * (op.kind != "D")
         applied, _ = apply_package(old_tree, encode_package(cs))
         assert applied.get("f.bin").content == new
 

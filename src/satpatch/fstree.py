@@ -8,9 +8,13 @@ a file twice. Trees are immutable once built and iterate in code-point
 order, which is UTF-8 byte order; that makes hashing, diffing, and
 packaging deterministic.
 
-Sources can be a plain directory on disk or an uncompressed tar archive.
-Only entry kind and content are modeled; permissions, ownership,
-timestamps, and symlinks are out of scope.
+Sources can be a plain directory on disk, an uncompressed tar archive or
+a mapping; one builder turns each into a tree, so every source
+normalizes paths, refuses a path given twice and adds missing parents the
+same way. A directory that cannot be listed and a tar archive that was
+cut short are refused rather than loaded short. Only entry kind and
+content are modeled; permissions, ownership, timestamps, and symlinks
+are out of scope.
 """
 
 from __future__ import annotations
@@ -131,18 +135,10 @@ class FileTree:
     @staticmethod
     def from_dict(root_label: str, mapping: Mapping[str, bytes | None]) -> "FileTree":
         """Build a tree from ``{path: bytes}`` for files, ``{path: None}``
-        for explicit directories. Missing parent directories are created.
+        for explicit directories. Missing parent directories are created;
+        two keys that name one path are refused.
         """
-        entries: dict[str, Entry] = {}
-        for raw_path, value in mapping.items():
-            path = normalize_path(raw_path)
-            entry = Entry(value)
-            existing = entries.get(path)
-            if existing is not None and existing != entry:
-                raise TreeError(f"conflicting entries for {path!r}")
-            entries[path] = entry
-        _add_parents(entries)
-        return FileTree(root_label, entries)
+        return _build(root_label, mapping.items())
 
     # -- mapping protocol --------------------------------------------------
 
@@ -207,66 +203,21 @@ def load_tree(source: str | Path) -> FileTree:
     """
     src = Path(source)
     if src.is_dir():
-        return _load_directory(src)
+        return _build(src.name, _walk(src))
     if src.is_file():
-        return _load_tar(src)
+        return _build(src.name, _members(src))
     raise TreeError(f"unreadable source: {src}")
 
 
-def _load_directory(root: Path) -> FileTree:
+def _build(root_label: str, items: Iterable[tuple[str, bytes | None]]) -> FileTree:
+    """The one intake of every source: ``(raw path, content or None)``
+    pairs, each path given once, become a tree with missing parents added."""
     entries: dict[str, Entry] = {}
-    for current, dirnames, filenames in os.walk(root):
-        base = Path(current)
-        for name in dirnames:
-            full = base / name
-            if full.is_symlink():
-                raise TreeError(f"symlinks are not modeled: {full}")
-            entries[_rel(root, full)] = Entry()
-        for name in filenames:
-            full = base / name
-            if full.is_symlink() or not full.is_file():
-                raise TreeError(f"only regular files are modeled: {full}")
-            entries[_rel(root, full)] = Entry(full.read_bytes())
-    return FileTree(root.name, entries)
-
-
-def _rel(root: Path, full: Path) -> str:
-    return normalize_path(full.relative_to(root).as_posix())
-
-
-def _load_tar(archive: Path) -> FileTree:
-    entries: dict[str, Entry] = {}
-    try:
-        tar = tarfile.open(archive, mode="r:")
-    except tarfile.TarError as exc:
-        raise TreeError(f"not a readable tar archive: {exc}") from exc
-    with tar:
-        for member in tar:
-            if member.isdir() and member.name in (".", "./"):
-                continue  # the root, as ``tar cf x.tar -C dir .`` writes it
-            path = normalize_path(member.name)
-            if member.isdir():
-                entry = Entry()
-            elif member.isfile():
-                extracted = tar.extractfile(member)
-                if extracted is None:
-                    raise TreeError(f"unreadable archive member: {member.name!r}")
-                entry = Entry(extracted.read())
-            else:
-                raise TreeError(
-                    f"unsupported archive member type for {member.name!r}"
-                )
-            if path in entries:
-                raise TreeError(f"duplicate archive entry: {path!r}")
-            entries[path] = entry
-    # Archives routinely omit directory members; synthesize missing parents.
-    _add_parents(entries)
-    return FileTree(archive.name, entries)
-
-
-def _add_parents(entries: dict[str, Entry]) -> None:
-    """Add every missing parent directory of ``entries`` in place; a file
-    used as a directory is a :class:`TreeError`."""
+    for raw_path, content in items:
+        path = normalize_path(raw_path)
+        if path in entries:
+            raise TreeError(f"duplicate entry path: {path!r}")
+        entries[path] = Entry(content)
     for path in list(entries):
         parent = parent_path(path)
         while parent is not None and parent not in entries:
@@ -274,6 +225,44 @@ def _add_parents(entries: dict[str, Entry]) -> None:
             parent = parent_path(parent)
         if parent is not None and not entries[parent].is_dir:
             raise TreeError(f"file {parent!r} used as a directory")
+    return FileTree(root_label, entries)
+
+
+def _walk(root: Path) -> Iterator[tuple[str, bytes | None]]:
+    def refuse(exc: OSError):  # where os.walk would skip the directory
+        raise TreeError(f"cannot list directory: {exc}") from exc
+
+    for current, dirnames, filenames in os.walk(root, onerror=refuse):
+        base = Path(current)
+        for name in dirnames:
+            full = base / name
+            if full.is_symlink():
+                raise TreeError(f"symlinks are not modeled: {full}")
+            yield full.relative_to(root).as_posix(), None
+        for name in filenames:
+            full = base / name
+            if full.is_symlink() or not full.is_file():
+                raise TreeError(f"only regular files are modeled: {full}")
+            yield full.relative_to(root).as_posix(), full.read_bytes()
+
+
+def _members(archive: Path) -> Iterator[tuple[str, bytes | None]]:
+    try:
+        with tarfile.open(archive, mode="r:") as tar:
+            for member in tar:
+                if member.isdir() and member.name in (".", "./"):
+                    continue  # the root, as ``tar cf x.tar -C dir .`` writes it
+                if not (member.isdir() or member.isfile()):
+                    raise TreeError(f"unsupported archive member type for {member.name!r}")
+                yield member.name, tar.extractfile(member).read() if member.isfile() else None
+            # tarfile ends at a cut or missing header after the first member,
+            # so the last member must be followed by the two zero end blocks.
+            tar.fileobj.seek(tar.offset)
+            tail = tar.fileobj.read()
+    except tarfile.TarError as exc:
+        raise TreeError(f"not a readable tar archive: {exc}") from exc
+    if len(tail) < 2 * tarfile.BLOCKSIZE or tail.count(0) != len(tail):
+        raise TreeError(f"tar archive cut short or followed by data: {archive}")
 
 
 # -- writing ---------------------------------------------------------------

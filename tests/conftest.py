@@ -1,5 +1,5 @@
-"""Shared test plumbing: acceptance verdict reporting, a hash counter and
-crash-point injection.
+"""Shared test plumbing: acceptance verdict reporting, a hash counter,
+crash-point injection and directories that cannot be listed.
 
 The acceptance tests record one PASS/FAIL line per criterion; emitting
 them from the terminal-summary hook keeps them visible under pytest's
@@ -79,3 +79,20 @@ def crash_points(monkeypatch):
         return state["calls"]
 
     return run
+
+
+@pytest.fixture
+def unlistable(monkeypatch) -> set[Path]:
+    """Directories added to the returned set cannot be listed: ``os.scandir``
+    raises PermissionError for them, as it does after ``chmod 000`` for any
+    user but root."""
+    refused: set[Path] = set()
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if not isinstance(path, int) and Path(path) in refused:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    return refused

@@ -576,6 +576,20 @@ class TestEnvironmentErrors:
         error = self.check(capsys, "verify", tar)
         assert "not valid UTF-8" in error
 
+    def test_diff_with_unlistable_directory(self, trees, capsys, unlistable):
+        tmp, *_ = trees
+        unlistable.add(tmp / "upd" / "app")
+        pkg = tmp / "p.satpkg"
+        error = self.check(capsys, "diff", tmp / "orig", tmp / "upd", "-o", pkg)
+        assert "cannot list directory" in error
+        assert not pkg.exists()
+
+    def test_verify_cut_tar(self, tmp_path, capsys):
+        tree = FileTree.from_dict("v", {"a.txt": b"a" * 700, "b.txt": b"b" * 300})
+        cut = tmp_path / "cut.tar"
+        cut.write_bytes(write_tar(tree)[:1800])  # inside b.txt's header
+        self.check(capsys, "verify", cut)
+
     def updated_store(self, capsys, tmp):
         """A store with v1.0 stable and v1.1 active but not yet stable."""
         store = tmp / "store"

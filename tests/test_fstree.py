@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -445,3 +446,94 @@ class TestRoundTrips:
         # hypothesis runs many examples per test call, so not tmp_path
         with tempfile.TemporaryDirectory() as tmp:
             assert load_tar_bytes(write_tar(tree), tmp) == tree
+
+
+def tar_of(*members: tuple[str, bytes | None]) -> bytes:
+    """An archive of ``(name, content or None for a directory)`` members,
+    in the order given."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name, content in members:
+            info = tarfile.TarInfo(name=name)
+            if content is None:
+                info.type = tarfile.DIRTYPE
+                tar.addfile(info)
+            else:
+                info.size = len(content)
+                tar.addfile(info, io.BytesIO(content))
+    return buf.getvalue()
+
+
+class TestIntake:
+    """Directories, tar archives and mappings share one builder, and every
+    source refuses what it cannot load whole."""
+
+    CUT_TREE = FileTree.from_dict("app", {"a.txt": b"a" * 700, "b.txt": b"b" * 300})
+
+    def test_from_dict_refuses_a_path_given_twice(self):
+        with pytest.raises(TreeError, match="duplicate"):
+            FileTree.from_dict("x", {"a": b"same", "./a": b"same"})
+
+    def test_tree_refuses_a_path_given_twice(self):
+        entry = Entry(b"x")
+        with pytest.raises(TreeError, match="duplicate"):
+            FileTree("x", {"a": entry, "./a": entry})
+
+    def test_tar_refuses_a_member_given_twice(self, tmp_path):
+        with pytest.raises(TreeError, match="duplicate"):
+            load_tar_bytes(tar_of(("a", b"x"), ("./a", b"x")), tmp_path)
+
+    def test_missing_source_rejected(self, tmp_path):
+        with pytest.raises(TreeError, match="unreadable source"):
+            load_tree(tmp_path / "missing")
+
+    @pytest.mark.parametrize("kind", ["dir-symlink", "file-symlink", "fifo"])
+    def test_directory_entry_that_is_not_modeled_rejected(self, tmp_path, kind):
+        root = tmp_path / "tree"
+        (root / "real").mkdir(parents=True)
+        (root / "real" / "f").write_bytes(b"x")
+        if kind == "dir-symlink":
+            (root / "link").symlink_to("real")
+        elif kind == "file-symlink":
+            (root / "link").symlink_to("real/f")
+        else:
+            os.mkfifo(root / "pipe")
+        with pytest.raises(TreeError, match="not modeled|only regular files"):
+            load_tree(root)
+
+    @pytest.mark.parametrize("where", ["root", "subdirectory"])
+    def test_unlistable_directory_rejected(self, tmp_path, unlistable, where):
+        # os.walk skips a directory it cannot list unless told otherwise
+        root = tmp_path / "tree"
+        materialize(FileTree.from_dict("t", {"app/main.py": b"run()\n"}), root)
+        unlistable.add(root if where == "root" else root / "app")
+        with pytest.raises(TreeError, match="cannot list directory"):
+            load_tree(root)
+
+    # write_tar(CUT_TREE) holds a.txt's header at 0 and its data at 512,
+    # b.txt's header at 1536 and its data at 2048, and the end blocks at 2560
+    @pytest.mark.parametrize(
+        "cut",
+        [2148, 1636, 1536, 3072],
+        ids=["in-member-data", "in-header", "at-member-boundary", "in-end-blocks"],
+    )
+    def test_cut_tar_rejected(self, tmp_path, cut):
+        with pytest.raises(TreeError):
+            load_tar_bytes(write_tar(self.CUT_TREE)[:cut], tmp_path)
+
+    def test_tar_with_data_after_its_end_blocks_rejected(self, tmp_path):
+        with pytest.raises(TreeError, match="cut short or followed by data"):
+            load_tar_bytes(write_tar(self.CUT_TREE) + b"junk", tmp_path)
+
+    def test_whole_archives_load(self, tmp_path):
+        # write_tar's output, and an empty archive: only the two end blocks
+        assert load_tar_bytes(write_tar(self.CUT_TREE), tmp_path) == self.CUT_TREE
+        assert load_tar_bytes(b"\x00" * 1024, tmp_path) == FileTree("e", {})
+
+    def test_tar_cf_archive_loads(self, tmp_path):
+        if shutil.which("tar") is None:
+            pytest.skip("no tar binary")
+        materialize(self.CUT_TREE, tmp_path / "v")
+        archive = tmp_path / "v.tar"
+        subprocess.run(["tar", "cf", archive, "-C", tmp_path / "v", "."], check=True)
+        assert load_tree(archive) == self.CUT_TREE

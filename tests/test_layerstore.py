@@ -386,6 +386,10 @@ class TestLayerStore:
         assert store.stack == LayerStore(root).stack
         assert store.stack.active_layer.tag == "V1.1"
 
+    def test_empty_store_has_no_active_tree(self, tmp_path):
+        with pytest.raises(LayerStoreError, match="empty"):
+            LayerStore(tmp_path / "s").active_tree()
+
     def test_digest_verified_on_load(self, tmp_path):
         store = LayerStore(tmp_path / "s")
         store.commit(V10, "V1.0")

@@ -248,3 +248,7 @@ class TestScheduleUpload:
     def test_no_windows(self):
         with pytest.raises(LinkError):
             schedule_upload(1, LinkModel())
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            schedule_upload(-1, LinkModel(contact_windows=((0, 600),)))

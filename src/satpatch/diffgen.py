@@ -7,9 +7,10 @@ file is textual when both of its versions classify as textual
 ``TEXT_SCAN_LIMIT`` bytes), and binary otherwise; only the ground
 classifies. Each kind has its own script builder: :func:`line_diff` cuts
 a textual file into lines and its ops count lines, and :func:`chunk_diff`
-cuts a binary file into content-defined chunks and its ops count bytes.
-Both read their script off one exact engine, so every script deletes and
-inserts the minimal number of units (:func:`diff_units`):
+aligns a binary file and cuts what does not align into content-defined
+chunks, and its ops count bytes. Both read their script, of the lines or
+of the unaligned chunks, off one exact engine, so every such script
+deletes and inserts the minimal number of units (:func:`diff_units`):
 
 1. units are interned, and units found on one side only are dropped,
    because no common subsequence can hold them;
@@ -25,37 +26,51 @@ For N old and M new units this costs O(N·M/64) word operations (CPython
 computes in 30-bit digits) in O(N + M) space, plus one N-bit mask per
 repeated old unit and at most ``_LEAF_BITS`` of stored rows.
 
-A binary file's chunks end where the rolling hash of the ``WINDOW`` bytes
+A changed binary file is aligned before anything is chunked
+(:func:`chunk_diff`). Its head lines the two versions up from their
+start and its tail from their end, and each runs as far as they line up
+(:func:`_stretch`): their XOR is searched through uint64 views in
+``_SAME_BLOCK`` windows until a window changes in more than a
+1/``_PATCH_SHARE`` of its bytes, and the stretch ends at the byte that
+maximizes its length less ``_PATCH_SHARE`` times its changed bytes. A
+stretch that holds a changed byte is one X run, coded by
+:func:`satpatch.package.patch_encode` from the offsets and XOR bytes of
+its changed bytes, and an unchanged one is an R op. So flipped bytes in
+a same-length file make one X run, and an insert or a delete between
+flips is found to the byte, as rsync and bsdiff look for alignment
+before anything else.
+
+Only the middle between head and tail is cut into content-defined
+chunks. A chunk ends where the rolling hash of the ``WINDOW`` bytes
 ending there has its low ``MASK_BITS`` bits zero (LBFS), at least
 ``MIN_SIZE`` and at most ``MAX_SIZE`` bytes apart; no package carries
 these constants, as the receiver never chunks. The boundary scan
 (:func:`_boundary_candidates`) sums each window's hash terms by doubling,
 with shifted vector adds in 16-bit arithmetic over 64 KiB blocks, and
-finds the same boundaries as a 64-bit rolling hash. Both versions of a
-changed file are cut by one helper (:func:`_chunk_pair`), which scans
-the old version in full and reuses its candidates for the new one
+finds the same boundaries as a 64-bit rolling hash. Both versions are
+cut by one helper (:func:`_chunk_pair`), which scans the old version in
+full and reuses its candidates for the new one
 (:func:`_derived_candidates`): the two are compared in ``_SAME_BLOCK``
 blocks laid from their start and, when their lengths differ, from their
 end, and a window inside a run of equal blocks is a candidate iff the
 old window it equals is. That is exact, as a candidate depends only on
-its window's bytes; every other window is scanned, so a dense rewrite
-scans every window as before. Chunk boundaries only steer the search: a
-chunk script's ops count bytes. A delete directly followed by an insert
-of the same byte length (a pair) is patched when at most
-1/``_PATCH_SHARE`` of its bytes change, counted in the XOR of the two
-spans; :func:`satpatch.package.patch_encode` codes that XOR as the
-bytes that change and decides nothing. Patched pairs that only retained
-chunks separate share one X run, which spans those chunks too, as
-bsdiff's add block spans an aligned region; every other insert run is
-delta-coded with :func:`satpatch.package.delta_encode`. No run is coded
-just to compare sizes. The modification ratio is read off the unit script
-(:func:`retained_bytes`), where a retained chunk is still one.
+its window's bytes; every other window is scanned. Chunk boundaries only
+steer the search: a chunk script's ops count bytes. In the middle, a
+delete directly followed by an insert of the same byte length (a pair)
+is patched when at most 1/``_PATCH_SHARE`` of its bytes change, counted
+in the XOR of the two spans, and every other insert run is delta-coded
+with :func:`satpatch.package.delta_encode` at its offset in the whole
+old file. X runs that only R ops separate join one run, which spans the
+retained bytes too, as bsdiff's add block spans an aligned region. No
+run is coded just to compare sizes. The modification ratio is read off
+the unit script of the whole files (:func:`retained_bytes`), where a
+retained chunk is still one.
 
-Only the chunk diff computes on numpy arrays: the boundary scan, the
-block compare and each pair's XOR; the line diff and the Hirschberg
-split use the standard library. numpy is loaded by the first chunk a
-process runs, so neither a text-only diff nor the onboard modules that
-import this one ever load it.
+Only the chunk diff computes on numpy arrays: the alignment's XOR, the
+boundary scan, the block compare and each pair's XOR; the line diff and
+the Hirschberg split use the standard library. numpy is loaded by the
+first binary diff a process runs, so neither a text-only diff nor the
+onboard modules that import this one ever load it.
 """
 
 from __future__ import annotations
@@ -236,10 +251,11 @@ def _boundary_candidates(data: bytes) -> np.ndarray:
 
 
 #: Bytes per block in which :func:`_derived_candidates` compares a new
-#: file with the old one; a fixed design constant. On the binary-flips
-#: chains, 256 bytes to 1 KiB derive the new side in about the same time
-#: (within 8%), while 2 and 4 KiB take 20% and 60% longer, as each flip
-#: then leaves a larger block to scan.
+#: file with the old one, and per window in which :func:`_stretch` counts
+#: changed bytes; a fixed design constant. On the binary-flips chains,
+#: 256 bytes to 1 KiB derive the new side in about the same time (within
+#: 8%), while 2 and 4 KiB take 20% and 60% longer, as each flip then
+#: leaves a larger block to scan.
 _SAME_BLOCK = 1 << 10
 
 
@@ -584,12 +600,13 @@ def _script(kept_a: bytearray, kept_b: bytearray) -> list[tuple]:
         i, j = x + run, y + run
 
 
-#: A delete and an insert of the same byte length (a pair) are patched when
-#: at most ``span // _PATCH_SHARE`` of its bytes change. Each changed byte
-#: costs the X run's segment two bytes, or more where its gap needs more
-#: than one LEB128 byte, so a patched pair costs little more than an
-#: eighth of its span; the count decides before anything is coded. A fixed
-#: design constant.
+#: At most ``count // _PATCH_SHARE`` bytes of an X run change: an aligned
+#: stretch ends where more would, and a delete and an insert of the same
+#: byte length (a pair) are patched only when at most ``span //
+#: _PATCH_SHARE`` of its bytes change. Each changed byte costs the X run's
+#: segment two bytes, or more where its gap needs more than one LEB128
+#: byte, so an X run costs little more than an eighth of its span; the
+#: count decides before anything is coded. A fixed design constant.
 _PATCH_SHARE = 16
 
 
@@ -609,59 +626,166 @@ def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, 
     return tuple(ops), tuple(segments)
 
 
-def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
-    """Minimal chunk-level edit script for binary content, as byte spans
-    with delta-coded insert runs and sparse patch runs.
+def _stretch(old: np.ndarray, new: np.ndarray, reverse: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """(h, offsets, xors): the aligned stretch old[:h] against new[:h] at
+    the start of two uint8 views of one length, or at their end if
+    ``reverse``, with the offsets of its changed bytes, counted back from
+    the end if ``reverse``, and their XOR.
 
-    A pair in which at least one and at most ``span // _PATCH_SHARE``
-    bytes change is patched; this is the one place that decides. A
-    patched pair that only retained chunks separate from the last X run
-    extends that run over them, its first gap carrying the unchanged
-    bytes between, so one X run spans each aligned stretch and the
-    retained bytes are never read. Every other insert run, the insert
-    of a pair too dense to patch included, is delta-coded against ``old``
-    at the old offset the script has reached; such a run, a lone delete
-    and the file's ends stop an X run.
+    The XOR is read in ``_SAME_BLOCK``-byte windows laid from where the
+    stretch starts, and the search stops at the first window in which
+    more than ``_SAME_BLOCK // _PATCH_SHARE`` bytes change: there the two
+    versions no longer line up. Nonzero uint64 words are counted per
+    window, so only a window with more than an eighth as many changed
+    words is counted byte by byte, and only the nonzero words of windows
+    up to the stop are split into bytes; a search of the bytes themselves
+    takes several times as long on a sparse XOR.
+
+    A search that no window stops takes the whole views if at most a
+    ``_PATCH_SHARE``-th of their bytes change: no bytes are left that the
+    middle could code better. Otherwise, up to the end of the search, h
+    is the longest length that maximizes h - ``_PATCH_SHARE`` * (bytes
+    changed before h). That is at least zero, so at most
+    ``h // _PATCH_SHARE`` bytes of the stretch change, and the stretch
+    ends at the byte where an insert or a dense rewrite starts, as the
+    next changed byte and every length past it gain less.
     """
     import numpy as np
 
-    old_units, new_units = _chunk_pair(old, new)
+    # rows laid from where the stretch starts, zero bytes past the views
+    diff = np.empty(-(-old.size // _SAME_BLOCK) * _SAME_BLOCK, dtype=np.uint8)
+    pad = diff.size - old.size if reverse else 0
+    diff[:pad] = diff[pad + old.size :] = 0
+    np.bitwise_xor(old, new, out=diff[pad : pad + old.size])
+    rows = diff.reshape(-1, _SAME_BLOCK)
+    words = np.count_nonzero(rows.view(np.uint64), axis=1)
+    if reverse:
+        # windows, and the bytes in each, in the order of the stretch
+        rows, words = rows[::-1, ::-1], words[::-1]
+    dense = _SAME_BLOCK // _PATCH_SHARE
+    stop = None
+    for w in np.flatnonzero(words > dense // 8).tolist():
+        if np.count_nonzero(rows[w]) > dense:
+            words, stop = words[: w + 1], min(old.size, (w + 1) * _SAME_BLOCK)
+            break
+    touched = np.flatnonzero(words)
+    changed = rows[touched]
+    nonzero = np.flatnonzero(changed.view(np.uint64))
+    r, c = np.nonzero(changed.reshape(-1, 8)[nonzero])
+    flat = nonzero[r] * 8 + c
+    at = touched[flat // _SAME_BLOCK] * _SAME_BLOCK + flat % _SAME_BLOCK
+    xor = changed.reshape(-1)[flat]
+    if stop is None:
+        stop = old.size
+        if at.size <= stop // _PATCH_SHARE:
+            return stop, at, xor
+    # ending just before changed byte i gains at[i] - _PATCH_SHARE * i
+    gain = at - _PATCH_SHARE * np.arange(at.size)
+    if stop - _PATCH_SHARE * at.size >= gain.max():
+        return stop, at, xor
+    i = at.size - 1 - int(np.argmax(gain[::-1]))
+    return int(at[i]), at[:i], xor[:i]
+
+
+class _ChunkScript:
+    """The ops and segments of a chunk patch, appended in order.
+
+    An R op directly after an R op extends it. An X run directly after an
+    X run, or after an R op that directly follows one, extends that run
+    over the retained bytes, so no X R X is left: the gap carries across
+    them and the retained bytes are never read. Every offset is in the
+    old file, where an X run consumes as many bytes as it yields.
+    """
+
+    def __init__(self):
+        self.ops: list[EditOp] = []
+        self.segments: list[bytes | bytearray] = []
+        self.end = 0  # one past the last changed byte of the last X run
+
+    def retain(self, count: int) -> None:
+        if self.ops and self.ops[-1].kind == RETAIN:
+            count += self.ops.pop().count
+        self.ops.append(EditOp(RETAIN, count))
+
+    def stretch(self, start: int, count: int, changed: np.ndarray, xors: np.ndarray) -> None:
+        """The ``count`` old bytes from ``start``, changed only at the old
+        offsets ``changed`` by ``xors``: an X run, or an R op if none."""
+        if not changed.size:
+            if count:
+                self.retain(count)
+            return
+        ops = self.ops
+        if len(ops) > 1 and ops[-1].kind == RETAIN and ops[-2].kind == PATCH:
+            count += ops.pop().count
+        if ops and ops[-1].kind == PATCH:
+            ops[-1] = EditOp(PATCH, ops[-1].count + count)
+            self.segments[-1] += patch_encode(changed.tolist(), xors.tobytes(), self.end)
+        else:
+            ops.append(EditOp(PATCH, count))
+            self.segments.append(bytearray(patch_encode(changed.tolist(), xors.tobytes(), start)))
+        self.end = int(changed[-1]) + 1
+
+
+def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, ...]]:
+    """Edit script for binary content, as byte spans with sparse patch
+    runs and delta-coded insert runs; aligned first, chunked only where
+    the two versions do not line up.
+
+    The head aligns the two versions from their start and the tail from
+    their end, at old offset ``len(old) - len(new)`` further on, with
+    head and tail no longer together than the shorter version; each is
+    the stretch :func:`_stretch` finds, and is one X run if a byte of it
+    changes and an R op otherwise. Only the middle between them is cut
+    into content-defined chunks (:func:`_chunk_pair`) and read off the
+    minimal chunk script (:func:`diff_units`). There a pair in which at
+    least one and at most ``span // _PATCH_SHARE`` bytes change is
+    patched, every other insert run is delta-coded against ``old`` at
+    the old offset the script has reached, and the offsets are the whole
+    file's, as the delta coder's dictionary and the replay read the whole
+    old file. Runs join as :class:`_ChunkScript` says, so every X run,
+    joined or not, changes at least one and at most ``count //
+    _PATCH_SHARE`` of its bytes.
+    """
+    import numpy as np
+
     old_view = np.frombuffer(old, dtype=np.uint8)
     new_view = np.frombuffer(new, dtype=np.uint8)
-    old_at = list(accumulate(map(len, old_units), initial=0))
-    new_at = list(accumulate(map(len, new_units), initial=0))
-    ops: list[EditOp] = []
-    segments: list[bytes | bytearray] = []
-    i = 0  # old chunks the script has consumed
-    tail = 0  # unchanged bytes at the end of the last X run
-    for op in diff_units(old_units, new_units):
-        if op[0] != INSERT:
-            kind, n = op
-            ops.append(EditOp(kind, old_at[i + n] - old_at[i]))
-            i += n
-            continue
-        _, start, n = op
-        at, end = new_at[start], new_at[start + n]
-        pos = old_at[i]
-        span = end - at
-        if ops and ops[-1] == (DELETE, span):
-            diff = np.bitwise_xor(old_view[pos - span : pos], new_view[at:end]).tobytes()
-            if 0 < span - diff.count(0) <= span // _PATCH_SHARE:
-                # ops end X R D: only retained chunks since the last X run
-                if len(ops) > 2 and ops[-2].kind == RETAIN and ops[-3].kind == PATCH:
-                    segment, tail = patch_encode(diff, tail + ops[-2].count)
-                    span += ops[-2].count
-                    del ops[-2:]
-                    ops[-1] = EditOp(PATCH, ops[-1].count + span)
-                    segments[-1] += segment
+    n, m = old_view.size, new_view.size
+    shorter = min(n, m)
+    head, head_at, head_xor = _stretch(old_view[:shorter], new_view[:shorter], False)
+    rest = shorter - head
+    tail, tail_at, tail_xor = _stretch(old_view[n - rest :], new_view[m - rest :], True)
+    script = _ChunkScript()
+    script.stretch(0, head, head_at, head_xor)
+    if head + tail < max(n, m):
+        old_units, new_units = _chunk_pair(old[head : n - tail], new[head : m - tail])
+        old_at = list(accumulate(map(len, old_units), initial=head))
+        new_at = list(accumulate(map(len, new_units), initial=head))
+        i = 0  # old chunks the script has consumed
+        for op in diff_units(old_units, new_units):
+            if op[0] != INSERT:
+                kind, k = op
+                if kind == RETAIN:
+                    script.retain(old_at[i + k] - old_at[i])
                 else:
-                    segment, tail = patch_encode(diff, 0)
-                    ops[-1] = EditOp(PATCH, span)
-                    segments.append(bytearray(segment))
+                    script.ops.append(EditOp(DELETE, old_at[i + k] - old_at[i]))
+                i += k
                 continue
-        ops.append(EditOp(INSERT, span))
-        segments.append(delta_encode(new[at:end], old, pos))
-    return tuple(ops), tuple(map(bytes, segments))
+            _, j, k = op
+            at, end = new_at[j], new_at[j + k]
+            pos = old_at[i]
+            span = end - at
+            if script.ops and script.ops[-1] == (DELETE, span):
+                diff = np.bitwise_xor(old_view[pos - span : pos], new_view[at:end])
+                if 0 < np.count_nonzero(diff) <= span // _PATCH_SHARE:
+                    changed = np.flatnonzero(diff)
+                    script.ops.pop()
+                    script.stretch(pos - span, span, changed + (pos - span), diff[changed])
+                    continue
+            script.ops.append(EditOp(INSERT, span))
+            script.segments.append(delta_encode(new[at:end], old, pos))
+    script.stretch(n - tail, tail, (n - 1 - tail_at)[::-1], tail_xor[::-1])
+    return tuple(script.ops), tuple(map(bytes, script.segments))
 
 
 #: Bytes of a file's head that :func:`classify_textual` inspects.
@@ -695,12 +819,12 @@ def _textual(old: bytes, new: bytes) -> bool:
 
 
 def retained_bytes(old: bytes, new: bytes) -> int:
-    """Bytes of ``new`` that a patch from ``old`` retains: the new lines
-    or chunks, cut as :func:`compare_trees` cuts them, that the unit
-    script keeps. Every new unit is retained or inserted, so this is
-    ``new`` less its inserted units. Read off the unit script, not a
-    chunk patch's ops, because one X run also spans the retained chunks
-    between its pairs.
+    """Bytes of ``new`` that a unit script from ``old`` retains: the new
+    lines, or the content-defined chunks of the whole file, that the
+    minimal unit script keeps. Every new unit is retained or inserted, so
+    this is ``new`` less its inserted units. A binary file's units are
+    its whole-file chunks, not the aligned runs :func:`chunk_diff` codes,
+    so the ratio does not depend on how a package codes the file.
     """
     if _textual(old, new):
         old_units, new_units = split_lines(old), split_lines(new)

@@ -20,7 +20,7 @@ and yields n new bytes that differ from them only where its segment says
 (:func:`patch_encode`, :func:`patch_decode`): the segment is (LEB128 gap,
 nonzero XOR byte) pairs, one per changed byte, where the gap counts the
 bytes since the previous changed byte ended. A run may span any bytes, so
-the ground spans a whole aligned stretch, unchanged chunks included, with
+the ground spans a whole aligned stretch, unchanged bytes included, with
 one. The rules depend only on the op and change kind, so no flag travels
 with a run.
 
@@ -237,38 +237,30 @@ def delta_decode(segment: bytes, old: bytes, pos: int, span: int, path: str) -> 
 
 # -- sparse chunk patch runs ----------------------------------------------------
 
-#: Maps every changed (nonzero) byte of an XOR to 1, so ``bytes.find``
-#: steps from one changed byte to the next.
-_CHANGED = bytes([0]) + bytes([1]) * 255
+def patch_encode(changed: Sequence[int], xors: bytes, start: int) -> bytes:
+    """Segment of an X run: one (LEB128 gap, nonzero XOR byte) pair per
+    changed byte, where the gap counts the bytes since the previous
+    changed byte ended.
 
-
-def patch_encode(diff: bytes, gap: int) -> tuple[bytes, int]:
-    """Segment of an X run over a span whose new bytes differ from the old
-    ones by ``diff``, their XOR: one (LEB128 gap, nonzero XOR byte) pair
-    per nonzero byte of ``diff``, where the gap counts the bytes since the
-    previous changed byte ended.
-
-    One X run may span several such spans and the equal bytes between
-    them, coded one span at a time: ``gap`` counts the run's unchanged
-    bytes before this span and joins the first gap, so the segments of
-    consecutive calls concatenate to the run's. Returns the segment and
-    the count of unchanged bytes after its last changed byte. Which spans
-    are patched is the differ's decision; this only codes them.
+    ``changed`` lists the offsets of the changed bytes in increasing
+    order, and ``xors`` the XOR of the old and the new byte at each. The
+    first gap counts from offset ``start``: where the run begins or, when
+    a run is coded a piece at a time, one past the last changed byte of
+    the piece before, so the pieces' segments concatenate to the run's.
+    Work follows the changed bytes alone, not the span. Which bytes are
+    patched is the differ's decision; this only codes them.
     """
-    marks = diff.translate(_CHANGED)
     out = bytearray()
-    end = -gap  # where the previous changed byte ended
-    at = marks.find(1)
-    while at >= 0:
+    end = start  # where the previous changed byte ended
+    for at, xor in zip(changed, xors):
         skip = at - end
         while skip > 0x7F:
             out.append(skip & 0x7F | 0x80)
             skip >>= 7
         out.append(skip)
-        out.append(diff[at])
+        out.append(xor)
         end = at + 1
-        at = marks.find(1, end)
-    return bytes(out), len(diff) - end
+    return bytes(out)
 
 
 def _patch_pairs(segment: bytes, where: str) -> Iterator[tuple[int, int]]:

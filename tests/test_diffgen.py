@@ -10,6 +10,8 @@ import random
 import tracemalloc
 import zlib
 from fractions import Fraction
+from itertools import accumulate
+from operator import ne
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from satpatch.diffgen import (
     WINDOW,
     _BLOCK,
     _LEAF_BITS,
+    _PATCH_SHARE,
     _ROW_HEADER_BITS,
     _split,
     chunk_diff,
@@ -72,6 +75,41 @@ def replay_raw(a, b, raw):
             j += op[2]
     assert i == len(a) and j == len(b), "script must consume both sequences"
     return out
+
+
+def replay_chunk_ops(old, ops, segments):
+    """Replay a chunk script by the wire format's definition: an insert
+    run inflates against the 32 KiB of old content before its old offset,
+    and an X run applies its (LEB128 gap, XOR byte) pairs to the old bytes
+    it consumes."""
+    seg = iter(segments)
+    rebuilt = []
+    pos = 0
+    for op in ops:
+        if op.kind == "I":
+            inflater = zlib.decompressobj(-15, zdict=old[max(0, pos - 32768) : pos])
+            rebuilt.append(inflater.decompress(next(seg)))
+            assert inflater.eof and len(rebuilt[-1]) == op.count
+            continue
+        if op.kind == "R":
+            rebuilt.append(old[pos : pos + op.count])
+        elif op.kind == "X":
+            span = bytearray(old[pos : pos + op.count])
+            data = iter(next(seg))
+            at = 0
+            for first in data:
+                gap, shift = first & 0x7F, 7
+                while first & 0x80:
+                    first = next(data)
+                    gap |= (first & 0x7F) << shift
+                    shift += 7
+                at += gap
+                span[at] ^= next(data)
+                at += 1
+            rebuilt.append(bytes(span))
+        pos += op.count
+    assert pos == len(old) and next(seg, None) is None
+    return b"".join(rebuilt)
 
 
 def edit_weight(raw):
@@ -441,33 +479,7 @@ class TestChunkDiff:
         dst = sum(op.count for op in ops if op.kind in ("R", "I", "X"))
         assert src == len(old)
         assert dst == len(new)
-        seg = iter(segments)
-        rebuilt = []
-        pos = 0
-        for op in ops:
-            if op.kind == "I":
-                inflater = zlib.decompressobj(-15, zdict=old[max(0, pos - 32768) : pos])
-                rebuilt.append(inflater.decompress(next(seg)))
-                assert inflater.eof and len(rebuilt[-1]) == op.count
-                continue
-            if op.kind == "R":
-                rebuilt.append(old[pos : pos + op.count])
-            elif op.kind == "X":
-                span = bytearray(old[pos : pos + op.count])
-                data = iter(next(seg))
-                at = 0
-                for first in data:
-                    gap, shift = first & 0x7F, 7
-                    while first & 0x80:
-                        first = next(data)
-                        gap |= (first & 0x7F) << shift
-                        shift += 7
-                    at += gap
-                    span[at] ^= next(data)
-                    at += 1
-                rebuilt.append(bytes(span))
-            pos += op.count
-        assert b"".join(rebuilt) == new
+        assert replay_chunk_ops(old, ops, segments) == new
 
     def test_localized_edit_transfers_little(self):
         rng = random.Random(7)
@@ -484,14 +496,17 @@ class TestChunkDiff:
 
 
 class TestPatchDecision:
-    """chunk_diff patches a same-length pair when at most a sixteenth of
-    its bytes change, and sends a delete and an insert run otherwise."""
+    """In the unaligned middle, chunk_diff patches a same-length pair when
+    at most a sixteenth of its bytes change, and sends a delete and an
+    insert run otherwise."""
 
     def flipped(self, offsets, extra=0):
         # L // 16 + extra flips in one middle chunk of L bytes (L % 16 < 8,
         # so an eighth of L is exactly two bytes per sixteenth), placed one
         # at a time at ``offsets`` of L; a flip that would move a chunk
-        # boundary is undone, so the script pairs exactly that chunk.
+        # boundary is undone, so the script pairs exactly that chunk. A
+        # 64-byte insert two chunks before and a 64-byte delete two chunks
+        # after stop both alignments, so the pair lies in the chunked middle.
         rng = random.Random(29)
         old = rng.randbytes(60_000)
         lengths = chunk_lengths(old)
@@ -509,7 +524,12 @@ class TestPatchDecision:
             else:
                 new[start + off] = old[start + off]
         assert len(kept) == want
+        after = sum(lengths[: k + 2]) + 100
+        del new[after : after + 64]
+        before = sum(lengths[: k - 2]) + 100
+        new[before:before] = rng.randbytes(64)
         ops, segments = chunk_diff(old, bytes(new))
+        assert replay_chunk_ops(old, ops, segments) == new
         return span, kept, ops, segments
 
     @staticmethod
@@ -518,15 +538,15 @@ class TestPatchDecision:
 
     def test_a_sixteenth_changed_is_patched(self):
         span, _, ops, segments = self.flipped(self.every_fourth)
-        assert [op.kind for op in ops] == ["R", "X", "R"]
-        assert ops[1].count == span
+        assert [op.kind for op in ops] == ["R", "D", "I", "R", "X", "R", "D", "I", "R"]
+        assert ops[4].count == span
         # every gap fits one LEB128 byte: two bytes per changed byte
-        assert len(segments[0]) == 2 * (span // 16)
+        assert len(segments[1]) == 2 * (span // 16)
 
     def test_one_byte_more_is_a_delete_and_an_insert_run(self):
         span, _, ops, _ = self.flipped(self.every_fourth, extra=1)
-        assert [op.kind for op in ops] == ["R", "D", "I", "R"]
-        assert ops[1].count == ops[2].count == span
+        assert [op.kind for op in ops] == ["R", "D", "I", "R", "D", "I", "R", "D", "I", "R"]
+        assert ops[4].count == ops[5].count == span
 
     def test_a_long_gap_does_not_change_the_decision(self):
         # A gap of 128 bytes or more takes two LEB128 bytes, so the record
@@ -538,8 +558,117 @@ class TestPatchDecision:
         span, kept, ops, segments = self.flipped(with_a_hole)
         gaps = [b - a - 1 for a, b in zip(kept, kept[1:])]
         assert sum(gap >= 128 for gap in [kept[0]] + gaps) == 1
-        assert [op.kind for op in ops] == ["R", "X", "R"]
-        assert len(segments[0]) == 2 * (span // 16) + 1 > span // 8
+        assert [op.kind for op in ops] == ["R", "D", "I", "R", "X", "R", "D", "I", "R"]
+        assert len(segments[1]) == 2 * (span // 16) + 1 > span // 8
+
+
+@st.composite
+def aligned_edits(draw):
+    """A random file and a copy with flips, runs of flips, inserts,
+    deletes and dense rewrites, each placed anywhere or within a byte of
+    either end or of a 1 KiB block edge counted from either end."""
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.sampled_from([0, 1, 7, 1023, 1024, 1025, 3000, 5 * 1024 + 3, 70_000]))
+    old = rng.randbytes(size)
+    new = bytearray(old)
+    for _ in range(draw(st.integers(1, 6))):
+        n = len(new)
+        edges = [0, n] + [e for k in range(1, n // 1024 + 1) for e in (k * 1024, n - k * 1024)]
+        near = st.tuples(st.sampled_from(edges), st.integers(-1, 1)).map(sum)
+        at = min(max(draw(st.one_of(st.integers(0, n), near)), 0), n)
+        kind = draw(st.sampled_from(["flip", "flips", "insert", "delete", "rewrite"]))
+        length = draw(st.one_of(st.integers(1, 8), st.integers(1, 1500)))
+        if kind == "insert":
+            new[at:at] = rng.randbytes(length)
+        elif kind == "delete":
+            del new[at : at + length]
+        elif kind == "rewrite":
+            new[at : at + length] = rng.randbytes(len(new[at : at + length]))
+        else:
+            stop = min(n, at + (length if kind == "flips" else 1))
+            for p in rng.sample(range(at, stop), min(stop - at, draw(st.integers(1, 120)))):
+                new[p] ^= rng.randrange(1, 256)
+    return old, bytes(new)
+
+
+class TestAlignFirst:
+    """chunk_diff codes the aligned head and tail of a changed binary as
+    one run each and chunks only the middle between them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_edits())
+    def test_round_trip_and_x_run_bounds(self, pair):
+        old, new = pair
+        ops, segments = chunk_diff(old, new)
+        assert replay_chunk_ops(old, ops, segments) == new
+        kinds = "".join(op.kind for op in ops)
+        assert "XRX" not in kinds and "RR" not in kinds and "XX" not in kinds
+        at = new_at = 0
+        for op in ops:
+            if op.kind == "X":
+                changed = sum(map(ne, old[at : at + op.count], new[new_at : new_at + op.count]))
+                assert 0 < changed <= op.count // _PATCH_SHARE
+            at += op.count * (op.kind != "I")
+            new_at += op.count * (op.kind != "D")
+
+    def test_flips_in_a_same_length_file_are_one_x_run(self):
+        old = random.Random(30).randbytes(200_000)
+        new = bytearray(old)
+        for p in (0, 1023, 1024, 70_000, 150_000, 199_999):
+            new[p] ^= 0x41
+        ops, segments = chunk_diff(old, bytes(new))
+        assert ops == (EditOp("X", 200_000),)
+        assert replay_chunk_ops(old, ops, segments) == new
+
+    def test_an_insert_is_found_to_the_byte(self):
+        rng = random.Random(31)
+        old = rng.randbytes(300_000)
+        new = bytearray(old)
+        for p in (0, 5000, 150_000, 299_999):
+            new[p] ^= 0x41
+        inserted = bytearray(new)
+        inserted[100_003:100_003] = rng.randbytes(256)
+        ops, segments = chunk_diff(old, bytes(inserted))
+        assert ops == (EditOp("X", 100_003), EditOp("I", 256), EditOp("X", 199_997))
+        assert replay_chunk_ops(old, ops, segments) == inserted
+        del new[100_003:100_259]
+        ops, segments = chunk_diff(old, bytes(new))
+        assert ops == (EditOp("X", 100_003), EditOp("D", 256), EditOp("X", 199_741))
+        assert replay_chunk_ops(old, ops, segments) == new
+
+    def test_patched_pairs_in_the_middle_join_one_x_run(self):
+        # One flip in each of chunks k and k + 2 makes two patched pairs in
+        # a middle that a 64-byte insert two chunks before and a 64-byte
+        # delete two chunks after leave unaligned; the retained chunk
+        # between them joins one X run over all three.
+        rng = random.Random(33)
+        old = rng.randbytes(60_000)
+        lengths = chunk_lengths(old)
+        edges = list(accumulate(lengths, initial=0))
+        k = len(lengths) // 2
+        new = bytearray(old)
+        for j in (k, k + 2):
+            new[edges[j] + lengths[j] // 2] ^= 0x41
+        assert chunk_lengths(bytes(new)) == lengths
+        del new[edges[k + 4] + 100 : edges[k + 4] + 164]
+        new[edges[k - 2] + 100 : edges[k - 2] + 100] = rng.randbytes(64)
+        ops, segments = chunk_diff(old, bytes(new))
+        assert [op.kind for op in ops] == ["R", "D", "I", "R", "X", "R", "D", "I", "R"]
+        assert ops[4].count == edges[k + 3] - edges[k]
+        assert replay_chunk_ops(old, ops, segments) == new
+
+    def test_a_dense_window_stops_the_head(self):
+        # 65 changed bytes in one 1 KiB window are more than a sixteenth of
+        # it: the head stops before them and the tail after them, and the
+        # middle between is chunked. 64 do not stop it.
+        old = random.Random(32).randbytes(100_000)
+        for count, kinds in ((64, ["X"]), (65, ["R", "D", "I", "R"])):
+            new = bytearray(old)
+            for p in range(40_960, 40_960 + 2 * count, 2):
+                new[p] ^= 0x41
+            ops, segments = chunk_diff(old, bytes(new))
+            assert [op.kind for op in ops] == kinds
+            assert replay_chunk_ops(old, ops, segments) == new
 
 
 class TestCompareTrees:
@@ -666,26 +795,33 @@ class TestRetainedBytes:
         assert retained_bytes(old, new) == len(b"keep1\n") + len(b"keep2\n")
 
     def test_chunk_patch(self):
+        # The ratio is read off the whole-file chunk script, not off
+        # chunk_diff's aligned runs: the chunk holding the flip and the
+        # chunk the insert lands in are not retained, every other is.
         rng = random.Random(9)
         old = rng.randbytes(30_000)
         new = bytearray(old[:20_000] + rng.randbytes(100) + old[20_000:])
         new[5_000] ^= 0x40
         ops, _ = chunk_diff(old, bytes(new))
         assert {"I", "X"} <= {op.kind for op in ops}
-        retained = retained_bytes(old, bytes(new))
-        rebuilt = sum(op.count for op in ops if op.kind in ("I", "X"))
-        assert retained + rebuilt == len(new)
+        edges = list(accumulate(chunk_lengths(bytes(new)), initial=0))
+        assert chunk_lengths(old)[-3:] == chunk_lengths(bytes(new))[-3:]
+        hit = [
+            b - a for a, b in zip(edges, edges[1:]) if a <= 5_000 < b or a < 20_100 and b > 20_000
+        ]
+        assert len(hit) == 2
+        assert retained_bytes(old, bytes(new)) == len(new) - sum(hit)
 
     def test_retained_chunks_inside_an_x_run_still_count(self):
-        # Five flips in four chunks make one X run over the three retained
-        # stretches between them; the ratio is the one the per-pair
-        # coding gave, where each stretch was an R op.
+        # Five flips in four chunks of a same-length file make one X run
+        # over the whole file; the ratio is the one the per-pair coding
+        # gave, where each retained chunk was an R op.
         blob = random.Random(5).randbytes(200_000)
         new = bytearray(blob)
         for p in (10_000, 30_000, 50_000, 120_000, 121_000):
             new[p] ^= 0x5A
         ops, _ = chunk_diff(blob, bytes(new))
-        assert [op.kind for op in ops] == ["R", "X", "R"]
+        assert [op.kind for op in ops] == ["X"]
         report = modification_ratio(
             FileTree.from_dict("a", {"m.bin": blob}),
             FileTree.from_dict("a", {"m.bin": bytes(new)}),

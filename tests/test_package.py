@@ -129,43 +129,49 @@ class TestRoundTrip:
             assert decode_package(encode_package(cs)) == cs
 
 
-def reference_patch_encode(old: bytes, new: bytes, gap: int):
+def reference_patch_encode(old: bytes, new: bytes, gap: int) -> bytes:
     """The X-run coder by its definition: the two spans XORed as Python
     ints, then one (LEB128 gap, XOR byte) pair per changed byte, walked a
-    byte at a time."""
+    byte at a time; ``gap`` unchanged bytes before the span join the
+    first gap."""
     diff = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).to_bytes(
         len(new), "little"
     )
     changed = [i for i, x in enumerate(diff) if x]
-
-    def leb128(value):
-        out = bytearray()
-        while value > 0x7F:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        return bytes(out + bytes([value]))
-
     gaps = [b - a - 1 for a, b in zip([-1] + changed, changed)]
     gaps[0] += gap
-    segment = b"".join(leb128(g) + diff[i : i + 1] for g, i in zip(gaps, changed))
-    return segment, len(new) - 1 - changed[-1]
+    return b"".join(leb128(g) + diff[i : i + 1] for g, i in zip(gaps, changed))
+
+
+def leb128(value: int) -> bytes:
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    return bytes(out + bytes([value]))
 
 
 class TestPatchEncode:
     def test_long_unchanged_tail_scans_in_linear_time(self):
-        # One changed byte, then 32 KiB of equal bytes: a scan that tried
-        # the gap pattern again at each trailing zero would take seconds.
-        diff = b"\x07" + bytes(32 * 1024)
+        # The coder reads the offsets of the changed bytes, never the
+        # unchanged bytes between or after them: two changed bytes 2**40
+        # bytes apart code at once.
         start = time.perf_counter()
-        assert patch_encode(diff, 0) == (b"\x00\x07", 32 * 1024)
+        assert patch_encode([0, 1 << 40], b"\x07\x09", 0) == (
+            b"\x00\x07" + leb128((1 << 40) - 1) + b"\x09"
+        )
+        assert leb128((1 << 40) - 1) == b"\xff" * 5 + b"\x1f"
         assert time.perf_counter() - start < 0.5
 
     def test_carried_gap_joins_the_first_gap(self):
-        diff = bytearray(300)
-        diff[10], diff[200] = 1, 2
-        # gaps 10 and 189, then 99 unchanged bytes
-        assert patch_encode(bytes(diff), 0) == (b"\x0a\x01\xbd\x01\x02", 99)
-        assert patch_encode(bytes(diff), 1000) == (b"\xf2\x07\x01\xbd\x01\x02", 99)
+        # gaps 10 and 189
+        assert patch_encode([10, 200], b"\x01\x02", 0) == b"\x0a\x01\xbd\x01\x02"
+        # the same bytes 1000 bytes into a run
+        assert patch_encode([10, 200], b"\x01\x02", -1000) == b"\xf2\x07\x01\xbd\x01\x02"
+        # a run coded a piece at a time: the second piece counts from one
+        # past the first piece's last changed byte
+        pieces = patch_encode([10], b"\x01", 0) + patch_encode([200], b"\x02", 11)
+        assert pieces == patch_encode([10, 200], b"\x01\x02", 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -175,9 +181,9 @@ class TestPatchEncode:
         st.sampled_from([0, 1, 127, 128, 20000]),
     )
     def test_coder_matches_the_int_xor_reference(self, old, rng, share, gap):
-        # The spans' difference as chunk_diff takes it, one numpy XOR of
-        # read-only views, against the reference's Python-int XOR, for
-        # every difference with a changed byte (the only ones it is given).
+        # The changed bytes as chunk_diff takes a pair's, from one numpy
+        # XOR of read-only views, against the reference's Python-int XOR,
+        # for every difference with a changed byte (the only ones coded).
         import numpy as np
 
         new = bytearray(x ^ (rng.random() < share) * rng.randrange(1, 256) for x in old)
@@ -186,8 +192,10 @@ class TestPatchEncode:
         new = bytes(new)
         diff = np.bitwise_xor(
             np.frombuffer(old, dtype=np.uint8), np.frombuffer(new, dtype=np.uint8)
-        ).tobytes()
-        assert patch_encode(diff, gap) == reference_patch_encode(old, new, gap)
+        )
+        changed = np.flatnonzero(diff)
+        segment = patch_encode(changed.tolist(), diff[changed].tobytes(), -gap)
+        assert segment == reference_patch_encode(old, new, gap)
 
 
 class TestDeterminism:
@@ -343,7 +351,7 @@ class TestManifestValidation:
         with pytest.raises(ManifestError):
             decode_package(tamper_manifest(b"R1 ", b"R1:9 "))
         with pytest.raises(ManifestError):
-            decode_package(tamper_manifest(b"D10240 ", b"D1:10240 "))
+            decode_package(tamper_manifest(b"D255 ", b"D1:255 "))
 
     def test_layout_reports_manifest_as_sent(self):
         # Leading zeros and another valid percent-encoding decode to the

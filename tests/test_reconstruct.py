@@ -384,15 +384,16 @@ class TestPatchRuns:
         assert apply_file(old, change) == new
 
     def test_dense_rewrite_stays_an_insert_run(self):
-        # 600 rewritten bytes in a same-length pair of 7,820 bytes are
-        # more than a sixteenth of the span, so the pair stays a delete and
-        # a deflated insert run.
+        # 600 rewritten bytes stop the alignment from either end, so they
+        # are the chunked middle: a same-length pair in which more than a
+        # sixteenth of the bytes change, so it stays a delete and a
+        # deflated insert run.
         rng = random.Random(8)
         old = rng.randbytes(60_000)
         new = old[:30_000] + rng.randbytes(600) + old[30_600:]
         change = chunk_change(old, new)
         assert [op.kind for op in change.ops] == ["R", "D", "I", "R"]
-        assert change.ops[1].count == change.ops[2].count
+        assert change.ops[1].count == change.ops[2].count == 600
         assert apply_file(old, change) == new
 
     @settings(max_examples=40, deadline=None)
@@ -409,23 +410,24 @@ class TestPatchRuns:
         assert applied.get("f.bin").content == new
 
     def test_dense_pair_between_flips_splits_the_run(self):
-        # Two flips 70 KB apart make one X run over the retained chunks
-        # between them; a dense same-length rewrite between the two stays
-        # a delete and an insert run, and so splits that run in two.
+        # Two flips 70 KB apart in a same-length file make one X run over
+        # the whole file; a dense same-length rewrite between the two stops
+        # the alignment from either end, stays a delete and an insert run
+        # in the chunked middle, and so splits that run in two.
         rng = random.Random(10)
         old = rng.randbytes(100_000)
         new = bytearray(old)
         new[10_000] ^= 0x5A
         new[80_000] ^= 0xA5
         flips = chunk_change(old, bytes(new))
-        assert [op.kind for op in flips.ops] == ["R", "X", "R"]
+        assert [op.kind for op in flips.ops] == ["X"]
         # the second pair's gap is every byte between the flips: 69,999 in
         # LEB128, then the XOR byte
         assert flips.segments[0].endswith(b"\xef\xa2\x04\xa5")
         new[45_000:49_000] = rng.randbytes(4_000)
         change = chunk_change(old, bytes(new))
-        assert [op.kind for op in change.ops] == ["R", "X", "R", "D", "I", "R", "X", "R"]
-        assert change.ops[3].count == change.ops[4].count
+        assert [op.kind for op in change.ops] == ["X", "D", "I", "X"]
+        assert change.ops[1].count == change.ops[2].count == 4_000
         assert apply_file(old, change) == new
 
     @settings(max_examples=200, deadline=None)
@@ -445,13 +447,19 @@ class TestPatchRuns:
             out[at] = span[at] ^ rng.randrange(1, 256)
             return bytes(out)
 
+        def changes(span, edited, base):
+            # offsets in the run, and the XOR of each changed byte
+            at = [i for i, pair in enumerate(zip(span, edited)) if xor(*pair)]
+            return [base + i for i in at], bytes(span[i] ^ edited[i] for i in at)
+
         a_new, b_new = edit(a), edit(b)
-        first = patch_encode(bytes(map(xor, a, a_new)), 0)
-        second = patch_encode(bytes(map(xor, b, b_new)), first[1] + len(kept))
-        segment = first[0] + second[0]
+        a_at, a_xors = changes(a, a_new, 0)
+        b_at, b_xors = changes(b, b_new, len(a) + len(kept))
+        first = patch_encode(a_at, a_xors, 0)
+        second = patch_encode(b_at, b_xors, a_at[-1] + 1)
+        segment = first + second
+        assert segment == patch_encode(a_at + b_at, a_xors + b_xors, 0)
         assert reference_patch(a + kept + b, segment) == a_new + kept + b_new
-        last = max(i for i in range(len(b)) if b[i] != b_new[i])
-        assert second[1] == len(b) - 1 - last
 
     @settings(max_examples=40, deadline=None)
     @given(stretch_edits())

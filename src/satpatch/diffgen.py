@@ -32,7 +32,12 @@ start and its tail from their end, and each runs as far as they line up
 (:func:`_stretch`): their XOR is searched through uint64 views in
 ``_SAME_BLOCK`` windows until a window changes in more than a
 1/``_PATCH_SHARE`` of its bytes, and the stretch ends at the byte that
-maximizes its length less ``_PATCH_SHARE`` times its changed bytes. A
+maximizes its length less ``_PATCH_SHARE`` times its changed bytes. That
+rule assumes misaligned bytes XOR densely, as high-entropy content does.
+When the lengths differ, a window also stops the search if the compare
+aligned at the other end changes fewer of its bytes, so a single insert
+or delete in mostly zero or repetitive content is found too; edits there
+that keep the length can still be coded shifted between them. A
 stretch that holds a changed byte is one X run, coded by
 :func:`satpatch.package.patch_encode` from the offsets and XOR bytes of
 its changed bytes, and an unchanged one is an R op. So flipped bytes in
@@ -626,20 +631,32 @@ def line_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes, 
     return tuple(ops), tuple(segments)
 
 
-def _stretch(old: np.ndarray, new: np.ndarray, reverse: bool) -> tuple[int, np.ndarray, np.ndarray]:
+def _stretch(
+    old: np.ndarray, new: np.ndarray, rival: Sequence[np.ndarray] | None, reverse: bool
+) -> tuple[int, np.ndarray, np.ndarray]:
     """(h, offsets, xors): the aligned stretch old[:h] against new[:h] at
     the start of two uint8 views of one length, or at their end if
     ``reverse``, with the offsets of its changed bytes, counted back from
-    the end if ``reverse``, and their XOR.
+    the end if ``reverse``, and their XOR. The views are XORed forward
+    and only the rows are read backward: numpy XORs reversed views four
+    times as slowly.
 
-    The XOR is read in ``_SAME_BLOCK``-byte windows laid from where the
-    stretch starts, and the search stops at the first window in which
-    more than ``_SAME_BLOCK // _PATCH_SHARE`` bytes change: there the two
-    versions no longer line up. Nonzero uint64 words are counted per
-    window, so only a window with more than an eighth as many changed
-    words is counted byte by byte, and only the nonzero words of windows
-    up to the stop are split into bytes; a search of the bytes themselves
-    takes several times as long on a sparse XOR.
+    ``rival`` is given when the two versions differ in length: two views
+    that line the same bytes of the shorter version up with the other
+    end of the longer one. The XOR is read in ``_SAME_BLOCK``-byte
+    windows laid from where the stretch starts, and the search stops at
+    the first window in which more than ``_SAME_BLOCK // _PATCH_SHARE``
+    bytes change, or in which the rival changes fewer bytes: there the
+    two versions no longer line up, or line up better the other way.
+    The first rule assumes that misaligned bytes XOR densely, as
+    high-entropy content does; the second also stops a single insert or
+    delete in content that is mostly zero or repeats itself, where a
+    shifted compare changes few bytes. Nonzero uint64 words are counted
+    per window, so only a window with more than an eighth as many
+    changed words, or one whose rival has fewer than eight times as many,
+    is counted byte by byte, and only the nonzero words of windows up to
+    the stop are split into bytes; a search of the bytes themselves takes
+    several times as long on a sparse XOR.
 
     A search that no window stops takes the whole views if at most a
     ``_PATCH_SHARE``-th of their bytes change: no bytes are left that the
@@ -648,24 +665,33 @@ def _stretch(old: np.ndarray, new: np.ndarray, reverse: bool) -> tuple[int, np.n
     changed before h). That is at least zero, so at most
     ``h // _PATCH_SHARE`` bytes of the stretch change, and the stretch
     ends at the byte where an insert or a dense rewrite starts, as the
-    next changed byte and every length past it gain less.
+    next changed byte and every length past it gain less. With a rival,
+    the search ends first at the switch to the rival: in the stop window
+    or the one before it, the longest length that maximizes the bytes the
+    rival changes before it less the bytes this alignment changes.
     """
     import numpy as np
 
-    # rows laid from where the stretch starts, zero bytes past the views
-    diff = np.empty(-(-old.size // _SAME_BLOCK) * _SAME_BLOCK, dtype=np.uint8)
-    pad = diff.size - old.size if reverse else 0
-    diff[:pad] = diff[pad + old.size :] = 0
-    np.bitwise_xor(old, new, out=diff[pad : pad + old.size])
-    rows = diff.reshape(-1, _SAME_BLOCK)
-    words = np.count_nonzero(rows.view(np.uint64), axis=1)
-    if reverse:
-        # windows, and the bytes in each, in the order of the stretch
-        rows, words = rows[::-1, ::-1], words[::-1]
+    def windows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # XOR rows laid from where the stretch starts, zero bytes past the
+        # views, and the nonzero words of each
+        diff = np.zeros(-(-a.size // _SAME_BLOCK) * _SAME_BLOCK, dtype=np.uint8)
+        pad = diff.size - a.size if reverse else 0
+        np.bitwise_xor(a, b, out=diff[pad : pad + a.size])
+        rows = diff.reshape(-1, _SAME_BLOCK)
+        words = np.count_nonzero(rows.view(np.uint64), axis=1)
+        return (rows[::-1, ::-1], words[::-1]) if reverse else (rows, words)
+
+    rows, words = windows(old, new)
     dense = _SAME_BLOCK // _PATCH_SHARE
+    suspect = words > dense // 8
+    if rival is not None:
+        rival_rows, rival_words = windows(*rival)
+        suspect |= rival_words < 8 * words
     stop = None
-    for w in np.flatnonzero(words > dense // 8).tolist():
-        if np.count_nonzero(rows[w]) > dense:
+    for w in np.flatnonzero(suspect).tolist():
+        count = np.count_nonzero(rows[w])
+        if count > dense or (rival is not None and np.count_nonzero(rival_rows[w]) < count):
             words, stop = words[: w + 1], min(old.size, (w + 1) * _SAME_BLOCK)
             break
     touched = np.flatnonzero(words)
@@ -679,9 +705,21 @@ def _stretch(old: np.ndarray, new: np.ndarray, reverse: bool) -> tuple[int, np.n
         stop = old.size
         if at.size <= stop // _PATCH_SHARE:
             return stop, at, xor
+    elif rival is not None:
+        # ending at the stop window or the one before it, just before byte
+        # j, leads by the bytes the rival changes before j less ours
+        first = max(0, w - 1)
+        ours, theirs = (
+            (r[first : w + 1].reshape(-1)[: stop - first * _SAME_BLOCK] != 0).view(np.int8)
+            for r in (rows, rival_rows)
+        )
+        lead = np.cumsum(np.concatenate(([0], theirs - ours)), dtype=np.int32)
+        stop = first * _SAME_BLOCK + lead.size - 1 - int(np.argmax(lead[::-1]))
+        keep = int(np.searchsorted(at, stop))
+        at, xor = at[:keep], xor[:keep]
     # ending just before changed byte i gains at[i] - _PATCH_SHARE * i
     gain = at - _PATCH_SHARE * np.arange(at.size)
-    if stop - _PATCH_SHARE * at.size >= gain.max():
+    if stop - _PATCH_SHARE * at.size >= gain.max(initial=0):
         return stop, at, xor
     i = at.size - 1 - int(np.argmax(gain[::-1]))
     return int(at[i]), at[:i], xor[:i]
@@ -734,10 +772,11 @@ def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes,
     The head aligns the two versions from their start and the tail from
     their end, at old offset ``len(old) - len(new)`` further on, with
     head and tail no longer together than the shorter version; each is
-    the stretch :func:`_stretch` finds, and is one X run if a byte of it
-    changes and an R op otherwise. Only the middle between them is cut
-    into content-defined chunks (:func:`_chunk_pair`) and read off the
-    minimal chunk script (:func:`diff_units`). There a pair in which at
+    the stretch :func:`_stretch` finds, with the other alignment of the
+    same bytes as its rival when the lengths differ, and is one X run if
+    a byte of it changes and an R op otherwise. Only the middle between
+    them is cut into content-defined chunks (:func:`_chunk_pair`) and
+    read off the minimal chunk script (:func:`diff_units`). There a pair in which at
     least one and at most ``span // _PATCH_SHARE`` bytes change is
     patched, every other insert run is delta-coded against ``old`` at
     the old offset the script has reached, and the offsets are the whole
@@ -752,9 +791,12 @@ def chunk_diff(old: bytes, new: bytes) -> tuple[tuple[EditOp, ...], tuple[bytes,
     new_view = np.frombuffer(new, dtype=np.uint8)
     n, m = old_view.size, new_view.size
     shorter = min(n, m)
-    head, head_at, head_xor = _stretch(old_view[:shorter], new_view[:shorter], False)
-    rest = shorter - head
-    tail, tail_at, tail_xor = _stretch(old_view[n - rest :], new_view[m - rest :], True)
+    # the shorter version's bytes against the longer's start and its end
+    starts = old_view[:shorter], new_view[:shorter]
+    ends = old_view[n - shorter :], new_view[m - shorter :]
+    head, head_at, head_xor = _stretch(*starts, ends if n != m else None, False)
+    ends, starts = ([view[head:] for view in pair] for pair in (ends, starts))
+    tail, tail_at, tail_xor = _stretch(*ends, starts if n != m else None, True)
     script = _ChunkScript()
     script.stretch(0, head, head_at, head_xor)
     if head + tail < max(n, m):

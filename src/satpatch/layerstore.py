@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .diffgen import compare_trees
 from .errors import (
     DuplicateTagError,
     LayerStoreError,
@@ -34,7 +33,7 @@ from .errors import (
     UnrecoverableStateError,
 )
 from .fstree import FileTree, load_tree, materialize, tree_digest
-from .package import CONTENT_KINDS, encode_package
+from .package import CONTENT_KINDS, ChangeSet, encode_package
 
 _TAG_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -185,6 +184,15 @@ class RecoveryCost:
     storage_bytes: int
     backup_ops: int
     restore_ops: int
+
+
+def compare_trees(old: FileTree, new: FileTree) -> ChangeSet:
+    """:func:`satpatch.diffgen.compare_trees`, imported on the first call,
+    so a process that only applies and rolls back never loads the ground
+    differ."""
+    from .diffgen import compare_trees
+
+    return compare_trees(old, new)
 
 
 def recovery_cost(

@@ -9,6 +9,7 @@ against the package's own apply path.
 import random
 import tracemalloc
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import ne
@@ -42,8 +43,11 @@ from satpatch.linksim import modification_ratio
 from satpatch.package import (
     ChangeKind,
     EditOp,
+    FileChange,
+    encode_package,
     split_lines,
 )
+from test_pinned_outputs import per_pair_chunk_diff
 
 
 def lcs_length(a, b):
@@ -562,14 +566,22 @@ class TestPatchDecision:
         assert len(segments[1]) == 2 * (span // 16) + 1 > span // 8
 
 
+def sparse_bytes(rng, size, share):
+    """``size`` bytes, each nonzero with probability ``share``: content in
+    which a shifted compare changes few bytes."""
+    return bytes(rng.randrange(1, 256) if rng.random() < share else 0 for _ in range(size))
+
+
 @st.composite
 def aligned_edits(draw):
-    """A random file and a copy with flips, runs of flips, inserts,
-    deletes and dense rewrites, each placed anywhere or within a byte of
-    either end or of a 1 KiB block edge counted from either end."""
+    """A random or a mostly zero file and a copy with flips, runs of
+    flips, inserts, deletes and dense rewrites, each placed anywhere or
+    within a byte of either end or of a 1 KiB block edge counted from
+    either end."""
     rng = draw(st.randoms(use_true_random=False))
     size = draw(st.sampled_from([0, 1, 7, 1023, 1024, 1025, 3000, 5 * 1024 + 3, 70_000]))
-    old = rng.randbytes(size)
+    share = draw(st.sampled_from([1, 1 / 50]))
+    old = rng.randbytes(size) if share == 1 else sparse_bytes(rng, size, share)
     new = bytearray(old)
     for _ in range(draw(st.integers(1, 6))):
         n = len(new)
@@ -589,6 +601,13 @@ def aligned_edits(draw):
             for p in rng.sample(range(at, stop), min(stop - at, draw(st.integers(1, 120)))):
                 new[p] ^= rng.randrange(1, 256)
     return old, bytes(new)
+
+
+def package_of(old, new, ops, segments):
+    """The package of a one-file update coded by ``ops`` and ``segments``."""
+    changeset = compare_trees(FileTree.from_dict("a", {"f": old}), FileTree.from_dict("b", {"f": new}))
+    (change,) = changeset.changes
+    return encode_package(replace(changeset, changes=(FileChange(change.path, change.kind, ops, segments),)))
 
 
 class TestAlignFirst:
@@ -635,6 +654,43 @@ class TestAlignFirst:
         ops, segments = chunk_diff(old, bytes(new))
         assert ops == (EditOp("X", 100_003), EditOp("D", 256), EditOp("X", 199_741))
         assert replay_chunk_ops(old, ops, segments) == new
+
+    def test_an_insert_or_delete_in_mostly_zero_content_is_found(self):
+        # One byte in 50 is nonzero, so a compare shifted by the edit
+        # changes about 4% of the bytes, fewer than a sixteenth: only the
+        # compare aligned at the other end, which changes none, stops the
+        # head. Then the edit is one I or D op, placed where it or an
+        # equal run of zero bytes lies, and the package is smaller than
+        # the chunk-first one.
+        rng = random.Random(34)
+        old = sparse_bytes(rng, 1 << 20, 1 / 50)
+        edits = ((0, b"\x07", 0), (300_001, rng.randbytes(256), 0), (5, b"", 300), (700_000, b"", 300))
+        for at, inserted, deleted in edits:
+            new = old[:at] + inserted + old[at + deleted :]
+            ops, segments = chunk_diff(old, new)
+            middle = EditOp("I", len(inserted)) if inserted else EditOp("D", deleted)
+            start = ops[0].count if ops[0].kind == "R" else 0
+            assert [op.kind for op in ops] == ["R"] * (start > 0) + [middle.kind, "R"]
+            assert ops[-2] == middle and at <= start < at + 200
+            assert replay_chunk_ops(old, ops, segments) == new
+            chunk_first = per_pair_chunk_diff(old, new)
+            assert len(package_of(old, new, ops, segments)) < len(package_of(old, new, *chunk_first))
+
+    def test_the_tail_stops_where_the_start_aligned_compare_is_better(self):
+        # A dense rewrite stops the head in mostly zero content. The tail
+        # runs back from the end to a 3-byte insert after it, past which
+        # its shifted compare still changes under a sixteenth of each
+        # window but the start-aligned compare changes fewer bytes. The
+        # bytes between the rewrite and the insert are chunked, not coded
+        # shifted.
+        rng = random.Random(35)
+        old = sparse_bytes(rng, 1 << 20, 1 / 50)
+        new = old[:200_000] + rng.randbytes(2000) + old[202_000:600_000] + rng.randbytes(3) + old[600_000:]
+        ops, segments = chunk_diff(old, new)
+        assert "X" not in [op.kind for op in ops] and ops[-1] == EditOp("R", len(old) - 600_000)
+        assert replay_chunk_ops(old, ops, segments) == new
+        chunk_first = per_pair_chunk_diff(old, new)
+        assert len(package_of(old, new, ops, segments)) < len(package_of(old, new, *chunk_first))
 
     def test_patched_pairs_in_the_middle_join_one_x_run(self):
         # One flip in each of chunks k and k + 2 makes two patched pairs in

@@ -1,17 +1,19 @@
-"""Import layering of the onboard modules, checked three ways, and the
+"""Import layering of the onboard modules, checked four ways, and the
 ground differ's lazy numpy import.
 
 The replay path must not depend on the ground differ or on numpy. The
 first check parses each onboard module with ``ast`` instead of importing
 it, so it sees every import statement, including ones inside functions,
 and loads nothing. It cannot see numpy arrive through a module that an
-onboard process imports legitimately, such as :mod:`satpatch.diffgen`
-through :mod:`satpatch.layerstore`. So the other two checks run the
-onboard path in a fresh interpreter and then read ``sys.modules``. One
-imports every ``satpatch`` module, decodes a package and applies it, and
-finds no numpy. The other imports only the replay's own modules, does the
-same, and finds no ground module loaded. A last probe diffs a text update
-large enough to split and finds no numpy: only the chunker loads it.
+onboard process imports legitimately, such as :mod:`satpatch.diffgen`,
+which :mod:`satpatch.layerstore` imports for ``recovery_cost``. So the
+other checks run the onboard path in a fresh interpreter and then read
+``sys.modules``. One imports every ``satpatch`` module, decodes a package
+and applies it, and finds no numpy. One imports only the replay's own
+modules, does the same, and finds no ground module loaded. One applies
+through the layer store and finds the differ loaded only once a recovery
+cost asks for it. A last probe diffs a text update large enough to split
+and finds no numpy: only the chunker loads it.
 """
 
 import ast
@@ -36,6 +38,7 @@ ALLOWED = {
     "package": {"errors", "fstree"},
     "reconstruct": {"errors", "fstree", "package"},
     "__init__": set(),
+    # only inside ``layerstore.compare_trees``, for ``recovery_cost``;
     # diffgen leaves with the move of ``recovery_cost`` out of the store,
     # once the benchmark stops rebinding ``layerstore.compare_trees``
     "layerstore": {"errors", "fstree", "package", "diffgen"},
@@ -122,6 +125,27 @@ assert not loaded, f"the replay loaded {loaded}"
 """
 
 
+#: Runs in a fresh interpreter: argv is the base tree and the package.
+STORE_PROBE = """
+import sys, tempfile
+from satpatch.fstree import load_tree
+from satpatch.layerstore import LayerStore, RecoveryStrategy, recovery_cost
+from satpatch.package import decode_package
+from satpatch.reconstruct import apply_changeset
+store = LayerStore(tempfile.mkdtemp())
+old = load_tree(sys.argv[1])
+store.commit(old, "v0")
+store.mark_stable("v0")
+blob = open(sys.argv[2], "rb").read()
+new, _ = apply_changeset(store.active_tree(), decode_package(blob))
+store.commit(new, "v1")
+store.mark_stable("v1")
+assert "satpatch.diffgen" not in sys.modules, "the store loaded the differ"
+recovery_cost(old, new, RecoveryStrategy.PATCH)
+assert "satpatch.diffgen" in sys.modules, "the probe cannot see the differ load"
+"""
+
+
 #: Runs in a fresh interpreter. Each edit copies a line from elsewhere in
 #: the file, so the lines between the first and last edit stay shared and
 #: the piece the differ searches after trimming the ends is large enough
@@ -183,6 +207,10 @@ def test_onboard_path_loads_no_numpy(onboard_update):
 
 def test_replay_loads_no_ground_module(onboard_update):
     run_probe(REPLAY_PROBE, onboard_update)
+
+
+def test_store_loads_the_differ_only_for_a_recovery_cost(onboard_update):
+    run_probe(STORE_PROBE, onboard_update)
 
 
 def test_text_only_diff_loads_no_numpy():

@@ -710,8 +710,8 @@ def _stretch(
         # j, leads by the bytes the rival changes before j less ours
         first = max(0, w - 1)
         ours, theirs = (
-            (r[first : w + 1].reshape(-1)[: stop - first * _SAME_BLOCK] != 0).view(np.int8)
-            for r in (rows, rival_rows)
+            (side[first : w + 1].reshape(-1)[: stop - first * _SAME_BLOCK] != 0).view(np.int8)
+            for side in (rows, rival_rows)
         )
         lead = np.cumsum(np.concatenate(([0], theirs - ours)), dtype=np.int32)
         stop = first * _SAME_BLOCK + lead.size - 1 - int(np.argmax(lead[::-1]))
